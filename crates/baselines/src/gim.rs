@@ -19,8 +19,7 @@ use eim_diffusion::{sample_rng, DiffusionModel};
 use eim_gpusim::{CopyEvent, CopyStream, Device, Op, TransferDirection, WARP_SIZE};
 use eim_graph::{Graph, VertexId};
 use eim_imm::{
-    degree_remap, AnyRrrStore, EngineError, ImmConfig, ImmEngine, RrrSets, RrrStoreBuilder,
-    Selection,
+    AnyRrrStore, EngineError, ImmConfig, ImmEngine, RrrSets, RrrStoreBuilder, Selection,
 };
 use rand::Rng;
 
@@ -77,13 +76,8 @@ impl<'g> GimEngine<'g> {
             stream,
             upload,
             graph,
-            // gIM stores plain (never packed, never eliminates sources)
-            // unless the run opted into the compressed-residency store.
-            store: if config.compressed {
-                AnyRrrStore::compressed(n, degree_remap(graph))
-            } else {
-                AnyRrrStore::new(n, false)
-            },
+            // gIM stores plain (never packed, never eliminates sources).
+            store: AnyRrrStore::new(n, false),
             config,
             next_index: 0,
             store_alloc_bytes: 0,

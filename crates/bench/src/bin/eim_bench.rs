@@ -47,13 +47,11 @@
 //! self-describing.
 //!
 //! `perf` measures the host wall-clock hot paths on fixed seeds: RRR-set
-//! sampling (`sample_batch`), greedy seed selection (`select_seeds`), the
-//! compressed-store capacity race (`rrr_capacity`, which also reports how
-//! much later a fixed device budget OOMs), and an end-to-end `run_imm`.
-//! Simulated cycle counts
-//! are byte-stable and covered by the test suite; this harness tracks the
-//! *real* time the reproduction takes, so performance wins are provable and
-//! regressions visible. The checked-in `BENCH_pr3.json` / `BENCH_pr6.json`
+//! sampling (`sample_batch`), greedy seed selection (`select_seeds`), and an
+//! end-to-end `run_imm`. Simulated cycle counts are byte-stable and
+//! covered by the test suite; this harness tracks the *real* time the
+//! reproduction takes, so performance wins are provable and regressions
+//! visible. The checked-in `BENCH_pr3.json` / `BENCH_pr6.json`
 //! at the repo root are this tool's output with `--baseline` pointing at a
 //! pre-optimization capture; CI's `perf-smoke` job reruns `--smoke` and
 //! fails on a >2x regression versus `BENCH_smoke_baseline.json` (>1.5x for
@@ -80,9 +78,9 @@ use eim_gpusim::{
 };
 use eim_graph::{generators, Dataset, WeightModel};
 use eim_imm::{
-    frequency_remap, run_imm, run_imm_recovering, select_seeds, select_seeds_reference,
-    CompressedRrrStore, CpuEngine, CpuParallelism, EngineError, HostResampler, ImmConfig,
-    ImmEngine as _, PlainRrrStore, RecoveryPolicy, RrrStoreBuilder, StreamingImmEngine,
+    run_imm, run_imm_recovering, select_seeds, select_seeds_reference, CpuEngine, CpuParallelism,
+    EngineError, HostResampler, ImmConfig, ImmEngine as _, PlainRrrStore, RecoveryPolicy,
+    RrrStoreBuilder, StreamingImmEngine,
 };
 use rand::{Rng, SeedableRng};
 use serde_json::{Map, Value};
@@ -405,11 +403,6 @@ struct Workload {
     e2e_m: usize,
     e2e_k: usize,
     e2e_eps: f64,
-    /// Capacity: vertices, candidate sets, and the device-byte budget the
-    /// plain and compressed stores race to fill.
-    cap_n: usize,
-    cap_count: usize,
-    cap_budget: usize,
     /// Timing repetitions (best-of).
     reps: usize,
 }
@@ -428,9 +421,6 @@ impl Workload {
                 e2e_m: 3_600,
                 e2e_k: 4,
                 e2e_eps: 0.3,
-                cap_n: 8_000,
-                cap_count: 40_000,
-                cap_budget: 512 << 10,
                 reps: 2,
             }
         } else {
@@ -445,9 +435,6 @@ impl Workload {
                 e2e_m: 12_000,
                 e2e_k: 8,
                 e2e_eps: 0.2,
-                cap_n: 20_000,
-                cap_count: 120_000,
-                cap_budget: 2 << 20,
                 reps: 3,
             }
         }
@@ -499,42 +486,6 @@ fn random_store(n: usize, sets: usize, seed: u64) -> PlainRrrStore {
         store.append_set(&set);
     }
     store
-}
-
-/// Heavy-tailed candidate RRR sets for the capacity bench: members are
-/// drawn from a cubed-uniform (zipf-ish) distribution over a scrambled hub
-/// order, so a frequency remap has real skew to exploit.
-fn skewed_cap_sets(n: usize, count: usize, seed: u64) -> Vec<Vec<u32>> {
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let hub = |i: u64| ((i.wrapping_mul(48271) + 13) % n as u64) as u32;
-    (0..count)
-        .map(|_| {
-            let len = rng.gen_range(12..48);
-            let mut set: Vec<u32> = (0..len)
-                .map(|_| {
-                    let r: f64 = rng.gen();
-                    hub((r * r * r * n as f64) as u64)
-                })
-                .collect();
-            set.sort_unstable();
-            set.dedup();
-            set
-        })
-        .collect()
-}
-
-/// Appends sets until the store's device-byte footprint reaches `budget`
-/// (the moment a real device would OOM); returns how many fit.
-fn fill_to_budget<S: RrrStoreBuilder>(store: &mut S, sets: &[Vec<u32>], budget: usize) -> usize {
-    let mut appended = 0;
-    for set in sets {
-        if store.bytes() >= budget {
-            break;
-        }
-        store.append_set(set);
-        appended += 1;
-    }
-    appended
 }
 
 fn bench_entry(wall_ms: f64, detail: &[(&str, Value)]) -> Value {
@@ -747,81 +698,6 @@ fn run_benches(
         ),
     );
     println!("end_to_end     {e2e_ms:>10.2} ms   ({num_sets} sets)");
-
-    // Compressed-residency capacity: fill a fixed device-byte budget with
-    // heavy-tailed sets, plain layout vs delta-compressed under a frequency
-    // remap. `onset_ratio` is how much later the OOM onset arrives; the
-    // timed section is the compressed ingest (remap + delta encode). Runs
-    // after `end_to_end` so the composite keeps the in-process measurement
-    // position it had before this bench existed — wall times stay
-    // comparable across baseline files.
-    let cap_sets = skewed_cap_sets(w.cap_n, w.cap_count, seed ^ 0xca9);
-    let mut freq = vec![0u32; w.cap_n];
-    for set in &cap_sets {
-        for &v in set {
-            freq[v as usize] += 1;
-        }
-    }
-    let remap = frequency_remap(&freq);
-    let mut plain_cap = PlainRrrStore::new(w.cap_n);
-    let plain_fit = fill_to_budget(&mut plain_cap, &cap_sets, w.cap_budget);
-    let mut comp_fit = 0usize;
-    let cap_ms = time_ms(w.reps, || {
-        let mut comp = CompressedRrrStore::with_remap(w.cap_n, remap.clone());
-        comp_fit = fill_to_budget(&mut comp, &cap_sets, w.cap_budget);
-        std::hint::black_box(&comp);
-    });
-    assert!(
-        plain_fit < cap_sets.len() && comp_fit < cap_sets.len(),
-        "capacity workload too small: both stores must hit the budget"
-    );
-    let onset_ratio = comp_fit as f64 / plain_fit as f64;
-    // Equal-content comparison: same sets in both layouts must compress and
-    // still select the same seeds.
-    let mut comp_eq = CompressedRrrStore::with_remap(w.cap_n, remap.clone());
-    for set in &cap_sets[..plain_fit] {
-        comp_eq.append_set(set);
-    }
-    let compression_ratio = comp_eq.compression_ratio();
-    let cap_k = 8;
-    let sel_plain = select_seeds(&plain_cap, cap_k);
-    let sel_comp = select_seeds(&comp_eq, cap_k);
-    assert_eq!(
-        sel_plain.seeds, sel_comp.seeds,
-        "compressed capacity store changed the selected seeds"
-    );
-    let mut payload_hash = Fnv::new();
-    for word in comp_eq.payload_words() {
-        payload_hash.u32(word as u32);
-        payload_hash.u32((word >> 32) as u32);
-    }
-    let mut cap_digest = Map::new();
-    cap_digest.insert("payload_fnv64".to_string(), Value::from(payload_hash.hex()));
-    cap_digest.insert("plain_sets".to_string(), Value::from(plain_fit as u64));
-    cap_digest.insert("compressed_sets".to_string(), Value::from(comp_fit as u64));
-    cap_digest.insert(
-        "seeds".to_string(),
-        Value::from(sel_comp.seeds.iter().map(|&v| v as u64).collect::<Vec<_>>()),
-    );
-    digests.insert("rrr_capacity".to_string(), Value::Object(cap_digest));
-    benches.insert(
-        "rrr_capacity".to_string(),
-        bench_entry(
-            cap_ms,
-            &[
-                ("n", Value::from(w.cap_n as u64)),
-                ("budget_bytes", Value::from(w.cap_budget as u64)),
-                ("plain_sets", Value::from(plain_fit as u64)),
-                ("compressed_sets", Value::from(comp_fit as u64)),
-                ("onset_ratio", Value::from(onset_ratio)),
-                ("compression_ratio", Value::from(compression_ratio)),
-            ],
-        ),
-    );
-    println!(
-        "rrr_capacity   {cap_ms:>10.2} ms   (onset {plain_fit} -> {comp_fit} sets, \
-         {onset_ratio:.2}x, ratio {compression_ratio:.2}x)"
-    );
 
     benches
 }

@@ -29,7 +29,6 @@
 //! ```
 
 mod atomic;
-mod bits;
 mod buf;
 mod csc;
 mod delta;
@@ -39,7 +38,6 @@ mod packed;
 mod search;
 
 pub use atomic::AtomicPackedArray;
-pub use bits::{BitReader, BitStream, BitWriter};
 pub use buf::PackedBuf;
 pub use csc::{PackedCsc, WeightStorage};
 pub use delta::DeltaRun;

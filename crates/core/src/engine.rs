@@ -6,8 +6,8 @@ use eim_gpusim::ArgValue;
 use eim_gpusim::{CopyEvent, CopyStream, Device, MemoryError, TransferDirection};
 use eim_graph::Graph;
 use eim_imm::{
-    degree_remap, AnyRrrStore, DeviceManifest, EngineError, EngineManifest, ImmConfig, ImmEngine,
-    PackedRrrBatch, RecoveryPolicy, RecoveryReport, RrrSets, RrrStoreBuilder, Selection,
+    AnyRrrStore, DeviceManifest, EngineError, EngineManifest, ImmConfig, ImmEngine, PackedRrrBatch,
+    RecoveryPolicy, RecoveryReport, RrrSets, RrrStoreBuilder, Selection,
 };
 
 use crate::device_graph::{DeviceGraph, PackedDeviceGraph, PlainDeviceGraph};
@@ -99,11 +99,7 @@ impl<'g> EimEngine<'g> {
             repr.device_bytes(),
             TransferDirection::HostToDevice,
         ));
-        let store = if config.compressed {
-            AnyRrrStore::compressed(n, degree_remap(graph))
-        } else {
-            AnyRrrStore::new(n, config.packed)
-        };
+        let store = AnyRrrStore::new(n, config.packed);
         Ok(Self {
             device,
             stream,
@@ -184,12 +180,7 @@ impl<'g> EimEngine<'g> {
             return false;
         }
         let end = (self.spill_cursor + SPILL_BATCH_SETS).min(total);
-        // A compressed store ships its own delta frames (rank-space pages):
-        // the eviction moves compressed bytes over PCIe, not re-inflated ids.
-        let batch = match self.store.as_compressed() {
-            Some(c) => PackedRrrBatch::pack_range_delta(c, self.spill_cursor, end),
-            None => PackedRrrBatch::pack_range(&self.store, self.spill_cursor, end),
-        };
+        let batch = PackedRrrBatch::pack_range(&self.store, self.spill_cursor, end);
         let bytes = batch.device_bytes();
         // The eviction rides the copy stream (queueing behind an in-flight
         // graph upload) but is waited on immediately: the relieved memory
@@ -336,24 +327,8 @@ impl ImmEngine for EimEngine<'_> {
         if flags_ok {
             self.device.memory().free(flag_bytes);
         }
-        // A compressed store pays for block decode on the way into the
-        // inverted index: one pass over every stored element, a handful of
-        // ALU ops each (shift/mask/or plus the prefix-sum add).
-        if let Some(c) = self.store.as_compressed() {
-            const DECODE_CYCLES_PER_ELEMENT: u64 = 4;
-            let cycles = c.total_elements() as u64 * DECODE_CYCLES_PER_ELEMENT;
-            self.device
-                .advance_clock(self.device.spec().cycles_to_us(cycles));
-            let metrics = self.device.run_trace().metrics();
-            metrics.counter_add("eim_rrr_decode_cycles", &[], cycles);
-            metrics.counter_add("eim_rrr_compressed_bytes", &[], c.bytes() as u64);
-            metrics.gauge_max(
-                "eim_rrr_compression_ratio_pct",
-                (c.compression_ratio() * 100.0) as u64,
-            );
-        }
         // Residency high-water for the live dashboard: bytes the RRR store
-        // holds at selection time, compressed or plain.
+        // holds at selection time.
         self.device
             .run_trace()
             .metrics()
@@ -580,78 +555,6 @@ mod tests {
         assert_eq!(degraded.num_sets, clean.num_sets);
         // The spilled run pays PCIe round-trips the clean run does not.
         assert!(degrade_engine.elapsed_us() > clean_engine.elapsed_us());
-    }
-
-    #[test]
-    fn compressed_degrade_spills_delta_pages_and_seeds_match() {
-        use eim_gpusim::RunTrace;
-        use eim_imm::{run_imm_recovering, RecoveryPolicy};
-        let g = generators::rmat(
-            500,
-            5_000,
-            generators::RmatParams::GRAPH500,
-            WeightModel::WeightedCascade,
-            7,
-        );
-        // Tight enough that BOTH layouts must spill; the compressed store
-        // then ships delta pages where the plain store ships packed ids.
-        let scratch = ScratchPlan::new(500, 84 * 4).total();
-        let budget = scratch + (30 << 10);
-        let run_degrade = |compressed: bool| {
-            let c = cfg().with_epsilon(0.1).with_compressed(compressed);
-            let d = Device::new(DeviceSpec::rtx_a6000_with_mem(budget));
-            let mut e = EimEngine::new(&g, c, d, ScanStrategy::ThreadPerSet).unwrap();
-            run_imm_recovering(
-                &mut e,
-                &c,
-                &RecoveryPolicy::degrade(),
-                &RunTrace::disabled(),
-            )
-            .expect("host spill must rescue the run")
-        };
-        let plain = run_degrade(false);
-        let comp = run_degrade(true);
-        assert!(plain.recovery.spill_events > 0);
-        assert!(
-            comp.recovery.spill_events > 0,
-            "compressed run never spilled"
-        );
-        // Spilling and compression are both invisible in the answer.
-        assert_eq!(plain.seeds, comp.seeds);
-        assert_eq!(plain.num_sets, comp.num_sets);
-        // Delta pages move fewer bytes over PCIe than packed-id pages.
-        assert!(
-            comp.recovery.spilled_bytes < plain.recovery.spilled_bytes,
-            "delta {} vs packed {} spilled bytes",
-            comp.recovery.spilled_bytes,
-            plain.recovery.spilled_bytes
-        );
-        // And a clean, ample-memory uncompressed run agrees too.
-        let c = cfg().with_epsilon(0.1);
-        let mut clean = EimEngine::new(&g, c, device(), ScanStrategy::ThreadPerSet).unwrap();
-        let r = run_imm(&mut clean, &c).unwrap();
-        assert_eq!(r.seeds, comp.seeds);
-    }
-
-    #[test]
-    fn compressed_select_charges_decode_and_exports_metrics() {
-        use eim_gpusim::{MetricsRegistry, RunTrace};
-        let g = generators::barabasi_albert(400, 3, WeightModel::WeightedCascade, 2);
-        let c = cfg().with_compressed(true);
-        let registry = MetricsRegistry::new();
-        let trace = RunTrace::disabled().with_metrics(registry.sink().with_engine("eim"));
-        let d = Device::with_run_trace(DeviceSpec::rtx_a6000_with_mem(64 << 20), trace);
-        let mut e = EimEngine::new(&g, c, d, ScanStrategy::ThreadPerSet).unwrap();
-        let r = run_imm(&mut e, &c).unwrap();
-        assert_eq!(r.seeds.len(), 3);
-        let rendered = registry.render_prometheus();
-        for metric in [
-            "eim_rrr_decode_cycles",
-            "eim_rrr_compressed_bytes",
-            "eim_rrr_compression_ratio_pct",
-        ] {
-            assert!(rendered.contains(metric), "missing {metric}:\n{rendered}");
-        }
     }
 
     #[test]

@@ -31,8 +31,8 @@ use eim_gpusim::{
 };
 use eim_graph::Graph;
 use eim_imm::{
-    degree_remap, AnyRrrStore, DeviceManifest, EngineError, EngineManifest, Eviction, ImmConfig,
-    ImmEngine, RecoveryReport, RrrSets, RrrStoreBuilder, Selection,
+    AnyRrrStore, DeviceManifest, EngineError, EngineManifest, Eviction, ImmConfig, ImmEngine,
+    RecoveryReport, RrrSets, RrrStoreBuilder, Selection,
 };
 
 use crate::device_graph::{PackedDeviceGraph, PlainDeviceGraph};
@@ -160,11 +160,7 @@ impl<'g> MultiGpuEimEngine<'g> {
             streams,
             uploads,
             graph: repr,
-            store: if config.compressed {
-                AnyRrrStore::compressed(n, degree_remap(graph))
-            } else {
-                AnyRrrStore::new(n, config.packed)
-            },
+            store: AnyRrrStore::new(n, config.packed),
             config,
             partition_bytes: vec![0; num_devices],
             gathered_bytes: 0,

@@ -11,9 +11,7 @@ use rayon::prelude::*;
 
 use crate::config::ImmConfig;
 use crate::martingale::{EngineError, ImmEngine};
-use crate::rrrstore::{
-    degree_remap, CompressedRrrStore, PackedRrrStore, PlainRrrStore, RrrSets, RrrStoreBuilder,
-};
+use crate::rrrstore::{AnyRrrStore, RrrSets, RrrStoreBuilder};
 use crate::selection::{select_seeds, Selection};
 use crate::source_elim::apply_source_elimination;
 
@@ -26,31 +24,8 @@ pub enum CpuParallelism {
     Rayon,
 }
 
-enum StoreKind {
-    Plain(PlainRrrStore),
-    Packed(PackedRrrStore),
-    Compressed(CompressedRrrStore),
-}
-
-impl StoreKind {
-    fn as_sets(&self) -> &dyn RrrSets {
-        match self {
-            StoreKind::Plain(s) => s,
-            StoreKind::Packed(s) => s,
-            StoreKind::Compressed(s) => s,
-        }
-    }
-    fn append(&mut self, set: &[VertexId]) {
-        match self {
-            StoreKind::Plain(s) => s.append_set(set),
-            StoreKind::Packed(s) => s.append_set(set),
-            StoreKind::Compressed(s) => s.append_set(set),
-        }
-    }
-}
-
-/// CPU-backed IMM engine over [`PlainRrrStore`] or [`PackedRrrStore`]
-/// (per `config.packed`).
+/// CPU-backed IMM engine over a plain or packed [`AnyRrrStore`] (per
+/// `config.packed`).
 ///
 /// Sample `i` always derives from the deterministic stream
 /// `(config.seed, i)`, so results are identical under any thread count.
@@ -58,7 +33,7 @@ pub struct CpuEngine<'g> {
     graph: &'g Graph,
     config: ImmConfig,
     parallelism: CpuParallelism,
-    store: StoreKind,
+    store: AnyRrrStore,
     /// Next sample index to draw (indices of discarded samples are consumed
     /// too, keeping the stream aligned).
     next_index: u64,
@@ -71,14 +46,7 @@ pub struct CpuEngine<'g> {
 impl<'g> CpuEngine<'g> {
     /// A new engine over `graph`.
     pub fn new(graph: &'g Graph, config: ImmConfig, parallelism: CpuParallelism) -> Self {
-        let n = graph.num_vertices();
-        let store = if config.compressed {
-            StoreKind::Compressed(CompressedRrrStore::with_remap(n, degree_remap(graph)))
-        } else if config.packed {
-            StoreKind::Packed(PackedRrrStore::new(n))
-        } else {
-            StoreKind::Plain(PlainRrrStore::new(n))
-        };
+        let store = AnyRrrStore::new(graph.num_vertices(), config.packed);
         Self {
             graph,
             config,
@@ -147,7 +115,7 @@ impl ImmEngine for CpuEngine<'_> {
                 .record_kernel("cpu_sample", t0, self.wall_us() - t0, drawn, 0, 0);
             self.next_index = target as u64;
             for set in sets.into_iter().flatten() {
-                self.store.append(&set);
+                self.store.append_set(&set);
             }
         }
         Ok(())
@@ -159,14 +127,14 @@ impl ImmEngine for CpuEngine<'_> {
 
     fn select(&mut self, k: usize) -> Selection {
         let t0 = self.wall_us();
-        let selection = select_seeds(self.store.as_sets(), k);
+        let selection = select_seeds(&self.store, k);
         self.trace
             .record_kernel("cpu_select", t0, self.wall_us() - t0, k, 0, 0);
         selection
     }
 
     fn store(&self) -> &dyn RrrSets {
-        self.store.as_sets()
+        &self.store
     }
 
     fn elapsed_us(&self) -> f64 {
@@ -248,26 +216,6 @@ mod tests {
         assert_eq!(rp.seeds, rq.seeds);
         assert_eq!(rp.num_sets, rq.num_sets);
         assert!(rq.store_bytes < rp.store_bytes);
-    }
-
-    #[test]
-    fn compressed_store_yields_identical_seeds() {
-        let g = generators::rmat(
-            300,
-            1_800,
-            generators::RmatParams::GRAPH500,
-            WeightModel::WeightedCascade,
-            9,
-        );
-        let c = cfg();
-        let c_comp = c.with_compressed(true);
-        let mut plain = CpuEngine::new(&g, c.with_packed(false), CpuParallelism::Rayon);
-        let mut comp = CpuEngine::new(&g, c_comp, CpuParallelism::Rayon);
-        let rp = run_imm(&mut plain, &c.with_packed(false)).unwrap();
-        let rc = run_imm(&mut comp, &c_comp).unwrap();
-        assert_eq!(rp.seeds, rc.seeds);
-        assert_eq!(rp.num_sets, rc.num_sets);
-        assert_eq!(rp.total_elements, rc.total_elements);
     }
 
     #[test]

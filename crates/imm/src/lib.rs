@@ -45,10 +45,7 @@ pub use martingale::{
     ImmEngine, ImmResult, PhaseBreakdown,
 };
 pub use recovery::{MartingaleCheckpoint, RecoveryMode, RecoveryPolicy, RecoveryReport};
-pub use rrrstore::{
-    degree_remap, frequency_remap, AnyRrrStore, CompressedRrrStore, PackedRrrStore, PlainRrrStore,
-    RrrSets, RrrStoreBuilder, COMPRESSED_BLOCK_SETS,
-};
+pub use rrrstore::{AnyRrrStore, PackedRrrStore, PlainRrrStore, RrrSets, RrrStoreBuilder};
 pub use selection::{
     select_seeds, select_seeds_celf, select_seeds_reference, select_seeds_reference_with_gains,
     select_seeds_with_gains, Selection, SelectionWorkspace,

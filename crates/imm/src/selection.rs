@@ -51,10 +51,13 @@ impl Selection {
     }
 }
 
+/// Sets per task when the inverted index's postings fill runs in parallel.
+const POSTINGS_CHUNK_SETS: usize = 4096;
+
 /// CSR inverted index over an RRR store: for every vertex, the ids of the
 /// sets containing it — the transpose of the store's `R`/`O` layout. The
 /// per-vertex run starts are the exclusive prefix sum of the store's count
-/// array `C`. The postings fill streams the store's sets block-wise
+/// array `C`. The postings fill streams the store's sets in order
 /// ([`RrrSets::for_each_set_in`]): sequentially with plain cursors on a
 /// single-threaded pool, or in set-range chunks claiming slots through
 /// per-vertex atomic cursors when real parallelism is available — the
@@ -97,7 +100,7 @@ impl InvertedIndex {
             let cursors: Vec<AtomicUsize> =
                 starts[..n].iter().map(|&s| AtomicUsize::new(s)).collect();
             let postings: Vec<AtomicU32> = (0..acc).map(|_| AtomicU32::new(0)).collect();
-            let chunk = store.decode_chunk_hint().max(1);
+            let chunk = POSTINGS_CHUNK_SETS;
             (0..num_sets.div_ceil(chunk)).into_par_iter().for_each(|c| {
                 let (from, to) = (c * chunk, ((c + 1) * chunk).min(num_sets));
                 store.for_each_set_in(from, to, &mut |i, members| {

@@ -241,18 +241,14 @@ pub fn render_frame(acc: &SnapshotAccumulator) -> String {
     // --- memory: high-water + store residency -----------------------------
     let peak = gauge_max(acc, "eim_device_mem_peak_bytes");
     let store = gauge_max(acc, "eim_rrr_store_bytes");
-    let ratio = gauge_max(acc, "eim_rrr_compression_ratio_pct");
     let alloc_fail = counter_sum(acc, "eim_device_alloc_failures_total");
     w(&mut out, "DEVICE MEMORY".into());
-    let mut mem = format!(
+    let mem = format!(
         "  high-water {:.1} MiB   rrr store {:.1} MiB   alloc failures {}",
         mib(peak),
         mib(store),
         alloc_fail
     );
-    if ratio > 0 {
-        let _ = write!(mem, "   compression {}% of plain", ratio);
-    }
     w(&mut out, mem);
     w(&mut out, String::new());
 

@@ -258,88 +258,3 @@ fn packing_never_changes_results() {
         assert!(packed.store_bytes < plain.store_bytes);
     }
 }
-
-/// The compressed-residency invariant: the delta-compressed, degree-remapped
-/// RRR store is a pure layout change. For every engine, under plain or
-/// log-encoded graph/store layouts and 1- or 4-thread rayon pools, the seed
-/// set must be byte-identical to the uncompressed run's — in original id
-/// space, with the same smallest-id tie-breaks.
-#[test]
-fn compression_never_changes_results() {
-    let g = test_graph(41);
-
-    type Run<'a> = Box<dyn Fn(ImmConfig) -> (Vec<u32>, usize) + Sync + 'a>;
-    let engines: Vec<(&str, Run)> = vec![
-        (
-            "eim",
-            Box::new(|c| {
-                let mut e =
-                    EimEngine::new(&g, c, Device::new(spec()), ScanStrategy::ThreadPerSet).unwrap();
-                let r = run_imm(&mut e, &c).unwrap();
-                (r.seeds, r.num_sets)
-            }),
-        ),
-        (
-            "gim",
-            Box::new(|c| {
-                let mut e = GimEngine::new(&g, c, Device::new(spec())).unwrap();
-                let r = run_imm(&mut e, &c).unwrap();
-                (r.seeds, r.num_sets)
-            }),
-        ),
-        (
-            "curipples",
-            Box::new(|c| {
-                let mut e =
-                    CuRipplesEngine::new(&g, c, Device::new(spec()), HostSpec::default()).unwrap();
-                let r = run_imm(&mut e, &c).unwrap();
-                (r.seeds, r.num_sets)
-            }),
-        ),
-        (
-            "multigpu",
-            Box::new(|c| {
-                let mut e = MultiGpuEimEngine::with_telemetry(
-                    &g,
-                    c,
-                    spec(),
-                    3,
-                    &RunTrace::disabled(),
-                    true,
-                )
-                .unwrap();
-                let r = run_imm(&mut e, &c).unwrap();
-                (r.seeds, r.num_sets)
-            }),
-        ),
-        (
-            "cpu",
-            Box::new(|c| {
-                let mut e = CpuEngine::new(&g, c, CpuParallelism::Rayon);
-                let r = run_imm(&mut e, &c).unwrap();
-                (r.seeds, r.num_sets)
-            }),
-        ),
-    ];
-
-    for threads in [1usize, 4] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        pool.install(|| {
-            for packed in [false, true] {
-                let base = plain_config(DiffusionModel::IndependentCascade).with_packed(packed);
-                for (name, run) in &engines {
-                    let uncompressed = run(base);
-                    let compressed = run(base.with_compressed(true));
-                    assert_eq!(
-                        uncompressed, compressed,
-                        "{name} (packed = {packed}, {threads} threads): \
-                         compression changed the results"
-                    );
-                }
-            }
-        });
-    }
-}
