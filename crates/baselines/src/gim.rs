@@ -15,7 +15,7 @@
 //! * no source elimination;
 //! * selection scans assign one **warp** per RRR set.
 
-use eim_diffusion::{sample_rng, DiffusionModel};
+use eim_diffusion::{lt_choose, sample_rng, DiffusionModel};
 use eim_gpusim::{CopyEvent, CopyStream, Device, Op, TransferDirection, WARP_SIZE};
 use eim_graph::{Graph, VertexId};
 use eim_imm::{
@@ -186,19 +186,11 @@ impl<'g> GimEngine<'g> {
                                 }
                                 ctx.charge(Op::Rng, 1);
                                 let tau: f32 = rng.gen();
-                                // One contended atomic per in-edge examined.
-                                let mut acc = 0.0f32;
-                                let mut chosen: Option<VertexId> = None;
-                                let mut examined = 0usize;
-                                for i in 0..d {
-                                    examined += 1;
-                                    let p = graph.in_weight(u, i);
-                                    acc += p;
-                                    if acc >= tau {
-                                        chosen = Some(graph.in_neighbor(u, i));
-                                        break;
-                                    }
-                                }
+                                // One contended atomic per in-edge examined:
+                                // through the chosen one, or all of them.
+                                let pick = lt_choose((0..d).map(|i| graph.in_weight(u, i)), tau);
+                                let examined = pick.map_or(d, |i| i + 1);
+                                let chosen = pick.map(|i| graph.in_neighbor(u, i));
                                 ctx.charge_contended_atomic(examined.min(WARP_SIZE));
                                 ctx.charge(
                                     Op::AtomicGlobal,
@@ -417,6 +409,36 @@ mod tests {
             .unwrap();
         assert_eq!(rg.seeds, re.seeds);
         assert_eq!(rg.num_sets, re.num_sets);
+    }
+
+    #[test]
+    fn lt_tau_zero_chooses_no_neighbor_on_host_device_and_gim() {
+        // Sample 6_023_998 of run seed 1 draws source 0 and then tau = 0.0
+        // (probability 2^-24). On a 6-cycle of weight-1 edges every other
+        // tau walks the whole cycle; all three LT walks must stop at the
+        // source, as the device rule `exclusive < tau <= inclusive` says.
+        const IDX: u64 = 6_023_998;
+        let g = generators::cycle(6, WeightModel::WeightedCascade);
+        let mut rng = sample_rng(1, IDX);
+        let source: VertexId = rng.gen_range(0..6);
+        assert_eq!(rng.clone().gen::<f32>(), 0.0, "pinned draw moved");
+        assert_eq!(eim_diffusion::sample_rrr_lt(&g, source, &mut rng), [source]);
+
+        let dev = device();
+        let plain = PlainDeviceGraph::new(&g);
+        let packed = eim_core::PackedDeviceGraph::new(eim_bitpack::PackedCsc::from_graph(&g));
+        let lt = DiffusionModel::LinearThreshold;
+        for batch in [
+            eim_core::sampler::sample_batch(&dev, &plain, lt, 1, IDX, 1, false),
+            eim_core::sampler::sample_batch(&dev, &packed, lt, 1, IDX, 1, false),
+            eim_core::sampler::sample_batch_reference(&dev, &plain, lt, 1, IDX, 1, false),
+        ] {
+            assert_eq!(batch.unwrap().sets.get(0), Some(&[source][..]));
+        }
+
+        let config = cfg().with_model(lt).with_seed(1);
+        let gim = GimEngine::new(&g, config, device()).unwrap();
+        assert_eq!(gim.sample_batch(IDX, 1).unwrap().0, [vec![source]]);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Kernel-facing graph view: plain or log-encoded CSC.
 
 use eim_bitpack::PackedCsc;
+use eim_diffusion::{lt_choose, lt_choose_prefix};
 use eim_graph::{Graph, VertexId, Weight};
 
 /// Integer acceptance threshold of an IC edge weight `p`: a uniform draw
@@ -15,6 +16,17 @@ use eim_graph::{Graph, VertexId, Weight};
 #[inline]
 pub fn weight_threshold(p: f32) -> u32 {
     ((p as f64 * 16_777_216.0).floor() as u64).min(u32::MAX as u64) as u32
+}
+
+/// Appends one row's inclusive weight prefix sums to `prefix`, accumulated
+/// in order as `acc + p` in `f32` — the sums [`lt_choose`] forms as it
+/// scans, so [`lt_choose_prefix`] over them picks the same edge.
+fn extend_prefix(prefix: &mut Vec<f32>, weights: impl Iterator<Item = Weight>) {
+    let mut acc = 0.0f32;
+    prefix.extend(weights.map(|p| {
+        acc += p;
+        acc
+    }));
 }
 
 /// Reusable decode buffer for [`DeviceGraph::in_edges`] on representations
@@ -64,12 +76,21 @@ pub trait DeviceGraph: Sync {
         }
         (&scratch.nbrs, &scratch.thresholds)
     }
+
+    /// The in-edge of `v` an LT reverse step chooses for threshold `tau`
+    /// ([`lt_choose`]). The default scans the weights one by one;
+    /// representations with a per-row prefix-sum table override it with
+    /// the `O(log d)` lookup, which returns the same edge.
+    fn lt_choose(&self, v: VertexId, tau: f32) -> Option<usize> {
+        lt_choose((0..self.in_degree(v)).map(|i| self.in_weight(v, i)), tau)
+    }
 }
 
 /// Plain (uncompressed) CSC view — what gIM keeps on the device.
 ///
 /// Construction precomputes the flat per-edge threshold array mirroring the
-/// CSC weight array, so [`DeviceGraph::in_edges`] is zero-copy; engines
+/// CSC weight array, so [`DeviceGraph::in_edges`] is zero-copy, and the
+/// per-row weight prefix sums behind [`DeviceGraph::lt_choose`]; engines
 /// build the view once per run, amortizing the `O(m)` pass.
 pub struct PlainDeviceGraph<'g> {
     graph: &'g Graph,
@@ -77,10 +98,14 @@ pub struct PlainDeviceGraph<'g> {
     edge_starts: Vec<usize>,
     /// Per-edge acceptance thresholds in CSC order ([`weight_threshold`]).
     thresholds: Vec<u32>,
+    /// Per-row inclusive weight prefix sums in CSC order. Host emulation
+    /// state, like `thresholds`: the device scans the weights themselves.
+    prefix: Vec<f32>,
 }
 
 impl<'g> PlainDeviceGraph<'g> {
-    /// Wraps a graph, precomputing the edge threshold array.
+    /// Wraps a graph, precomputing the edge threshold and prefix-sum
+    /// arrays.
     pub fn new(graph: &'g Graph) -> Self {
         let n = graph.num_vertices();
         let mut edge_starts = Vec::with_capacity(n + 1);
@@ -91,13 +116,17 @@ impl<'g> PlainDeviceGraph<'g> {
             edge_starts.push(acc);
         }
         let mut thresholds = Vec::with_capacity(acc);
+        let mut prefix = Vec::with_capacity(acc);
         for v in 0..n as VertexId {
-            thresholds.extend(graph.in_weights(v).iter().map(|&p| weight_threshold(p)));
+            let ws = graph.in_weights(v);
+            thresholds.extend(ws.iter().map(|&p| weight_threshold(p)));
+            extend_prefix(&mut prefix, ws.iter().copied());
         }
         Self {
             graph,
             edge_starts,
             thresholds,
+            prefix,
         }
     }
 }
@@ -131,13 +160,21 @@ impl DeviceGraph for PlainDeviceGraph<'_> {
         );
         (self.graph.in_neighbors(v), &self.thresholds[s..e])
     }
+    fn lt_choose(&self, v: VertexId, tau: f32) -> Option<usize> {
+        let (s, e) = (
+            self.edge_starts[v as usize],
+            self.edge_starts[v as usize + 1],
+        );
+        lt_choose_prefix(&self.prefix[s..e], tau)
+    }
 }
 
 /// Log-encoded CSC view with the same once-per-run host precomputation
-/// [`PlainDeviceGraph`] gets: per-edge acceptance thresholds in flat CSC
-/// order and unpacked row starts. The device still holds only the packed
-/// arrays — thresholds re-encode the weight array at the same 4 bytes per
-/// edge the plain view claims, and the row starts mirror the packed
+/// [`PlainDeviceGraph`] gets: per-edge acceptance thresholds and weight
+/// prefix sums in flat CSC order, and unpacked row starts. The device still
+/// holds only the packed arrays — thresholds re-encode the weight array at
+/// the same 4 bytes per edge the plain view claims, the prefix sums are
+/// host emulation of the warp scan, and the row starts mirror the packed
 /// offsets — so [`DeviceGraph::device_bytes`] delegates to the packed
 /// representation unchanged. What remains per [`DeviceGraph::in_edges`]
 /// call is the sequential neighbor decode, the one cost intrinsic to the
@@ -149,25 +186,34 @@ pub struct PackedDeviceGraph {
     row_starts: Vec<usize>,
     /// Per-edge acceptance thresholds in CSC order ([`weight_threshold`]).
     thresholds: Vec<u32>,
+    /// Per-row inclusive weight prefix sums in CSC order (host emulation
+    /// state, as in [`PlainDeviceGraph`]).
+    prefix: Vec<f32>,
 }
 
 impl PackedDeviceGraph {
-    /// Wraps a packed CSC, precomputing row starts and edge thresholds.
+    /// Wraps a packed CSC, precomputing row starts, edge thresholds and
+    /// weight prefix sums.
     pub fn new(csc: PackedCsc) -> Self {
         let n = csc.num_vertices();
         let m = csc.num_edges();
         let mut row_starts = Vec::with_capacity(n + 1);
         let mut thresholds = Vec::with_capacity(m);
+        let mut prefix = Vec::with_capacity(m);
         for v in 0..n as VertexId {
             let (start, end) = csc.row_bounds(v);
             row_starts.push(start);
             match csc.plain_weights(start, end) {
-                Some(ws) => thresholds.extend(ws.iter().map(|&p| weight_threshold(p))),
+                Some(ws) => {
+                    thresholds.extend(ws.iter().map(|&p| weight_threshold(p)));
+                    extend_prefix(&mut prefix, ws.iter().copied());
+                }
                 None => {
                     // Derived weights are constant across the row.
                     let d = end - start;
-                    let t = weight_threshold(if d == 0 { 0.0 } else { 1.0 / d as Weight });
-                    thresholds.resize(thresholds.len() + d, t);
+                    let p = if d == 0 { 0.0 } else { 1.0 / d as Weight };
+                    thresholds.resize(thresholds.len() + d, weight_threshold(p));
+                    extend_prefix(&mut prefix, std::iter::repeat_n(p, d));
                 }
             }
         }
@@ -176,6 +222,7 @@ impl PackedDeviceGraph {
             csc,
             row_starts,
             thresholds,
+            prefix,
         }
     }
 
@@ -211,6 +258,10 @@ impl DeviceGraph for PackedDeviceGraph {
         self.csc
             .decode_neighbors_into(start, end, &mut scratch.nbrs);
         (&scratch.nbrs, &self.thresholds[start..end])
+    }
+    fn lt_choose(&self, v: VertexId, tau: f32) -> Option<usize> {
+        let (start, end) = (self.row_starts[v as usize], self.row_starts[v as usize + 1]);
+        lt_choose_prefix(&self.prefix[start..end], tau)
     }
 }
 

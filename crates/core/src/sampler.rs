@@ -43,7 +43,7 @@
 //! [`FlatSampleSets`] is ordered by sample index, so its bytes are
 //! independent of grid layout and thread count.
 
-use eim_diffusion::{sample_rng, DiffusionModel};
+use eim_diffusion::{lt_crosses, sample_rng, DiffusionModel};
 use eim_gpusim::{Device, LaunchStats, Op, SimFault, WARP_SIZE};
 use eim_graph::VertexId;
 use rand::Rng;
@@ -478,7 +478,14 @@ fn fused_sample_one<G: DeviceGraph>(
         DiffusionModel::LinearThreshold => {
             // The LT reverse walk touches only the arena tail, so it runs
             // on the output segment directly.
-            lt_traverse(ctx, graph, &mut rng, &mut scratch.visited, &mut out.data)
+            lt_traverse(
+                ctx,
+                graph,
+                &mut rng,
+                &mut scratch.visited,
+                &mut out.data,
+                lt_step_lookup,
+            )
         }
     }
     let q = out.data.len() - set_start;
@@ -546,7 +553,9 @@ fn reference_sample_one<G: DeviceGraph>(
     visited[source as usize] = true;
     match model {
         DiffusionModel::IndependentCascade => ic_traverse(ctx, graph, &mut rng, visited, queue),
-        DiffusionModel::LinearThreshold => lt_traverse(ctx, graph, &mut rng, visited, queue),
+        DiffusionModel::LinearThreshold => {
+            lt_traverse(ctx, graph, &mut rng, visited, queue, lt_step_scan)
+        }
     }
     let q = queue.len();
     if q > 1 {
@@ -644,45 +653,26 @@ fn ic_traverse<G: DeviceGraph>(
 /// LT reverse walk: each step draws a threshold and selects at most one
 /// in-neighbor via the warp shuffle prefix scan (§3.3), costing
 /// `O(log d)` shuffle rounds per 32-lane wave instead of `O(d)` serialized
-/// atomics. Walks the tail of `queue`, so it serves both sampler paths
-/// (the fused arena segment is just a queue with a nonzero start).
+/// atomics. `step` picks the in-edge and charges the scan
+/// ([`lt_step_lookup`] or [`lt_step_scan`]). Walks the tail of `queue`, so
+/// it serves both sampler paths (the fused arena segment is just a queue
+/// with a nonzero start).
 fn lt_traverse<G: DeviceGraph>(
     ctx: &mut eim_gpusim::BlockCtx,
     graph: &G,
     rng: &mut impl Rng,
     visited: &mut [bool],
     queue: &mut Vec<VertexId>,
+    step: fn(&mut eim_gpusim::BlockCtx, &G, VertexId, f32) -> Option<usize>,
 ) {
     let mut u = *queue.last().expect("queue seeded with source");
     loop {
-        let d = graph.in_degree(u);
-        if d == 0 {
+        if graph.in_degree(u) == 0 {
             break;
         }
         ctx.charge(Op::Rng, 1); // tau, shared across the warp
         let tau: f32 = rng.gen();
-        // Prefix-scan the weights wave by wave until the threshold falls.
-        let waves = d.div_ceil(WARP_SIZE);
-        let mut acc = 0.0f32;
-        let mut chosen: Option<VertexId> = None;
-        'waves: for w in 0..waves {
-            ctx.charge(Op::GlobalAccess, 1); // coalesced weight load
-            ctx.charge_shuffle_scan();
-            let lo = w * WARP_SIZE;
-            let hi = (lo + WARP_SIZE).min(d);
-            for i in lo..hi {
-                let p = graph.in_weight(u, i);
-                let inclusive = acc + p;
-                // First neighbor whose inclusive sum crosses tau while the
-                // exclusive sum is still below it (§3.3).
-                if inclusive >= tau && acc < tau {
-                    chosen = Some(graph.in_neighbor(u, i));
-                    break 'waves;
-                }
-                acc = inclusive;
-            }
-        }
-        match chosen {
+        match step(ctx, graph, u, tau).map(|i| graph.in_neighbor(u, i)) {
             Some(v) if !visited[v as usize] => {
                 visited[v as usize] = true;
                 queue.push(v);
@@ -692,6 +682,55 @@ fn lt_traverse<G: DeviceGraph>(
             _ => break,
         }
     }
+}
+
+/// The fused kernel's LT step: binary search over `u`'s weight prefix sums
+/// ([`DeviceGraph::lt_choose`]), charged the waves the warp scan covers
+/// before the threshold falls — through the chosen edge's wave, or all of
+/// them when no edge is chosen.
+fn lt_step_lookup<G: DeviceGraph>(
+    ctx: &mut eim_gpusim::BlockCtx,
+    graph: &G,
+    u: VertexId,
+    tau: f32,
+) -> Option<usize> {
+    let chosen = graph.lt_choose(u, tau);
+    let waves = chosen.map_or(graph.in_degree(u).div_ceil(WARP_SIZE), |i| {
+        i / WARP_SIZE + 1
+    });
+    for _ in 0..waves {
+        charge_lt_wave(ctx);
+    }
+    chosen
+}
+
+/// The reference LT step: the warp scan emulated weight by weight, charging
+/// each wave as it starts ([`lt_crosses`] is the choice rule).
+fn lt_step_scan<G: DeviceGraph>(
+    ctx: &mut eim_gpusim::BlockCtx,
+    graph: &G,
+    u: VertexId,
+    tau: f32,
+) -> Option<usize> {
+    let mut acc = 0.0f32;
+    for i in 0..graph.in_degree(u) {
+        if i % WARP_SIZE == 0 {
+            charge_lt_wave(ctx);
+        }
+        let inclusive = acc + graph.in_weight(u, i);
+        if lt_crosses(acc, inclusive, tau) {
+            return Some(i);
+        }
+        acc = inclusive;
+    }
+    None
+}
+
+/// One 32-lane wave of the LT prefix scan: a coalesced weight load and a
+/// shuffle scan.
+fn charge_lt_wave(ctx: &mut eim_gpusim::BlockCtx) {
+    ctx.charge(Op::GlobalAccess, 1);
+    ctx.charge_shuffle_scan();
 }
 
 /// Charges the in-place ascending sort (warp bitonic sort in shared
@@ -717,7 +756,7 @@ fn charge_publish(ctx: &mut eim_gpusim::BlockCtx, len: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device_graph::PlainDeviceGraph;
+    use crate::device_graph::{PackedDeviceGraph, PlainDeviceGraph};
     use eim_bitpack::PackedCsc;
     use eim_gpusim::DeviceSpec;
     use eim_graph::{generators, Graph, WeightModel};
@@ -1039,29 +1078,52 @@ mod tests {
         ]
     }
 
+    /// Fused vs reference on one view: sets, counters, coverage, and
+    /// simulated cycles. The reference charges everything the fused kernel
+    /// does (its LT step scans weight by weight, charging each wave as it
+    /// starts) plus the Q→R copy sweep of every kept set.
+    fn assert_fused_matches_reference<G: DeviceGraph>(d: &Device, dg: &G, name: &str) {
+        for model in [
+            DiffusionModel::IndependentCascade,
+            DiffusionModel::LinearThreshold,
+        ] {
+            for elim in [false, true] {
+                for (seed, start, count) in [(3u64, 0u64, 120usize), (91, 57, 64), (7, 5, 1)] {
+                    let what = format!("{name}/{model:?}/elim={elim}/seed={seed}");
+                    let fused = sample_batch(d, dg, model, seed, start, count, elim).unwrap();
+                    let reference =
+                        sample_batch_reference(d, dg, model, seed, start, count, elim).unwrap();
+                    assert_batches_identical(&fused, &reference, &what);
+                    let copy_sweeps: u64 = reference
+                        .sets
+                        .iter()
+                        .flatten()
+                        .map(|set| set.len().div_ceil(WARP_SIZE) as u64)
+                        .sum();
+                    assert_eq!(
+                        fused.stats.total_cycles + copy_sweeps * d.spec().costs.global_access,
+                        reference.stats.total_cycles,
+                        "{what}: cycles differ"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn fused_matches_reference_across_graphs_models_and_flags() {
         let d = device();
         for (name, g) in graphs_under_test() {
-            let dg = PlainDeviceGraph::new(&g);
-            for model in [
-                DiffusionModel::IndependentCascade,
-                DiffusionModel::LinearThreshold,
-            ] {
-                for elim in [false, true] {
-                    for (seed, start, count) in [(3u64, 0u64, 120usize), (91, 57, 64), (7, 5, 1)] {
-                        let fused = sample_batch(&d, &dg, model, seed, start, count, elim).unwrap();
-                        let reference =
-                            sample_batch_reference(&d, &dg, model, seed, start, count, elim)
-                                .unwrap();
-                        assert_batches_identical(
-                            &fused,
-                            &reference,
-                            &format!("{name}/{model:?}/elim={elim}/seed={seed}"),
-                        );
-                    }
-                }
-            }
+            let plain = PlainDeviceGraph::new(&g);
+            assert_fused_matches_reference(&d, &plain, &format!("{name}/plain"));
+            let packed = PackedDeviceGraph::new(PackedCsc::from_graph(&g));
+            assert_fused_matches_reference(&d, &packed, &format!("{name}/packed"));
+            // Row-derived 1/d weights: the prefix pass sums the constant.
+            let derived = PackedDeviceGraph::new(PackedCsc::from_graph_derived(&g));
+            assert_fused_matches_reference(&d, &derived, &format!("{name}/derived"));
+            // No prefix table: the default per-weight `lt_choose`.
+            let raw = PackedCsc::from_graph(&g);
+            assert_fused_matches_reference(&d, &raw, &format!("{name}/raw-packed"));
         }
     }
 

@@ -34,6 +34,44 @@ pub enum ScanStrategy {
 /// `log2(32) = 5x`, but pays intra-warp coordination — net ~4x per set.
 const WARP_SEARCH_SPEEDUP: u64 = 4;
 
+/// What one membership scan adds up, in a single pass over the sets of a
+/// contiguous range of slots.
+struct ScanTotals {
+    /// Summed per-set cycles of each slot in the range, under round-robin
+    /// assignment.
+    slot_sums: Vec<u64>,
+    /// Global memory transactions of the probes and count updates.
+    txns: u64,
+    /// Count-decrement atomics.
+    atomics: u64,
+    /// Predicated-off lane-cycles of the atomic tail waves (WarpPerSet).
+    tail_idle: u64,
+    /// Sets that contain the new seed.
+    found: Vec<usize>,
+}
+
+impl ScanTotals {
+    fn new(slots: usize) -> Self {
+        Self {
+            slot_sums: vec![0; slots],
+            txns: 0,
+            atomics: 0,
+            tail_idle: 0,
+            found: Vec::new(),
+        }
+    }
+
+    /// Appends the totals of the slot range that follows this one.
+    fn merge(mut self, other: Self) -> Self {
+        self.slot_sums.extend(other.slot_sums);
+        self.txns += other.txns;
+        self.atomics += other.atomics;
+        self.tail_idle += other.tail_idle;
+        self.found.extend(other.found);
+        self
+    }
+}
+
 /// One greedy iteration's simulated cost: its argmax reduction plus its
 /// membership scan. `cycles` and `launches` sum exactly to the parent
 /// [`DeviceSelection`] totals; `elapsed_us` is the span duration for a
@@ -176,58 +214,80 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
 
         // Membership scan (Algorithm 3): per-set cost depends on covered
         // state, probe count, and — when found — the count-update work.
-        // Each entry: (cycles, found, global transactions, atomics,
-        // tail-wave idle lane-cycles for WarpPerSet).
-        let scan_set = |i: usize| {
-            {
-                if covered_flags[i] {
-                    // F[i] load only (coalesced).
-                    return (costs.alu, false, 0, 0, 0);
+        // Sets are dealt round-robin to slots (the §3.5 schedule), and one
+        // pass folds each set's cost into its slot's sum and the scan's
+        // traffic totals.
+        let scan_set = |acc: &mut ScanTotals, slot: usize, i: usize| {
+            let slot = &mut acc.slot_sums[slot];
+            if covered_flags[i] {
+                // F[i] load only (coalesced).
+                *slot += costs.alu;
+                return;
+            }
+            let (found, probes) = store.contains_with_probes(i, v);
+            let len = store.set_len(i) as u64;
+            let (cycles, txns) = match strategy {
+                ScanStrategy::ThreadPerSet => {
+                    // Each probe is a dependent, uncoalesced load into R.
+                    let search = probes as u64 * costs.global_latency;
+                    if found {
+                        // Serial decrement of every member's count.
+                        let c = search + costs.atomic_global * len + costs.global_access;
+                        (c, probes as u64 + len + 1)
+                    } else {
+                        (search, probes as u64)
+                    }
                 }
-                let (found, probes) = store.contains_with_probes(i, v);
-                let len = store.set_len(i) as u64;
-                let (cycles, txns, atomics, tail_idle) = match strategy {
-                    ScanStrategy::ThreadPerSet => {
-                        // Each probe is a dependent, uncoalesced load into R.
-                        let search = probes as u64 * costs.global_latency;
-                        if found {
-                            // Serial decrement of every member's count.
-                            let c = search + costs.atomic_global * len + costs.global_access;
-                            (c, probes as u64 + len + 1, len, 0)
-                        } else {
-                            (search, probes as u64, 0, 0)
-                        }
+                ScanStrategy::WarpPerSet => {
+                    let rounds = (probes as u64).div_ceil(WARP_SEARCH_SPEEDUP);
+                    let search = rounds * costs.global_latency;
+                    if found {
+                        // 32 lanes decrement cooperatively; the final
+                        // partial wave predicates off its unused lanes.
+                        let waves = len.div_ceil(WARP_SIZE as u64);
+                        let c = search + costs.atomic_global * waves + costs.global_access;
+                        acc.tail_idle += (waves * WARP_SIZE as u64 - len) * costs.atomic_global;
+                        (c, rounds + waves + 1)
+                    } else {
+                        (search, rounds)
                     }
-                    ScanStrategy::WarpPerSet => {
-                        let rounds = (probes as u64).div_ceil(WARP_SEARCH_SPEEDUP);
-                        let search = rounds * costs.global_latency;
-                        if found {
-                            // 32 lanes decrement cooperatively; the final
-                            // partial wave predicates off its unused lanes.
-                            let waves = len.div_ceil(WARP_SIZE as u64);
-                            let c = search + costs.atomic_global * waves + costs.global_access;
-                            let idle = (waves * WARP_SIZE as u64 - len) * costs.atomic_global;
-                            (c, rounds + waves + 1, len, idle)
-                        } else {
-                            (search, rounds, 0, 0)
-                        }
-                    }
-                };
-                (costs.alu + cycles, found, txns, atomics, tail_idle)
+                }
+            };
+            *slot += costs.alu + cycles;
+            acc.txns += txns;
+            if found {
+                acc.atomics += len;
+                acc.found.push(i);
             }
         };
-        let per_set: Vec<(u64, bool, u64, u64, u64)> = if serial {
-            (0..num_sets).map(scan_set).collect()
-        } else {
-            (0..num_sets).into_par_iter().map(scan_set).collect()
+        // The sets of slots `lo..hi`, round by round: set `i` sits in slot
+        // `i % used_slots`, so disjoint slot ranges fill disjoint sums.
+        let scan_slots = |lo: usize, hi: usize| {
+            let mut acc = ScanTotals::new(hi - lo);
+            for round in (0..num_sets).step_by(used_slots) {
+                for slot in lo..hi.min(num_sets - round) {
+                    scan_set(&mut acc, slot - lo, round + slot);
+                }
+            }
+            acc
         };
-        // Round-robin slot assignment (the §3.5 schedule): the scan drains
-        // when the busiest slot does; the per-slot sums also feed the
-        // occupancy and divergence counters below.
-        let mut slot_sums = vec![0u64; used_slots];
-        for (i, &(c, ..)) in per_set.iter().enumerate() {
-            slot_sums[i % used_slots] += c;
-        }
+        let scan = if serial {
+            scan_slots(0, used_slots)
+        } else {
+            let pieces = (rayon::current_num_threads() * 4).min(used_slots);
+            let width = used_slots.div_ceil(pieces);
+            let parts: Vec<ScanTotals> = (0..used_slots.div_ceil(width))
+                .into_par_iter()
+                .map(|p| scan_slots(p * width, ((p + 1) * width).min(used_slots)))
+                .collect();
+            parts
+                .into_iter()
+                .reduce(ScanTotals::merge)
+                .expect("at least one slot")
+        };
+        // The scan drains when the busiest slot does; the per-slot sums
+        // also feed the occupancy and divergence counters below.
+        let slot_sums = &scan.slot_sums;
         let scan_makespan = slot_sums.iter().copied().max().unwrap_or(0);
         total_cycles += scan_makespan;
         launches += 1;
@@ -249,28 +309,25 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
                 // Each warp slot is busy for its summed per-set cycles; the
                 // only predicated-off lanes are the atomic tail waves.
                 let scanned: u64 = slot_sums.iter().sum();
-                let tail_idle: u64 = per_set.iter().map(|&(.., idle)| idle).sum();
                 hw.occ_busy_cycles += scanned;
-                hw.active_lane_cycles += (WARP_SIZE as u64 * scanned).saturating_sub(tail_idle);
-                hw.idle_lane_cycles += tail_idle;
+                hw.active_lane_cycles +=
+                    (WARP_SIZE as u64 * scanned).saturating_sub(scan.tail_idle);
+                hw.idle_lane_cycles += scan.tail_idle;
             }
         }
         hw.occ_capacity_cycles += warp_slots * scan_makespan;
-        let scan_txns: u64 = per_set.iter().map(|&(_, _, t, ..)| t).sum();
-        hw.global_transactions += scan_txns;
-        hw.global_bytes += scan_txns * GLOBAL_TRANSACTION_BYTES;
-        hw.atomics += per_set.iter().map(|&(_, _, _, a, _)| a).sum::<u64>();
+        hw.global_transactions += scan.txns;
+        hw.global_bytes += scan.txns * GLOBAL_TRANSACTION_BYTES;
+        hw.atomics += scan.atomics;
 
         // Apply the updates the scan performed (host mirror of the device
         // writes): mark covered sets, decrement member counts.
-        for (i, &(_, found, ..)) in per_set.iter().enumerate() {
-            if found {
-                covered_flags[i] = true;
-                covered += 1;
-                let (s, e) = store.set_bounds(i);
-                for idx in s..e {
-                    counts[store.element(idx) as usize] -= 1;
-                }
+        for &i in &scan.found {
+            covered_flags[i] = true;
+            covered += 1;
+            let (s, e) = store.set_bounds(i);
+            for idx in s..e {
+                counts[store.element(idx) as usize] -= 1;
             }
         }
         push_iteration(total_cycles, launches, hw, &mut iterations);
@@ -426,6 +483,27 @@ mod tests {
             r.iterations.iter().map(|i| i.launches).sum::<u64>(),
             r.launches
         );
+    }
+
+    #[test]
+    fn serial_and_parallel_scans_agree() {
+        // Slot sums, traffic totals and found sets come out of one pass,
+        // split across workers by slot range on the parallel path.
+        let store = random_store(150, 5_000, 17);
+        let device = Device::new(DeviceSpec::test_small());
+        for strategy in [ScanStrategy::ThreadPerSet, ScanStrategy::WarpPerSet] {
+            let run = |threads: usize| {
+                rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap()
+                    .install(|| select_on_device(&device, &store, 9, strategy))
+            };
+            let (serial, parallel) = (run(1), run(4));
+            assert_eq!(serial.selection, parallel.selection);
+            assert_eq!(serial.total_cycles, parallel.total_cycles);
+            assert_eq!(serial.iterations, parallel.iterations);
+        }
     }
 
     #[test]

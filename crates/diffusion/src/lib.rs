@@ -27,7 +27,7 @@ mod spread;
 pub use ic::{simulate_ic, simulate_ic_with_horizon};
 pub use lt::{simulate_lt, simulate_lt_with_horizon};
 pub use rng::sample_rng;
-pub use rrr::{sample_rrr, sample_rrr_ic, sample_rrr_lt};
+pub use rrr::{lt_choose, lt_choose_prefix, lt_crosses, sample_rrr, sample_rrr_ic, sample_rrr_lt};
 pub use spread::{activation_frequencies, estimate_spread};
 
 /// Which diffusion process drives sampling and simulation.

@@ -43,12 +43,51 @@ pub fn sample_rrr_ic<R: Rng>(graph: &Graph, source: VertexId, rng: &mut R) -> Ve
     queue
 }
 
+/// The LT reverse step's choice rule (§3.3): in-edge `i` of a row is
+/// chosen iff the weights before it sum to less than `tau` and the weights
+/// through it reach `tau` — `exclusive < tau <= inclusive`. Weights are
+/// non-negative, so at most one edge qualifies; none does when `tau` is
+/// above the row sum, or is exactly 0.0 (the `exclusive` sum of edge 0 is
+/// 0.0, not below it), so a zero-weight first edge is never chosen.
+#[inline]
+pub fn lt_crosses(exclusive: f32, inclusive: f32, tau: f32) -> bool {
+    exclusive < tau && tau <= inclusive
+}
+
+/// The in-edge an LT reverse step chooses for threshold `tau`, scanning the
+/// row's weights in order and accumulating `acc + p` in `f32`. Every LT
+/// walk — [`sample_rrr_lt`], and the device kernels built on this crate —
+/// applies the one rule [`lt_crosses`], so their sets agree draw for draw.
+pub fn lt_choose(weights: impl IntoIterator<Item = f32>, tau: f32) -> Option<usize> {
+    let mut acc = 0.0f32;
+    for (i, p) in weights.into_iter().enumerate() {
+        let inclusive = acc + p;
+        if lt_crosses(acc, inclusive, tau) {
+            return Some(i);
+        }
+        acc = inclusive;
+    }
+    None
+}
+
+/// [`lt_choose`] by binary search over the row's inclusive prefix sums,
+/// each accumulated exactly as [`lt_choose`] does (`prefix[i]` is the
+/// `f32` sum `((w0 + w1) + ...) + wi`). The sums are non-decreasing, so
+/// the first one that reaches `tau` is the only candidate; it is chosen iff
+/// the rule holds for it. Returns the same index as the linear scan.
+pub fn lt_choose_prefix(prefix: &[f32], tau: f32) -> Option<usize> {
+    let i = prefix.partition_point(|&s| s < tau);
+    let inclusive = *prefix.get(i)?;
+    let exclusive = if i == 0 { 0.0 } else { prefix[i - 1] };
+    lt_crosses(exclusive, inclusive, tau).then_some(i)
+}
+
 /// Samples one RRR set under LT. From each reached vertex `u` the reverse
 /// process activates *at most one* in-neighbor: with `tau_u` uniform in
-/// `[0, 1]`, the first in-neighbor whose running weight sum reaches `tau_u`
-/// is chosen (probability exactly `p_vu`; no neighbor with probability
-/// `1 - sum`). The walk stops on a dead end or when it closes a cycle
-/// (§2.1, §3.3).
+/// `[0, 1]`, the in-neighbor whose running weight sum first reaches `tau_u`
+/// is chosen ([`lt_choose`]; probability exactly `p_vu`, no neighbor with
+/// probability `1 - sum`). The walk stops on a dead end or when it closes a
+/// cycle (§2.1, §3.3).
 pub fn sample_rrr_lt<R: Rng>(graph: &Graph, source: VertexId, rng: &mut R) -> Vec<VertexId> {
     let n = graph.num_vertices();
     assert!((source as usize) < n, "source out of range");
@@ -61,17 +100,8 @@ pub fn sample_rrr_lt<R: Rng>(graph: &Graph, source: VertexId, rng: &mut R) -> Ve
         if nbrs.is_empty() {
             break;
         }
-        let ws = graph.in_weights(u);
         let tau: f32 = rng.gen();
-        let mut acc = 0.0f32;
-        let mut chosen: Option<VertexId> = None;
-        for (&v, &p) in nbrs.iter().zip(ws) {
-            acc += p;
-            if acc >= tau {
-                chosen = Some(v);
-                break;
-            }
-        }
+        let chosen = lt_choose(graph.in_weights(u).iter().copied(), tau).map(|i| nbrs[i]);
         match chosen {
             Some(v) if !visited[v as usize] => {
                 visited[v as usize] = true;
@@ -244,6 +274,104 @@ mod tests {
         }
         let (pf, pr) = (fwd as f64 / trials as f64, rev as f64 / trials as f64);
         assert!((pf - pr).abs() < 0.04, "forward {pf} vs reverse {pr}");
+    }
+
+    #[test]
+    fn lt_choice_rule_at_the_edges() {
+        // tau = 0.0 chooses nobody, even a zero-weight first edge: its
+        // exclusive sum 0.0 is not below tau.
+        for ws in [vec![0.0, 0.5], vec![0.5, 0.5], vec![0.0]] {
+            let prefix: Vec<f32> = ws
+                .iter()
+                .scan(0.0f32, |acc, &p| {
+                    *acc += p;
+                    Some(*acc)
+                })
+                .collect();
+            assert_eq!(lt_choose(ws.iter().copied(), 0.0), None, "{ws:?}");
+            assert_eq!(lt_choose_prefix(&prefix, 0.0), None, "{ws:?}");
+        }
+        // Just above 0.0 a zero-weight edge is still skipped.
+        let tiny = f32::from_bits(1);
+        assert_eq!(lt_choose([0.0, 0.5], tiny), Some(1));
+        assert_eq!(lt_choose_prefix(&[0.0, 0.5], tiny), Some(1));
+        // tau exactly on a boundary picks the edge whose inclusive sum
+        // equals it; above the row sum nobody is picked.
+        assert_eq!(lt_choose([0.25, 0.25, 0.5], 0.5), Some(1));
+        assert_eq!(lt_choose_prefix(&[0.25, 0.5, 1.0], 0.5), Some(1));
+        assert_eq!(lt_choose([0.25, 0.25], 0.75), None);
+        assert_eq!(lt_choose_prefix(&[0.25, 0.5], 0.75), None);
+        assert_eq!(lt_choose_prefix(&[], 0.5), None);
+    }
+
+    #[test]
+    fn lt_tau_zero_stops_the_walk() {
+        // Sample 6_023_998 of run seed 1 draws source 0 and then tau = 0.0
+        // exactly (probability 2^-24 per draw). On a 6-cycle of weight-1
+        // edges any tau > 0 walks the whole cycle; tau = 0.0 chooses
+        // nobody, so the set is the source alone.
+        let g = generators::cycle(6, WeightModel::WeightedCascade);
+        let mut rng = sample_rng(1, 6_023_998);
+        let source = rng.gen_range(0..6);
+        let mut probe = rng.clone();
+        assert_eq!(probe.gen::<f32>(), 0.0);
+        assert_eq!(sample_rrr_lt(&g, source, &mut rng), vec![source]);
+    }
+
+    mod properties {
+        use super::*;
+        use proptest::prelude::*;
+        use rand::SeedableRng;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn prefix_lookup_matches_linear_rule(
+                kind in 0u8..4,
+                d in 0usize..10_000,
+                seed in any::<u64>(),
+                pick in 0usize..10_000,
+                free_tau in 0.0f32..1.0,
+            ) {
+                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+                let weights: Vec<f32> = match kind {
+                    // Weighted cascade: 1/d on every in-edge.
+                    0 => vec![1.0 / d as f32; d],
+                    // Random weights, row sum below 1.
+                    1 => (0..d).map(|_| rng.gen::<f32>() / d as f32).collect(),
+                    // Half the edges weigh zero.
+                    2 => (0..d)
+                        .map(|_| if rng.gen_bool(0.5) { 0.0 } else { rng.gen::<f32>() / d as f32 })
+                        .collect(),
+                    // Trivalency-like levels plus zeros; the sum may pass 1.
+                    _ => (0..d)
+                        .map(|_| [0.0, 0.001, 0.01, 0.1][rng.gen_range(0..4usize)])
+                        .collect(),
+                };
+                let mut acc = 0.0f32;
+                let prefix: Vec<f32> = weights
+                    .iter()
+                    .map(|&p| {
+                        acc += p;
+                        acc
+                    })
+                    .collect();
+                let mut taus = vec![0.0, free_tau, 1.0, f32::from_bits(1)];
+                if d > 0 {
+                    // Exactly on a prefix boundary, and one ulp either side.
+                    let b = prefix[pick % d];
+                    taus.extend([b, f32::from_bits(b.to_bits().saturating_sub(1)), f32::from_bits(b.to_bits() + 1)]);
+                }
+                for tau in taus {
+                    prop_assert_eq!(
+                        lt_choose_prefix(&prefix, tau),
+                        lt_choose(weights.iter().copied(), tau),
+                        "kind {} d {} tau {}", kind, d, tau
+                    );
+                }
+            }
+        }
     }
 
     #[test]
