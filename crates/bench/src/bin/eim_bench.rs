@@ -70,7 +70,7 @@ use std::path::PathBuf;
 use std::time::Instant;
 
 use eim_core::sampler::sample_batch;
-use eim_core::{EimEngine, MultiGpuEimEngine, PlainDeviceGraph, ScanStrategy};
+use eim_core::{EimEngine, PlainDeviceGraph, ScanStrategy};
 use eim_diffusion::DiffusionModel;
 use eim_gpusim::{
     provenance, write_metrics_file, Device, DeviceSpec, FaultSpec, MetricsRegistry, MetricsSink,
@@ -771,14 +771,12 @@ fn run_chaos(args: ChaosArgs) -> ! {
     } else {
         RunTrace::disabled()
     };
-    let make_engine = || MultiGpuEimEngine::new(&g, cfg, spec_dev, args.devices).expect("fits");
-    let make_soak_engine = || {
-        MultiGpuEimEngine::with_telemetry(&g, cfg, spec_dev, args.devices, &trace, true)
-            .expect("fits")
+    let make_engine = |trace: &RunTrace| {
+        EimEngine::with_telemetry(&g, cfg, spec_dev, args.devices, trace, true).expect("fits")
     };
 
     let (clean_seeds, clean_sets, clean_time) = {
-        let mut e = make_engine();
+        let mut e = make_engine(&RunTrace::disabled());
         let r = run_imm(&mut e, &cfg).expect("clean run");
         (r.seeds, r.num_sets, e.elapsed_us())
     };
@@ -793,7 +791,7 @@ fn run_chaos(args: ChaosArgs) -> ! {
     for i in 0..args.plans {
         let spec_str = random_fault_spec(&mut rng);
         let spec = FaultSpec::parse(&spec_str).expect("generated specs parse");
-        let mut e = make_soak_engine().with_faults(&spec);
+        let mut e = make_engine(&trace).with_faults(&spec);
         let mut entry = Map::new();
         entry.insert("plan", Value::from(i));
         entry.insert("spec", Value::from(spec_str.clone()));

@@ -1,7 +1,8 @@
 //! Multi-GPU scaling (the paper's future-work extension): end-to-end and
-//! sampling-phase speedups of `MultiGpuEimEngine` at 1-8 devices.
+//! sampling-phase speedups of `EimEngine` on pools of 1-8 devices.
 
-use eim_core::MultiGpuEimEngine;
+use eim_core::EimEngine;
+use eim_gpusim::RunTrace;
 use eim_graph::Dataset;
 use eim_imm::{run_imm, ImmConfig, ImmEngine};
 
@@ -25,8 +26,11 @@ pub fn multigpu_scaling(cfg: &HarnessConfig, datasets: &[&Dataset], imm: &ImmCon
         let mut base_total = None;
         let mut base_sampling = None;
         for devices in [1usize, 2, 4, 8] {
-            let Ok(mut engine) = MultiGpuEimEngine::new(&g, *imm, cfg.device_spec(), devices)
-            else {
+            let pool = || {
+                let spec = cfg.device_spec();
+                EimEngine::with_telemetry(&g, *imm, spec, devices, &RunTrace::disabled(), true)
+            };
+            let Ok(mut engine) = pool() else {
                 t.row([
                     d.abbrev.to_string(),
                     devices.to_string(),
@@ -45,8 +49,7 @@ pub fn multigpu_scaling(cfg: &HarnessConfig, datasets: &[&Dataset], imm: &ImmCon
             // workload, no selections (selection stays centralized, so only
             // sampling is expected to scale).
             let sampling = {
-                let mut e2 = MultiGpuEimEngine::new(&g, *imm, cfg.device_spec(), devices)
-                    .expect("fit already proven");
+                let mut e2 = pool().expect("fit already proven");
                 e2.extend_to(r.num_sets.max(1)).expect("same workload fits");
                 e2.elapsed_us()
             };

@@ -15,6 +15,12 @@
 //! * **thread-based** (one thread per RRR set) seed-selection scans
 //!   (§3.5, Algorithm 3 — [`select`]).
 //!
+//! One engine, [`EimEngine`], runs all of it over a pool of simulated
+//! devices: [`EimEngine::new`] builds the paper's single-device
+//! configuration, [`EimEngine::with_telemetry`] a pool of `D` devices that
+//! sample concurrently and select on the primary. [`MultiGpuEimEngine`] is
+//! a type alias of it, kept because the repository benchmark names it.
+//!
 //! It runs on the [`eim_gpusim`] execution-model simulator: every kernel
 //! does its real work on the CPU while charging simulated device cycles, so
 //! seed sets and memory numbers are exact and timing reflects the modelled
@@ -34,7 +40,6 @@ mod builder;
 mod device_graph;
 mod engine;
 mod memory;
-mod multigpu;
 mod resample;
 pub mod sampler;
 pub mod select;
@@ -43,8 +48,7 @@ pub use builder::{EimBuilder, EimResult};
 pub use device_graph::{
     weight_threshold, DeviceGraph, EdgeScratch, PackedDeviceGraph, PlainDeviceGraph,
 };
-pub use engine::EimEngine;
+pub use engine::{DeviceRecoverySummary, EimEngine, MultiGpuEimEngine};
 pub use memory::MemoryFootprint;
-pub use multigpu::{DeviceRecoverySummary, MultiGpuEimEngine};
 pub use resample::DeviceResampler;
 pub use select::ScanStrategy;

@@ -19,6 +19,7 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::config::ImmConfig;
+use crate::martingale::EngineError;
 use crate::recovery::RecoveryReport;
 use crate::rrrstore::RrrSets;
 
@@ -56,7 +57,8 @@ pub struct DeviceManifest {
     pub clock_us: f64,
     /// Whether the device had been evicted when the checkpoint was taken.
     pub evicted: bool,
-    /// Store bytes this device held of its own partitions.
+    /// Store bytes this device staged to the primary; the primary itself
+    /// records the whole store.
     pub partition_bytes: usize,
 }
 
@@ -71,6 +73,36 @@ pub struct EngineManifest {
     pub gathered_bytes: usize,
     /// Device allocation backing the primary RRR store.
     pub store_alloc_bytes: usize,
+}
+
+impl EngineManifest {
+    /// Rejects a manifest that a freshly built pool of `devices` devices
+    /// cannot resume from: a different device count, a clock that is not a
+    /// finite non-negative time, no surviving device, or `gathered_bytes`
+    /// other than what the surviving non-primary devices staged (staging is
+    /// eager, so a consistent run leaves nothing ungathered).
+    pub fn check(&self, devices: usize) -> Result<(), EngineError> {
+        let mismatch = |expected, found| Err(EngineError::CheckpointMismatch { expected, found });
+        if self.devices.len() != devices {
+            return mismatch(devices as u64, self.devices.len() as u64);
+        }
+        let bad_clock = |d: &&DeviceManifest| !(d.clock_us >= 0.0 && d.clock_us.is_finite());
+        if let Some(bad) = self.devices.iter().find(bad_clock) {
+            return mismatch(0, bad.clock_us.to_bits());
+        }
+        let mut survivors = self.devices.iter().filter(|d| !d.evicted);
+        if survivors.next().is_none() {
+            return mismatch(1, 0);
+        }
+        let staged = survivors.try_fold(0usize, |acc, d| acc.checked_add(d.partition_bytes));
+        if staged != Some(self.gathered_bytes) {
+            return mismatch(
+                staged.unwrap_or(usize::MAX) as u64,
+                self.gathered_bytes as u64,
+            );
+        }
+        Ok(())
+    }
 }
 
 /// One persisted run checkpoint.

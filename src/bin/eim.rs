@@ -67,7 +67,7 @@ use std::sync::Arc;
 
 use eim::baselines::{CuRipplesEngine, GimEngine, HostSpec};
 use eim::core::DeviceResampler;
-use eim::core::{DeviceRecoverySummary, EimEngine, MultiGpuEimEngine, ScanStrategy};
+use eim::core::{DeviceRecoverySummary, EimEngine, ScanStrategy};
 use eim::diffusion::estimate_spread;
 use eim::gpusim::{
     provenance, write_metrics_file, Device, DeviceSpec, FaultPlan, FaultSpec, MetricsRegistry,
@@ -727,15 +727,9 @@ fn main() {
         }
         "multigpu" => {
             let ckpt = build_checkpointing(&a, &config, n_vertices, a.devices);
-            let mut e = MultiGpuEimEngine::with_telemetry(
-                &graph,
-                config,
-                spec,
-                a.devices,
-                &trace,
-                !a.no_overlap,
-            )
-            .unwrap_or_else(|e| run_err(e));
+            let mut e =
+                EimEngine::with_telemetry(&graph, config, spec, a.devices, &trace, !a.no_overlap)
+                    .unwrap_or_else(|e| run_err(e));
             if let Some(f) = &a.faults {
                 if !f.is_noop() {
                     e = e.with_faults(f);

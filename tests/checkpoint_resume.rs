@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 use std::process::Command;
 
-use eim::core::MultiGpuEimEngine;
+use eim::core::EimEngine;
 use eim::gpusim::{DeviceSpec, FaultSpec, RunTrace};
 use eim::graph::{generators, Graph, WeightModel};
 use eim::imm::{
@@ -36,8 +36,9 @@ fn config(packed: bool) -> ImmConfig {
         .with_packed(packed)
 }
 
-fn engine<'g>(g: &'g Graph, c: ImmConfig) -> MultiGpuEimEngine<'g> {
-    MultiGpuEimEngine::new(g, c, DeviceSpec::rtx_a6000_with_mem(256 << 20), 4).unwrap()
+fn engine<'g>(g: &'g Graph, c: ImmConfig) -> EimEngine<'g> {
+    let spec = DeviceSpec::rtx_a6000_with_mem(256 << 20);
+    EimEngine::with_telemetry(g, c, spec, 4, &RunTrace::disabled(), true).unwrap()
 }
 
 fn temp_dir(tag: &str) -> PathBuf {

@@ -161,15 +161,16 @@ fn random_edge_weight_ic_is_supported() {
 
 #[test]
 fn multi_gpu_engine_through_facade() {
-    use eim::core::MultiGpuEimEngine;
     use eim::imm::{run_imm, ImmConfig};
     let graph = generators::barabasi_albert(500, 3, WeightModel::WeightedCascade, 3);
     let c = ImmConfig::paper_default()
         .with_k(3)
         .with_epsilon(0.3)
         .with_seed(9);
+    let spec = eim::gpusim::DeviceSpec::rtx_a6000();
+    let trace = eim::gpusim::RunTrace::disabled();
     let mut engine =
-        MultiGpuEimEngine::new(&graph, c, eim::gpusim::DeviceSpec::rtx_a6000(), 2).unwrap();
+        eim::core::EimEngine::with_telemetry(&graph, c, spec, 2, &trace, true).unwrap();
     let r = run_imm(&mut engine, &c).unwrap();
     assert_eq!(r.seeds.len(), 3);
 }

@@ -5,7 +5,7 @@
 //! comparisons of Figures 7-8 and Tables 2-5 apples-to-apples.
 
 use eim::baselines::{CuRipplesEngine, GimEngine, HostSpec};
-use eim::core::{EimEngine, MultiGpuEimEngine, ScanStrategy};
+use eim::core::{EimEngine, ScanStrategy};
 use eim::gpusim::{Device, DeviceSpec, RunTrace};
 use eim::graph::generators;
 use eim::imm::{run_imm, CpuEngine, CpuParallelism, ImmConfig, ImmEngine as _, RrrSets};
@@ -165,7 +165,7 @@ fn overlap_on_and_off_differ_only_in_time() {
 
     type Outcome = (Vec<u32>, u64, f64);
     type EngineRun<'a> = Box<dyn Fn(bool) -> Outcome + Sync + 'a>;
-    let engines: Vec<(&str, EngineRun)> = vec![
+    let mut engines: Vec<(&str, EngineRun)> = vec![
         (
             "eim",
             Box::new(|overlap| {
@@ -193,23 +193,19 @@ fn overlap_on_and_off_differ_only_in_time() {
                 (r.seeds, store_digest(e.store()), e.elapsed_us())
             }),
         ),
-        (
-            "multigpu",
-            Box::new(|overlap| {
-                let mut e = MultiGpuEimEngine::with_telemetry(
-                    &g,
-                    c,
-                    spec(),
-                    3,
-                    &RunTrace::disabled(),
-                    overlap,
-                )
-                .unwrap();
-                let r = run_imm(&mut e, &c).unwrap();
-                (r.seeds, store_digest(e.store()), e.elapsed_us())
-            }),
-        ),
     ];
+    // The same engine over device pools: one device and three.
+    let graph = &g;
+    let pool = |devices: usize| -> EngineRun {
+        Box::new(move |overlap| {
+            let trace = RunTrace::disabled();
+            let mut e =
+                EimEngine::with_telemetry(graph, c, spec(), devices, &trace, overlap).unwrap();
+            let r = run_imm(&mut e, &c).unwrap();
+            (r.seeds, store_digest(e.store()), e.elapsed_us())
+        })
+    };
+    engines.extend([("pool of 1", pool(1)), ("pool of 3", pool(3))]);
 
     for threads in [1usize, 4] {
         let pool = rayon::ThreadPoolBuilder::new()

@@ -364,7 +364,7 @@ fn link_flap_retry_matches_clean_and_costs_bandwidth() {
     // link to a lower bandwidth tier each flap: the answer must not move,
     // and the degraded link must cost simulated time. Flaps are drawn on
     // the multi-GPU partition-staging path.
-    use eim::core::MultiGpuEimEngine;
+    use eim::core::EimEngine;
     use eim::imm::run_imm;
 
     let g = graph();
@@ -373,15 +373,14 @@ fn link_flap_retry_matches_clean_and_costs_bandwidth() {
         .with_epsilon(0.35)
         .with_seed(11);
     let spec_dev = DeviceSpec::rtx_a6000_with_mem(256 << 20);
+    let pool = || EimEngine::with_telemetry(&g, c, spec_dev, 4, &RunTrace::disabled(), true);
     let (clean_seeds, clean_sets, clean_time) = {
-        let mut e = MultiGpuEimEngine::new(&g, c, spec_dev, 4).unwrap();
+        let mut e = pool().unwrap();
         let r = run_imm(&mut e, &c).unwrap();
         (r.seeds, r.num_sets, e.elapsed_us())
     };
     let spec = FaultSpec::parse("seed=42,link_flap=0.2").unwrap();
-    let mut e = MultiGpuEimEngine::new(&g, c, spec_dev, 4)
-        .unwrap()
-        .with_faults(&spec);
+    let mut e = pool().unwrap().with_faults(&spec);
     let r = run_imm_recovering(
         &mut e,
         &c,

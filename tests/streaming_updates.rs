@@ -9,7 +9,7 @@
 //! over-invalidate.
 
 use eim::baselines::{CuRipplesEngine, GimEngine, HostSpec};
-use eim::core::{DeviceResampler, EimEngine, MultiGpuEimEngine, ScanStrategy};
+use eim::core::{DeviceResampler, EimEngine, ScanStrategy};
 use eim::diffusion::sample_rng;
 use eim::gpusim::{Device, DeviceSpec, FaultPlan, FaultSpec, RunTrace};
 use eim::graph::{generators, GraphDelta, VertexId};
@@ -111,9 +111,8 @@ fn incremental_matches_cold_recompute_across_engines() {
         (
             "multigpu",
             Box::new(|g| {
-                let mut e =
-                    MultiGpuEimEngine::with_telemetry(g, c, spec(), 3, &RunTrace::disabled(), true)
-                        .unwrap();
+                let mut e = EimEngine::with_telemetry(g, c, spec(), 3, &RunTrace::disabled(), true)
+                    .unwrap();
                 run_imm(&mut e, &c).unwrap().seeds
             }),
         ),
