@@ -41,7 +41,7 @@ use eim_imm::{
 use crate::device_graph::{DeviceGraph, PackedDeviceGraph, PlainDeviceGraph};
 use crate::memory::{MemoryFootprint, ScratchPlan};
 use crate::sampler::{sample_batch, SampleBatch, SamplerCounters};
-use crate::select::{select_on_device, ScanStrategy};
+use crate::select::{select_on_device, DeviceSelection, ScanStrategy};
 
 enum GraphRepr<'g> {
     Plain(PlainDeviceGraph<'g>),
@@ -141,6 +141,12 @@ pub struct EimEngine<'g> {
     /// *device-resident* byte accounting.
     spill_cursor: usize,
     spilled_bytes: usize,
+    /// The last selection computed, keyed on `(logical_sets, k)`. Selection
+    /// is a pure function of the store, `k` and the device spec, so asking
+    /// again over an unchanged store replays it; the simulated device still
+    /// pays for the repeated kernel. Dropped whenever the store gains sets,
+    /// a device is evicted, or a manifest is restored.
+    last_selection: Option<((usize, usize), DeviceSelection)>,
 }
 
 /// Per-device recovery view of a run, for telemetry breakdowns.
@@ -247,6 +253,7 @@ impl<'g> EimEngine<'g> {
             policy: RecoveryPolicy::abort(),
             spill_cursor: 0,
             spilled_bytes: 0,
+            last_selection: None,
         })
     }
 
@@ -466,6 +473,7 @@ impl<'g> EimEngine<'g> {
         }
         self.barrier();
         self.next_index = target as u64;
+        self.last_selection = None;
         for (m, s) in self.pool.iter_mut().zip(&staged) {
             m.staged_bytes += s;
         }
@@ -527,11 +535,20 @@ impl ImmEngine for EimEngine<'_> {
             report.reloaded_bytes += spilled;
             report.degraded_rounds += 1;
         }
+        let key = (self.logical_sets(), k);
+        let result = match self.last_selection.take() {
+            Some((hit, result)) if hit == key => result,
+            // Dispatch on the concrete layout once, so the scan's probes
+            // compile against it instead of a vtable.
+            _ => match &self.store {
+                AnyRrrStore::Plain(s) => select_on_device(self.primary(), s, k, self.scan),
+                AnyRrrStore::Packed(s) => select_on_device(self.primary(), s, k, self.scan),
+            },
+        };
         let primary = self.primary();
         // The covered-flag array F is transient device scratch.
         let flag_bytes = self.store.num_sets().div_ceil(8);
         let flags_ok = primary.memory().alloc(flag_bytes).is_ok();
-        let result = select_on_device(primary, &self.store, k, self.scan);
         if flags_ok {
             primary.memory().free(flag_bytes);
         }
@@ -559,7 +576,9 @@ impl ImmEngine for EimEngine<'_> {
             );
             ts += iter.elapsed_us;
         }
-        result.selection
+        let selection = result.selection.clone();
+        self.last_selection = Some((key, result));
+        selection
     }
 
     fn store(&self) -> &dyn RrrSets {
@@ -613,6 +632,7 @@ impl ImmEngine for EimEngine<'_> {
                 .counter_add("eim_device_failures_total", &[], 1);
         }
         self.pool.retain(|m| !m.device.is_lost());
+        self.last_selection = None;
         if primary_lost {
             // Promote the first survivor to primary: it must own the
             // gathered store, so reserve the store arena there and re-upload
@@ -673,6 +693,7 @@ impl ImmEngine for EimEngine<'_> {
         // re-shard: the checkpointed run already charged it, and the clocks
         // we pin below carry that cost.
         let primary_evicted = m.devices[0].evicted;
+        self.last_selection = None;
         self.pool.retain(|d| !m.devices[d.ordinal as usize].evicted);
         // Pin the primary store allocation: the replay's single bulk
         // extension grew it along a different (cheaper) path than the

@@ -34,12 +34,11 @@ pub enum ScanStrategy {
 /// `log2(32) = 5x`, but pays intra-warp coordination — net ~4x per set.
 const WARP_SEARCH_SPEEDUP: u64 = 4;
 
-/// What one membership scan adds up, in a single pass over the sets of a
-/// contiguous range of slots.
+/// What one membership scan adds up, in a single pass over the live sets
+/// of a contiguous range of slots (the slot sums land in the caller's
+/// buffer).
+#[derive(Default)]
 struct ScanTotals {
-    /// Summed per-set cycles of each slot in the range, under round-robin
-    /// assignment.
-    slot_sums: Vec<u64>,
     /// Global memory transactions of the probes and count updates.
     txns: u64,
     /// Count-decrement atomics.
@@ -51,19 +50,8 @@ struct ScanTotals {
 }
 
 impl ScanTotals {
-    fn new(slots: usize) -> Self {
-        Self {
-            slot_sums: vec![0; slots],
-            txns: 0,
-            atomics: 0,
-            tail_idle: 0,
-            found: Vec::new(),
-        }
-    }
-
-    /// Appends the totals of the slot range that follows this one.
+    /// Adds the totals of another slot range.
     fn merge(mut self, other: Self) -> Self {
-        self.slot_sums.extend(other.slot_sums);
         self.txns += other.txns;
         self.atomics += other.atomics;
         self.tail_idle += other.tail_idle;
@@ -125,7 +113,6 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
     let n = store.num_vertices();
     let num_sets = store.num_sets();
     let mut counts: Vec<u32> = store.counts().to_vec();
-    let mut covered_flags = vec![false; num_sets];
     let mut covered = 0usize;
     let mut selected = vec![false; n];
     let mut seeds: Vec<VertexId> = Vec::with_capacity(k);
@@ -146,22 +133,30 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
     // path outright (the same convention as `eim_imm::select_seeds`).
     let serial = rayon::current_num_threads() <= 1;
 
-    let push_iteration =
-        |total_cycles: u64, launches: u64, hw: KernelHw, iters: &mut Vec<SelectIteration>| {
-            let done: u64 = iters.iter().map(|it| it.cycles).sum();
-            let done_launches: u64 = iters.iter().map(|it| it.launches).sum();
-            let cycles = total_cycles - done;
-            let l = launches - done_launches;
-            iters.push(SelectIteration {
-                cycles,
-                launches: l,
-                elapsed_us: spec.cycles_to_us(cycles) + l as f64 * costs.kernel_launch_us,
-                hw,
-            });
-        };
+    // Sets are dealt round-robin to slots (the §3.5 schedule): round `r`
+    // holds sets `r * used_slots ..`, one per slot. Only uncovered sets do
+    // real work in a scan, so the host walks just those — one ascending
+    // live list per round — and charges each slot's covered sets their
+    // constant F[i] load in bulk. Integer sums commute, so every slot sum
+    // is exactly what a walk over all sets adds up.
+    assert!(u32::try_from(num_sets).is_ok(), "set ids must fit in u32");
+    let mut live: Vec<Vec<u32>> = (0..num_sets)
+        .step_by(used_slots)
+        .map(|base| (base as u32..(base + used_slots).min(num_sets) as u32).collect())
+        .collect();
+    let mut covered_in_slot = vec![0u64; used_slots];
+    let mut slot_sums = vec![0u64; used_slots];
+
+    let iteration = |cycles: u64, launches: u64, hw: KernelHw| SelectIteration {
+        cycles,
+        launches,
+        elapsed_us: spec.cycles_to_us(cycles) + launches as f64 * costs.kernel_launch_us,
+        hw,
+    };
 
     let warp_slots = spec.warp_slots() as u64;
     for _ in 0..k {
+        let (start_cycles, start_launches) = (total_cycles, launches);
         // argmax_u C[u]: a grid-stride reduction over n counts.
         let argmax_cycles = (n as u64).div_ceil(spec.thread_slots() as u64) * costs.global_access
             + 10 * costs.shuffle;
@@ -205,25 +200,20 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
         if best.1 == usize::MAX {
             // The dangling argmax still launched: give it its own entry so
             // the breakdown sums to the totals.
-            push_iteration(total_cycles, launches, hw, &mut iterations);
+            iterations.push(iteration(
+                total_cycles - start_cycles,
+                launches - start_launches,
+                hw,
+            ));
             break;
         }
         let v = best.1 as VertexId;
         selected[best.1] = true;
         seeds.push(v);
 
-        // Membership scan (Algorithm 3): per-set cost depends on covered
-        // state, probe count, and — when found — the count-update work.
-        // Sets are dealt round-robin to slots (the §3.5 schedule), and one
-        // pass folds each set's cost into its slot's sum and the scan's
-        // traffic totals.
-        let scan_set = |acc: &mut ScanTotals, slot: usize, i: usize| {
-            let slot = &mut acc.slot_sums[slot];
-            if covered_flags[i] {
-                // F[i] load only (coalesced).
-                *slot += costs.alu;
-                return;
-            }
+        // Membership scan (Algorithm 3) of one live set: its cost depends
+        // on the probe count and — when found — the count-update work.
+        let scan_set = |acc: &mut ScanTotals, slot: &mut u64, i: usize| {
             let (found, probes) = store.contains_with_probes(i, v);
             let len = store.set_len(i) as u64;
             let (cycles, txns) = match strategy {
@@ -260,34 +250,43 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
                 acc.found.push(i);
             }
         };
-        // The sets of slots `lo..hi`, round by round: set `i` sits in slot
-        // `i % used_slots`, so disjoint slot ranges fill disjoint sums.
-        let scan_slots = |lo: usize, hi: usize| {
-            let mut acc = ScanTotals::new(hi - lo);
-            for round in (0..num_sets).step_by(used_slots) {
-                for slot in lo..hi.min(num_sets - round) {
-                    scan_set(&mut acc, slot - lo, round + slot);
+        // Fills the sums of slots `lo..lo + sums.len()`: each starts at its
+        // covered sets' F[i] loads (coalesced, `alu` each), then every round
+        // adds its live sets in that slot range — a sub-slice of the round's
+        // ascending list, so disjoint slot ranges fill disjoint sums.
+        let scan_slots = |lo: usize, sums: &mut [u64]| {
+            let hi = lo + sums.len();
+            for (sum, &c) in sums.iter_mut().zip(&covered_in_slot[lo..hi]) {
+                *sum = c * costs.alu;
+            }
+            let mut acc = ScanTotals::default();
+            for (base, ids) in (0..).step_by(used_slots).zip(&live) {
+                let from = ids.partition_point(|&i| (i as usize) < base + lo);
+                let to = ids.partition_point(|&i| (i as usize) < base + hi);
+                for &i in &ids[from..to] {
+                    let i = i as usize;
+                    scan_set(&mut acc, &mut sums[i - base - lo], i);
                 }
             }
             acc
         };
-        let scan = if serial {
-            scan_slots(0, used_slots)
+        let mut scan = if serial {
+            scan_slots(0, &mut slot_sums)
         } else {
             let pieces = (rayon::current_num_threads() * 4).min(used_slots);
             let width = used_slots.div_ceil(pieces);
-            let parts: Vec<ScanTotals> = (0..used_slots.div_ceil(width))
-                .into_par_iter()
-                .map(|p| scan_slots(p * width, ((p + 1) * width).min(used_slots)))
+            let parts: Vec<(usize, &mut [u64])> = slot_sums
+                .chunks_mut(width)
+                .enumerate()
+                .map(|(p, sums)| (p * width, sums))
                 .collect();
             parts
-                .into_iter()
-                .reduce(ScanTotals::merge)
-                .expect("at least one slot")
+                .into_par_iter()
+                .map(|(lo, sums)| scan_slots(lo, sums))
+                .reduce(ScanTotals::default, ScanTotals::merge)
         };
         // The scan drains when the busiest slot does; the per-slot sums
         // also feed the occupancy and divergence counters below.
-        let slot_sums = &scan.slot_sums;
         let scan_makespan = slot_sums.iter().copied().max().unwrap_or(0);
         total_cycles += scan_makespan;
         launches += 1;
@@ -321,16 +320,35 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
         hw.atomics += scan.atomics;
 
         // Apply the updates the scan performed (host mirror of the device
-        // writes): mark covered sets, decrement member counts.
+        // writes): count covered sets, decrement member counts.
         for &i in &scan.found {
-            covered_flags[i] = true;
             covered += 1;
             let (s, e) = store.set_bounds(i);
             for idx in s..e {
                 counts[store.element(idx) as usize] -= 1;
             }
         }
-        push_iteration(total_cycles, launches, hw, &mut iterations);
+        // Covered sets leave the live lists and join their slot's bulk
+        // F[i] charge from the next scan on.
+        scan.found.sort_unstable();
+        let mut rest = &scan.found[..];
+        for (base, ids) in (0..).step_by(used_slots).zip(&mut live) {
+            let (here, later) = rest.split_at(rest.partition_point(|&i| i < base + used_slots));
+            rest = later;
+            if here.is_empty() {
+                continue;
+            }
+            for &i in here {
+                covered_in_slot[i - base] += 1;
+            }
+            let mut gone = here.iter().peekable();
+            ids.retain(|&i| gone.next_if_eq(&&(i as usize)).is_none());
+        }
+        iterations.push(iteration(
+            total_cycles - start_cycles,
+            launches - start_launches,
+            hw,
+        ));
     }
 
     DeviceSelection {

@@ -452,6 +452,8 @@ impl<R: Resampler> StreamingImmEngine<R> {
         let mut lower_bound = f64::NAN;
         let mut last_coverage = 0.0f64;
         let mut cutoff = 0usize;
+        // The selection over the current `cutoff`, while it still is.
+        let mut last_sel: Option<Selection> = None;
         for i in 1..=max_estimation_iterations(n) {
             let x = n_f / 2f64.powi(i as i32);
             let theta_i = (lp / x).ceil().max(1.0) as usize;
@@ -459,6 +461,7 @@ impl<R: Resampler> StreamingImmEngine<R> {
             cutoff = theta_i;
             let sel = self.select_prefix(theta_i, k);
             last_coverage = sel.coverage_fraction();
+            last_sel = Some(sel);
             if n_f * last_coverage >= (1.0 + eps_p) * x {
                 lower_bound = (n_f * last_coverage / (1.0 + eps_p)).max(1.0);
                 break;
@@ -475,8 +478,12 @@ impl<R: Resampler> StreamingImmEngine<R> {
         if (self.kept_below(cutoff) > 0 || cutoff == 0) && theta > cutoff {
             self.ensure_slots(theta)?;
             cutoff = theta;
+            last_sel = None;
         }
-        let sel = self.select_prefix(cutoff, k);
+        // `select_prefix` is a pure function of `(cutoff, k)` over an
+        // unchanged index: without an extension, the last estimation
+        // selection is the answer.
+        let sel = last_sel.unwrap_or_else(|| self.select_prefix(cutoff, k));
         let result = StreamRunResult {
             seeds: sel.seeds.clone(),
             coverage: sel.coverage_fraction(),
@@ -630,16 +637,26 @@ impl StreamCheckpoint {
         })
     }
 
-    /// Parses the checkpoint JSON.
-    pub fn from_json(v: &serde_json::Value) -> Option<Self> {
-        if v.get("format")?.as_u64()? != 1 || v.get("kind")?.as_str()? != "eim-stream-checkpoint" {
-            return None;
+    /// Parses the checkpoint JSON; the error names what is wrong with it.
+    pub fn from_json(v: &serde_json::Value) -> Result<Self, String> {
+        let u = |key: &str| -> Result<u64, String> {
+            v.get(key)
+                .and_then(|x| x.as_u64())
+                .ok_or_else(|| format!("stream checkpoint field `{key}` missing or not an integer"))
+        };
+        let format = u("format")?;
+        if format != 1 {
+            return Err(format!("unsupported stream checkpoint format {format}"));
         }
-        Some(Self {
-            fingerprint: v.get("fingerprint")?.as_u64()?,
-            delta_cursor: v.get("delta_cursor")?.as_u64()?,
-            slots: v.get("slots")?.as_u64()?,
-            store_digest: v.get("store_digest")?.as_u64()?,
+        match v.get("kind").and_then(|k| k.as_str()) {
+            Some("eim-stream-checkpoint") => {}
+            other => return Err(format!("not a stream checkpoint: kind {other:?}")),
+        }
+        Ok(Self {
+            fingerprint: u("fingerprint")?,
+            delta_cursor: u("delta_cursor")?,
+            slots: u("slots")?,
+            store_digest: u("store_digest")?,
         })
     }
 
@@ -651,10 +668,15 @@ impl StreamCheckpoint {
         std::fs::rename(tmp, dir.join(STREAM_CHECKPOINT_FILE))
     }
 
-    /// Loads from `dir`, if a well-formed checkpoint exists.
-    pub fn load(dir: &Path) -> Option<Self> {
-        let raw = std::fs::read_to_string(dir.join(STREAM_CHECKPOINT_FILE)).ok()?;
-        Self::from_json(&serde_json::from_str(&raw).ok()?)
+    /// Loads the checkpoint from `dir`; the error names a missing file,
+    /// malformed JSON, or a malformed checkpoint.
+    pub fn load(dir: &Path) -> Result<Self, String> {
+        let path = dir.join(STREAM_CHECKPOINT_FILE);
+        let raw = std::fs::read_to_string(&path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        let v = serde_json::from_str(&raw)
+            .map_err(|e| format!("{} is not valid JSON: {e}", path.display()))?;
+        Self::from_json(&v)
     }
 }
 
@@ -699,7 +721,7 @@ pub fn run_stream<R: Resampler>(
     let mut start = 0usize;
     if ckpt.resume {
         let dir = ckpt.dir.as_deref().expect("resume requires a directory");
-        let cp = StreamCheckpoint::load(dir).ok_or(EngineError::CheckpointIo)?;
+        let cp = StreamCheckpoint::load(dir).map_err(|_| EngineError::CheckpointIo)?;
         if cp.fingerprint != fp {
             return Err(EngineError::CheckpointMismatch {
                 expected: fp,
@@ -812,6 +834,28 @@ mod tests {
     }
 
     #[test]
+    fn replay_without_extension_reuses_the_estimation_selection() {
+        // On this graph, k = 8 and eps = 0.5 end estimation at 785 sets
+        // while theta is 780: the final extension is a no-op.
+        let g = graph();
+        let c = config().with_k(8).with_epsilon(0.5);
+        let mut s = StreamingImmEngine::new(
+            g.clone(),
+            c,
+            WeightModel::WeightedCascade,
+            7,
+            HostResampler::new(c.model, c.seed),
+        );
+        let r = s.replay().unwrap();
+        assert!(r.theta <= r.cutoff, "theta {} cutoff {}", r.theta, r.cutoff);
+        let fresh = s.select_prefix(r.cutoff, c.k);
+        assert_eq!(r.seeds, fresh.seeds);
+        assert_eq!(r.num_sets, fresh.num_sets);
+        assert_eq!(r.coverage.to_bits(), fresh.coverage_fraction().to_bits());
+        assert_eq!(r.seeds, cold_seeds(&g, c));
+    }
+
+    #[test]
     fn updates_track_cold_recompute() {
         let g = graph();
         let c = config();
@@ -881,6 +925,6 @@ mod tests {
             slots: 1234,
             store_digest: 42,
         };
-        assert_eq!(StreamCheckpoint::from_json(&cp.to_json()), Some(cp));
+        assert_eq!(StreamCheckpoint::from_json(&cp.to_json()), Ok(cp));
     }
 }

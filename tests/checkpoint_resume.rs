@@ -415,6 +415,103 @@ fn streaming_resume_rejects_a_shorter_stream() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+// ---- hostile stream checkpoints: a typed error that names the fault ----
+
+/// A well-formed stream checkpoint body, for the tests below to break.
+const STREAM_CKPT_OK: &str = r#"{"format": 1, "kind": "eim-stream-checkpoint", "fingerprint": 7, "delta_cursor": 3, "slots": 1234, "store_digest": 42}"#;
+
+/// Writes `body` (if any) as the stream checkpoint of a fresh directory and
+/// loads it back.
+fn load_stream_checkpoint(tag: &str, body: Option<&str>) -> Result<StreamCheckpoint, String> {
+    let dir = temp_dir(tag);
+    if let Some(body) = body {
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join("eim-stream-checkpoint.json"), body).unwrap();
+    }
+    let loaded = StreamCheckpoint::load(&dir);
+    let _ = std::fs::remove_dir_all(&dir);
+    loaded
+}
+
+fn expect_load_error(tag: &str, body: Option<&str>, needle: &str) {
+    let err = load_stream_checkpoint(tag, body).unwrap_err();
+    assert!(err.contains(needle), "{tag}: {err:?} lacks {needle:?}");
+}
+
+#[test]
+fn stream_checkpoint_body_loads() {
+    let cp = load_stream_checkpoint("stream-ok", Some(STREAM_CKPT_OK)).unwrap();
+    assert_eq!((cp.fingerprint, cp.delta_cursor, cp.slots), (7, 3, 1234));
+    assert_eq!(cp.store_digest, 42);
+}
+
+#[test]
+fn stream_checkpoint_missing_file_is_named() {
+    expect_load_error("stream-missing", None, "cannot read");
+}
+
+#[test]
+fn stream_checkpoint_malformed_json_is_named() {
+    let truncated = &STREAM_CKPT_OK[..40];
+    expect_load_error("stream-trunc", Some(truncated), "is not valid JSON");
+}
+
+#[test]
+fn stream_checkpoint_wrong_format_or_kind_is_named() {
+    let v2 = STREAM_CKPT_OK.replace(r#""format": 1"#, r#""format": 2"#);
+    expect_load_error(
+        "stream-v2",
+        Some(&v2),
+        "unsupported stream checkpoint format 2",
+    );
+    let run = STREAM_CKPT_OK.replace("eim-stream-checkpoint", "eim-checkpoint");
+    expect_load_error("stream-kind", Some(&run), "not a stream checkpoint");
+}
+
+#[test]
+fn stream_checkpoint_missing_or_non_integer_field_is_named() {
+    let missing = STREAM_CKPT_OK.replace(r#" "slots": 1234,"#, "");
+    expect_load_error(
+        "stream-nofield",
+        Some(&missing),
+        "`slots` missing or not an integer",
+    );
+    let text = STREAM_CKPT_OK.replace(r#""delta_cursor": 3"#, r#""delta_cursor": "3""#);
+    expect_load_error(
+        "stream-text",
+        Some(&text),
+        "`delta_cursor` missing or not an integer",
+    );
+}
+
+#[test]
+fn resuming_from_a_malformed_stream_checkpoint_is_a_checkpoint_io_error() {
+    let g = graph();
+    let c = config(false);
+    let dir = temp_dir("stream-hostile");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("eim-stream-checkpoint.json"), "{").unwrap();
+    let mut engine = StreamingImmEngine::new(
+        g.clone(),
+        c,
+        WeightModel::WeightedCascade,
+        7,
+        HostResampler::new(c.model, c.seed),
+    );
+    let err = run_stream(
+        &mut engine,
+        &[],
+        &StreamCheckpointing {
+            dir: Some(dir.clone()),
+            resume: true,
+            kill_after: None,
+        },
+    )
+    .unwrap_err();
+    assert!(matches!(err, EngineError::CheckpointIo), "{err}");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 // ---- the same contract through the binary ----
 
 fn eim_cli() -> Command {
