@@ -18,15 +18,98 @@ pub fn weight_threshold(p: f32) -> u32 {
     ((p as f64 * 16_777_216.0).floor() as u64).min(u32::MAX as u64) as u32
 }
 
-/// Appends one row's inclusive weight prefix sums to `prefix`, accumulated
-/// in order as `acc + p` in `f32` — the sums [`lt_choose`] forms as it
-/// scans, so [`lt_choose_prefix`] over them picks the same edge.
-fn extend_prefix(prefix: &mut Vec<f32>, weights: impl Iterator<Item = Weight>) {
-    let mut acc = 0.0f32;
-    prefix.extend(weights.map(|p| {
-        acc += p;
-        acc
-    }));
+/// The per-edge host emulation state a device view keeps beside its CSC:
+/// row starts, acceptance thresholds ([`weight_threshold`]) and per-row
+/// inclusive weight prefix sums, all in CSC order. The device scans the
+/// weights themselves; the thresholds re-encode the weight array at the
+/// same 4 bytes per edge and the prefix sums emulate the warp scan, so
+/// none of this changes what a view claims in device bytes.
+struct EdgeTables {
+    /// Exclusive prefix of in-degrees: the edge range of `v`.
+    starts: Vec<usize>,
+    /// Per-edge acceptance thresholds.
+    thresholds: Vec<u32>,
+    /// Accumulated in order as `acc + p` in `f32` — the sums [`lt_choose`]
+    /// forms as it scans, so [`lt_choose_prefix`] over them picks the same
+    /// edge.
+    prefix: Vec<f32>,
+}
+
+impl EdgeTables {
+    fn with_capacity(n: usize, m: usize) -> Self {
+        let mut starts = Vec::with_capacity(n + 1);
+        starts.push(0);
+        Self {
+            starts,
+            thresholds: Vec::with_capacity(m),
+            prefix: Vec::with_capacity(m),
+        }
+    }
+
+    /// Tables for a host graph's CSC rows.
+    fn from_graph(graph: &Graph) -> Self {
+        let n = graph.num_vertices();
+        let mut t = Self::with_capacity(n, graph.num_edges());
+        for v in 0..n as VertexId {
+            t.push_row(graph.in_weights(v).iter().copied());
+        }
+        t
+    }
+
+    /// Tables for a packed CSC's rows.
+    fn from_packed(csc: &PackedCsc) -> Self {
+        let n = csc.num_vertices();
+        let mut t = Self::with_capacity(n, csc.num_edges());
+        for v in 0..n as VertexId {
+            t.push_packed_row(csc, v);
+        }
+        t
+    }
+
+    /// Appends one row with the given weights.
+    fn push_row(&mut self, weights: impl IntoIterator<Item = Weight>) {
+        let mut acc = 0.0f32;
+        for p in weights {
+            self.thresholds.push(weight_threshold(p));
+            acc += p;
+            self.prefix.push(acc);
+        }
+        self.starts.push(self.thresholds.len());
+    }
+
+    /// Appends row `v` of `csc`: its plain weights, or the derived weight
+    /// `1/d` repeated across the row.
+    fn push_packed_row(&mut self, csc: &PackedCsc, v: VertexId) {
+        let (start, end) = csc.row_bounds(v);
+        match csc.plain_weights(start, end) {
+            Some(ws) => self.push_row(ws.iter().copied()),
+            None => {
+                let d = end - start;
+                self.push_row(std::iter::repeat_n(1.0 / d as Weight, d));
+            }
+        }
+    }
+
+    /// Appends rows `lo..hi` of `src` verbatim: thresholds and prefix sums
+    /// are row-local, so only the row starts shift.
+    fn copy_rows(&mut self, src: &EdgeTables, lo: usize, hi: usize) {
+        let (s, e) = (src.starts[lo], src.starts[hi]);
+        let base = self.thresholds.len();
+        self.thresholds.extend_from_slice(&src.thresholds[s..e]);
+        self.prefix.extend_from_slice(&src.prefix[s..e]);
+        self.starts
+            .extend(src.starts[lo + 1..=hi].iter().map(|&x| x - s + base));
+    }
+
+    #[inline]
+    fn row(&self, v: VertexId) -> std::ops::Range<usize> {
+        self.starts[v as usize]..self.starts[v as usize + 1]
+    }
+
+    #[inline]
+    fn lt_choose(&self, v: VertexId, tau: f32) -> Option<usize> {
+        lt_choose_prefix(&self.prefix[self.row(v)], tau)
+    }
 }
 
 /// Reusable decode buffer for [`DeviceGraph::in_edges`] on representations
@@ -94,39 +177,16 @@ pub trait DeviceGraph: Sync {
 /// build the view once per run, amortizing the `O(m)` pass.
 pub struct PlainDeviceGraph<'g> {
     graph: &'g Graph,
-    /// Exclusive prefix of in-degrees: edge range of `v` in `thresholds`.
-    edge_starts: Vec<usize>,
-    /// Per-edge acceptance thresholds in CSC order ([`weight_threshold`]).
-    thresholds: Vec<u32>,
-    /// Per-row inclusive weight prefix sums in CSC order. Host emulation
-    /// state, like `thresholds`: the device scans the weights themselves.
-    prefix: Vec<f32>,
+    tables: EdgeTables,
 }
 
 impl<'g> PlainDeviceGraph<'g> {
     /// Wraps a graph, precomputing the edge threshold and prefix-sum
     /// arrays.
     pub fn new(graph: &'g Graph) -> Self {
-        let n = graph.num_vertices();
-        let mut edge_starts = Vec::with_capacity(n + 1);
-        let mut acc = 0usize;
-        edge_starts.push(0);
-        for v in 0..n as VertexId {
-            acc += graph.in_degree(v);
-            edge_starts.push(acc);
-        }
-        let mut thresholds = Vec::with_capacity(acc);
-        let mut prefix = Vec::with_capacity(acc);
-        for v in 0..n as VertexId {
-            let ws = graph.in_weights(v);
-            thresholds.extend(ws.iter().map(|&p| weight_threshold(p)));
-            extend_prefix(&mut prefix, ws.iter().copied());
-        }
         Self {
             graph,
-            edge_starts,
-            thresholds,
-            prefix,
+            tables: EdgeTables::from_graph(graph),
         }
     }
 }
@@ -154,81 +214,99 @@ impl DeviceGraph for PlainDeviceGraph<'_> {
         v: VertexId,
         _scratch: &'a mut EdgeScratch,
     ) -> (&'a [VertexId], &'a [u32]) {
-        let (s, e) = (
-            self.edge_starts[v as usize],
-            self.edge_starts[v as usize + 1],
-        );
-        (self.graph.in_neighbors(v), &self.thresholds[s..e])
+        (
+            self.graph.in_neighbors(v),
+            &self.tables.thresholds[self.tables.row(v)],
+        )
     }
     fn lt_choose(&self, v: VertexId, tau: f32) -> Option<usize> {
-        let (s, e) = (
-            self.edge_starts[v as usize],
-            self.edge_starts[v as usize + 1],
-        );
-        lt_choose_prefix(&self.prefix[s..e], tau)
+        self.tables.lt_choose(v, tau)
     }
 }
 
 /// Log-encoded CSC view with the same once-per-run host precomputation
-/// [`PlainDeviceGraph`] gets: per-edge acceptance thresholds and weight
-/// prefix sums in flat CSC order, and unpacked row starts. The device still
-/// holds only the packed arrays — thresholds re-encode the weight array at
-/// the same 4 bytes per edge the plain view claims, the prefix sums are
-/// host emulation of the warp scan, and the row starts mirror the packed
-/// offsets — so [`DeviceGraph::device_bytes`] delegates to the packed
-/// representation unchanged. What remains per [`DeviceGraph::in_edges`]
-/// call is the sequential neighbor decode, the one cost intrinsic to the
-/// log-encoded format.
+/// [`PlainDeviceGraph`] gets — per-edge acceptance thresholds and weight
+/// prefix sums in flat CSC order, and unpacked row starts — plus a decoded
+/// mirror of the neighbor array, so [`DeviceGraph::in_edges`] is zero-copy.
+/// The device still holds only the packed arrays, and the simulator
+/// charges a packed row read exactly like a plain one: bit-decoding each
+/// dequeued row on the host was emulation overhead, not modeled work. So
+/// the mirror is host emulation state like the thresholds (4 bytes per
+/// edge of host memory), and [`DeviceGraph::device_bytes`] delegates to the
+/// packed representation unchanged.
+///
+/// [`DeviceGraph::in_neighbor`], the LT walk's one read per step, stays on
+/// the packed arrays: for a single random read their smaller working set
+/// measured faster than the mirror.
 pub struct PackedDeviceGraph {
     csc: PackedCsc,
-    /// Exclusive prefix of in-degrees: edge range of `v` in `thresholds`
-    /// and in the packed neighbor stream.
-    row_starts: Vec<usize>,
-    /// Per-edge acceptance thresholds in CSC order ([`weight_threshold`]).
-    thresholds: Vec<u32>,
-    /// Per-row inclusive weight prefix sums in CSC order (host emulation
-    /// state, as in [`PlainDeviceGraph`]).
-    prefix: Vec<f32>,
+    /// Decoded in-neighbors in CSC order: row `v` is `tables.row(v)`.
+    neighbors: Vec<VertexId>,
+    tables: EdgeTables,
 }
 
 impl PackedDeviceGraph {
-    /// Wraps a packed CSC, precomputing row starts, edge thresholds and
-    /// weight prefix sums.
+    /// Wraps a packed CSC, decoding the neighbor mirror once and
+    /// precomputing row starts, edge thresholds and weight prefix sums.
     pub fn new(csc: PackedCsc) -> Self {
-        let n = csc.num_vertices();
-        let m = csc.num_edges();
-        let mut row_starts = Vec::with_capacity(n + 1);
-        let mut thresholds = Vec::with_capacity(m);
-        let mut prefix = Vec::with_capacity(m);
-        for v in 0..n as VertexId {
-            let (start, end) = csc.row_bounds(v);
-            row_starts.push(start);
-            match csc.plain_weights(start, end) {
-                Some(ws) => {
-                    thresholds.extend(ws.iter().map(|&p| weight_threshold(p)));
-                    extend_prefix(&mut prefix, ws.iter().copied());
-                }
-                None => {
-                    // Derived weights are constant across the row.
-                    let d = end - start;
-                    let p = if d == 0 { 0.0 } else { 1.0 / d as Weight };
-                    thresholds.resize(thresholds.len() + d, weight_threshold(p));
-                    extend_prefix(&mut prefix, std::iter::repeat_n(p, d));
-                }
-            }
-        }
-        row_starts.push(m);
+        let mut neighbors = Vec::with_capacity(csc.num_edges());
+        csc.decode_neighbors_into(0, csc.num_edges(), &mut neighbors);
+        let tables = EdgeTables::from_packed(&csc);
         Self {
             csc,
-            row_starts,
-            thresholds,
-            prefix,
+            neighbors,
+            tables,
         }
     }
 
-    /// The wrapped packed representation.
-    pub fn csc(&self) -> &PackedCsc {
-        &self.csc
+    /// Packs `graph`'s CSC with plain weights — the same view as
+    /// `new(PackedCsc::from_graph(graph))` — but copies the neighbor mirror
+    /// and the tables from the host CSC instead of decoding the packed one.
+    pub fn from_graph(graph: &Graph) -> Self {
+        Self {
+            csc: PackedCsc::from_graph(graph),
+            neighbors: graph.csc().neighbors().to_vec(),
+            tables: EdgeTables::from_graph(graph),
+        }
+    }
+
+    /// This view after `graph`'s in-rows of `changed_heads` (sorted
+    /// ascending) changed. The packed copy is re-encoded by
+    /// [`PackedCsc::with_updated_rows`]; the host arrays splice: unchanged
+    /// row ranges are copied, and only the changed rows are derived from
+    /// `graph`. The result equals `new` over a fresh pack of `graph` with
+    /// this view's weight storage.
+    pub fn with_updated_rows(&self, graph: &Graph, changed_heads: &[VertexId]) -> Self {
+        let updates: Vec<(VertexId, Vec<VertexId>, Vec<Weight>)> = changed_heads
+            .iter()
+            .map(|&v| {
+                (
+                    v,
+                    graph.in_neighbors(v).to_vec(),
+                    graph.in_weights(v).to_vec(),
+                )
+            })
+            .collect();
+        let csc = self.csc.with_updated_rows(&updates);
+        let n = csc.num_vertices();
+        let mut neighbors = Vec::with_capacity(csc.num_edges());
+        let mut tables = EdgeTables::with_capacity(n, csc.num_edges());
+        let mut lo = 0usize;
+        for &v in changed_heads {
+            let r = self.tables.starts[lo]..self.tables.starts[v as usize];
+            neighbors.extend_from_slice(&self.neighbors[r]);
+            tables.copy_rows(&self.tables, lo, v as usize);
+            neighbors.extend_from_slice(graph.in_neighbors(v));
+            tables.push_packed_row(&csc, v);
+            lo = v as usize + 1;
+        }
+        neighbors.extend_from_slice(&self.neighbors[self.tables.starts[lo]..]);
+        tables.copy_rows(&self.tables, lo, n);
+        Self {
+            csc,
+            neighbors,
+            tables,
+        }
     }
 }
 
@@ -237,7 +315,7 @@ impl DeviceGraph for PackedDeviceGraph {
         self.csc.num_vertices()
     }
     fn in_degree(&self, v: VertexId) -> usize {
-        self.row_starts[v as usize + 1] - self.row_starts[v as usize]
+        self.tables.row(v).len()
     }
     fn in_neighbor(&self, v: VertexId, i: usize) -> VertexId {
         self.csc.in_neighbor(v, i)
@@ -251,17 +329,13 @@ impl DeviceGraph for PackedDeviceGraph {
     fn in_edges<'a>(
         &'a self,
         v: VertexId,
-        scratch: &'a mut EdgeScratch,
+        _scratch: &'a mut EdgeScratch,
     ) -> (&'a [VertexId], &'a [u32]) {
-        let (start, end) = (self.row_starts[v as usize], self.row_starts[v as usize + 1]);
-        scratch.nbrs.clear();
-        self.csc
-            .decode_neighbors_into(start, end, &mut scratch.nbrs);
-        (&scratch.nbrs, &self.thresholds[start..end])
+        let r = self.tables.row(v);
+        (&self.neighbors[r.clone()], &self.tables.thresholds[r])
     }
     fn lt_choose(&self, v: VertexId, tau: f32) -> Option<usize> {
-        let (start, end) = (self.row_starts[v as usize], self.row_starts[v as usize + 1]);
-        lt_choose_prefix(&self.prefix[start..end], tau)
+        self.tables.lt_choose(v, tau)
     }
 }
 
@@ -370,6 +444,103 @@ mod tests {
                 assert_eq!(t, weight_threshold(DeviceGraph::in_weight(&derived, v, i)));
             }
         }
+    }
+
+    /// Every row of two views agrees: neighbors, thresholds, the LT choice
+    /// at a spread of thresholds, and the device footprint.
+    fn assert_views_agree(a: &PackedDeviceGraph, b: &PackedDeviceGraph, what: &str) {
+        assert_eq!(a.n(), b.n(), "{what}");
+        assert_eq!(a.device_bytes(), b.device_bytes(), "{what}: device bytes");
+        let (mut s1, mut s2) = (EdgeScratch::default(), EdgeScratch::default());
+        for v in 0..a.n() as VertexId {
+            assert_eq!(
+                a.in_edges(v, &mut s1),
+                b.in_edges(v, &mut s2),
+                "{what}: row {v}"
+            );
+            for i in 0..a.in_degree(v) {
+                assert_eq!(a.in_neighbor(v, i), b.in_neighbor(v, i), "{what}: row {v}");
+            }
+            for tau in [0.0f32, 0.05, 0.3, 0.5, 0.77, 0.999, 1.0] {
+                assert_eq!(
+                    a.lt_choose(v, tau),
+                    b.lt_choose(v, tau),
+                    "{what}: row {v} tau {tau}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn spliced_rows_match_a_fresh_pack() {
+        use eim_graph::GraphDelta;
+        use rand::{Rng, SeedableRng};
+        let n = 300u32;
+        let mut g = generators::rmat(
+            n as usize,
+            1_500,
+            generators::RmatParams::GRAPH500,
+            WeightModel::WeightedCascade,
+            17,
+        );
+        let mut plain = PackedDeviceGraph::from_graph(&g);
+        let mut derived = PackedDeviceGraph::new(PackedCsc::from_graph_derived(&g));
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(5);
+        let (mut emptied, mut appeared, mut grew) = (0, 0, 0);
+        for round in 0..8u32 {
+            let mut delta = GraphDelta::default();
+            // A row that empties: every in-edge of some non-empty row.
+            let full = (0..n)
+                .map(|i| (i * 37 + round * 11) % n)
+                .find(|&v| g.in_degree(v) > 0)
+                .unwrap();
+            delta
+                .deletes
+                .extend(g.in_neighbors(full).iter().map(|&u| (u, full)));
+            // A row that appears: edges into an empty row.
+            let empty = (0..n)
+                .map(|i| (i * 53 + round * 7) % n)
+                .find(|&v| v != full && g.in_degree(v) == 0)
+                .unwrap();
+            delta
+                .inserts
+                .extend((1..4).map(|k| ((empty + k * 29) % n, empty)));
+            // Random churn, which grows and shrinks rows.
+            for _ in 0..12 {
+                let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                if rng.gen_bool(0.5) {
+                    delta.inserts.push((u, v));
+                } else if let Some(&w) = g.in_neighbors(v).first() {
+                    delta.deletes.push((w, v));
+                }
+            }
+            delta.inserts.retain(|&(u, v)| u != v);
+            let before: Vec<usize> = (0..n).map(|v| g.in_degree(v)).collect();
+            let applied = g.apply_delta(&delta, WeightModel::WeightedCascade, round as u64);
+            for &h in &applied.changed_heads {
+                let (was, now) = (before[h as usize], g.in_degree(h));
+                emptied += usize::from(was > 0 && now == 0);
+                appeared += usize::from(was == 0 && now > 0);
+                grew += usize::from(was > 0 && now > was);
+            }
+            plain = plain.with_updated_rows(&g, &applied.changed_heads);
+            derived = derived.with_updated_rows(&g, &applied.changed_heads);
+            let what = format!("round {round}");
+            assert_views_agree(
+                &plain,
+                &PackedDeviceGraph::new(PackedCsc::from_graph(&g)),
+                &format!("{what} plain"),
+            );
+            assert_views_agree(
+                &derived,
+                &PackedDeviceGraph::new(PackedCsc::from_graph_derived(&g)),
+                &format!("{what} derived"),
+            );
+        }
+        assert!(
+            emptied >= 8 && appeared >= 8 && grew > 0,
+            "{emptied} {appeared} {grew}"
+        );
     }
 
     #[test]

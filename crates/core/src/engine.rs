@@ -27,7 +27,6 @@
 
 use std::sync::Arc;
 
-use eim_bitpack::PackedCsc;
 use eim_gpusim::{
     ArgValue, CopyEvent, CopyStream, Device, DeviceSpec, FaultPlan, FaultSpec, RunTrace,
     TransferDirection,
@@ -211,7 +210,7 @@ impl<'g> EimEngine<'g> {
         let n = graph.num_vertices();
         config.validate(n);
         let repr = if config.packed {
-            GraphRepr::Packed(PackedDeviceGraph::new(PackedCsc::from_graph(graph)))
+            GraphRepr::Packed(PackedDeviceGraph::from_graph(graph))
         } else {
             GraphRepr::Plain(PlainDeviceGraph::new(graph))
         };

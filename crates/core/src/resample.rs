@@ -8,12 +8,10 @@
 //! keyed by `(seed, index)`, so the device redraw of an index against the
 //! mutated rows is bit-identical to what a cold device run would sample.
 
-use eim_bitpack::PackedCsc;
-use eim_diffusion::{sample_rng, DiffusionModel};
+use eim_diffusion::DiffusionModel;
 use eim_gpusim::Device;
-use eim_graph::{Graph, VertexId, Weight};
+use eim_graph::{Graph, VertexId};
 use eim_imm::{EngineError, Resampler};
-use rand::Rng;
 
 use crate::device_graph::PackedDeviceGraph;
 use crate::sampler::sample_indices;
@@ -25,7 +23,8 @@ const DEFAULT_MAX_RETRIES: u32 = 3;
 
 /// Streams RRR redraws through the device sampler, keeping a
 /// [`PackedDeviceGraph`] synchronized with the mutating host graph via
-/// [`PackedCsc::with_updated_rows`] — only the changed rows are re-packed.
+/// [`PackedDeviceGraph::with_updated_rows`] — only the changed rows are
+/// derived anew.
 pub struct DeviceResampler {
     device: Device,
     graph: PackedDeviceGraph,
@@ -40,7 +39,7 @@ impl DeviceResampler {
     pub fn new(device: Device, graph: &Graph, model: DiffusionModel, seed: u64) -> Self {
         Self {
             device,
-            graph: PackedDeviceGraph::new(PackedCsc::from_graph(graph)),
+            graph: PackedDeviceGraph::from_graph(graph),
             model,
             seed,
             max_retries: DEFAULT_MAX_RETRIES,
@@ -69,27 +68,15 @@ impl Resampler for DeviceResampler {
         graph: &Graph,
         changed_heads: &[VertexId],
     ) -> Result<(), EngineError> {
-        let updates: Vec<(VertexId, Vec<VertexId>, Vec<Weight>)> = changed_heads
-            .iter()
-            .map(|&v| {
-                (
-                    v,
-                    graph.in_neighbors(v).to_vec(),
-                    graph.in_weights(v).to_vec(),
-                )
-            })
-            .collect();
-        let csc = self.graph.csc().with_updated_rows(&updates);
-        self.graph = PackedDeviceGraph::new(csc);
+        self.graph = self.graph.with_updated_rows(graph, changed_heads);
         Ok(())
     }
 
     fn sample(
         &mut self,
-        graph: &Graph,
+        _graph: &Graph,
         indices: &[u64],
     ) -> Result<Vec<(VertexId, Vec<VertexId>)>, EngineError> {
-        let n = graph.num_vertices() as VertexId;
         let mut attempts: u32 = 0;
         let batch = loop {
             // Elimination off: the streaming engine wants the full visited
@@ -112,15 +99,12 @@ impl Resampler for DeviceResampler {
             }
         };
         self.device.advance_clock(batch.stats.elapsed_us);
-        Ok(indices
+        Ok(batch
+            .sources
             .iter()
-            .enumerate()
-            .map(|(j, &idx)| {
-                let source: VertexId = sample_rng(self.seed, idx).gen_range(0..n);
-                let set = batch
-                    .sets
-                    .get(j)
-                    .expect("elimination off: every sample is kept");
+            .zip(batch.sets.iter())
+            .map(|(&source, set)| {
+                let set = set.expect("elimination off: every sample is kept");
                 debug_assert!(set.binary_search(&source).is_ok(), "footprint holds source");
                 (source, set.to_vec())
             })

@@ -162,6 +162,9 @@ impl FlatSampleSets {
 pub struct SampleBatch {
     /// The batch's RRR sets, indexed by offset within the batch.
     pub sets: FlatSampleSets,
+    /// Each sample's source vertex (its first RNG draw), by offset within
+    /// the batch, kept or eliminated alike.
+    pub sources: Vec<VertexId>,
     /// Per-vertex coverage histogram over the batch: `coverage[v]` counts
     /// the kept sets containing `v` — the batch's delta to the store's `C`
     /// array, aggregated during sampling so selection warm-starts its
@@ -179,6 +182,7 @@ struct BlockOutput {
     offsets: Vec<usize>,
     data: Vec<VertexId>,
     kept: Vec<bool>,
+    sources: Vec<VertexId>,
     counters: SamplerCounters,
 }
 
@@ -188,6 +192,7 @@ impl BlockOutput {
             offsets: Vec::with_capacity(local + 1),
             data: Vec::new(),
             kept: Vec::with_capacity(local),
+            sources: Vec::with_capacity(local),
             counters: SamplerCounters::default(),
         };
         out.offsets.push(0);
@@ -379,6 +384,7 @@ pub fn sample_batch_reference<G: DeviceGraph>(
                 }
                 out.offsets.push(out.data.len());
                 out.kept.push(kept);
+                out.sources.push(source);
                 j += blocks;
             }
             out
@@ -403,6 +409,7 @@ fn merge_blocks(
     let mut counters = SamplerCounters::default();
     let mut lens = vec![0usize; count];
     let mut kept = vec![false; count];
+    let mut sources = vec![0 as VertexId; count];
     for (b, block) in result.outputs.iter().enumerate() {
         block.counters.debug_check(source_elim);
         counters.add(&block.counters);
@@ -410,6 +417,7 @@ fn merge_blocks(
             let slot = b + p * blocks;
             lens[slot] = block.offsets[p + 1] - block.offsets[p];
             kept[slot] = block.kept[p];
+            sources[slot] = block.sources[p];
         }
     }
     counters.debug_check(source_elim);
@@ -442,6 +450,7 @@ fn merge_blocks(
             data,
             kept,
         },
+        sources,
         stats: result.stats,
         counters,
         coverage,
@@ -528,6 +537,7 @@ fn fused_sample_one<G: DeviceGraph>(
     }
     out.offsets.push(out.data.len());
     out.kept.push(kept);
+    out.sources.push(source);
 }
 
 /// Traverses one RRR set into `queue` via the unfused per-edge float path,

@@ -179,18 +179,82 @@ fn below(sorted: &[u32], cutoff: usize) -> usize {
     sorted.partition_point(|&s| (s as usize) < cutoff)
 }
 
-/// Inserts `slot` into an ascending vec (no-op if present).
-fn insert_sorted(v: &mut Vec<u32>, slot: u32) {
-    if let Err(pos) = v.binary_search(&slot) {
-        v.insert(pos, slot);
+/// Writes `(list \ removed) ∪ inserted` to `out`. All three are
+/// ascending, and `inserted` is disjoint from `list \ removed`. Unedited
+/// runs of `list` are copied whole, so a long list with few edits costs one
+/// binary search per edit plus one copy.
+fn patch_sorted(list: &[u32], removed: &[u32], inserted: &[u32], out: &mut Vec<u32>) {
+    out.clear();
+    out.reserve(list.len() + inserted.len());
+    let (mut pos, mut r, mut i) = (0usize, 0usize, 0usize);
+    while r < removed.len() || i < inserted.len() {
+        let remove = i == inserted.len() || (r < removed.len() && removed[r] <= inserted[i]);
+        let slot = if remove { removed[r] } else { inserted[i] };
+        let at = pos + list[pos..].partition_point(|&s| s < slot);
+        out.extend_from_slice(&list[pos..at]);
+        pos = at;
+        if remove {
+            r += 1;
+            if list.get(pos) == Some(&slot) {
+                pos += 1;
+            }
+        } else {
+            i += 1;
+            out.push(slot);
+        }
     }
+    out.extend_from_slice(&list[pos..]);
 }
 
-/// Removes `slot` from an ascending vec (no-op if absent).
-fn remove_sorted(v: &mut Vec<u32>, slot: u32) {
-    if let Ok(pos) = v.binary_search(&slot) {
-        v.remove(pos);
+/// Appends the postings edits that turn `slot`'s `old` footprint into its
+/// `new` one (both ascending): a removal for each vertex only in `old`, an
+/// insertion for each vertex only in `new`.
+fn footprint_edits(
+    old: &[VertexId],
+    new: &[VertexId],
+    slot: u32,
+    removed: &mut Vec<(VertexId, u32)>,
+    inserted: &mut Vec<(VertexId, u32)>,
+) {
+    let (mut a, mut b) = (0usize, 0usize);
+    while a < old.len() && b < new.len() {
+        match old[a].cmp(&new[b]) {
+            std::cmp::Ordering::Less => {
+                removed.push((old[a], slot));
+                a += 1;
+            }
+            std::cmp::Ordering::Greater => {
+                inserted.push((new[b], slot));
+                b += 1;
+            }
+            std::cmp::Ordering::Equal => {
+                a += 1;
+                b += 1;
+            }
+        }
     }
+    removed.extend(old[a..].iter().map(|&v| (v, slot)));
+    inserted.extend(new[b..].iter().map(|&v| (v, slot)));
+}
+
+/// Groups `(vertex, slot)` pairs by vertex with a stable counting sort over
+/// `n` vertices: vertex `v`'s slots are `slots[starts[v]..starts[v + 1]]`,
+/// in input order.
+fn group_by_vertex(pairs: &[(VertexId, u32)], n: usize) -> (Vec<usize>, Vec<u32>) {
+    let mut starts = vec![0usize; n + 1];
+    for &(v, _) in pairs {
+        starts[v as usize + 1] += 1;
+    }
+    for v in 0..n {
+        starts[v + 1] += starts[v];
+    }
+    let mut cursor = starts.clone();
+    let mut slots = vec![0u32; pairs.len()];
+    for &(v, slot) in pairs {
+        slots[cursor[v as usize]] = slot;
+        cursor[v as usize] += 1;
+    }
+    (starts, slots)
 }
 
 /// Discriminant of a weight model, with any model parameters folded in, so
@@ -316,35 +380,28 @@ impl<R: Resampler> StreamingImmEngine<R> {
         if !self.config.source_elimination {
             return footprint.to_vec();
         }
-        if footprint.len() <= 1 {
+        if self.eliminated(footprint) {
             return Vec::new();
         }
         footprint.iter().copied().filter(|&v| v != source).collect()
     }
 
-    /// Reconstructs slot `i`'s footprint from the store (decodes one set).
-    fn footprint_of(&self, slot: u32) -> Vec<VertexId> {
-        let mut members = self.store.set_members(slot as usize);
+    /// Reconstructs `slot`'s footprint from the store into `out` (decodes
+    /// one set): the stored members, plus the source at its sorted position
+    /// under elimination.
+    fn footprint_into(&self, slot: u32, out: &mut Vec<VertexId>) {
+        out.clear();
+        let (start, end) = self.store.set_bounds(slot as usize);
+        out.extend((start..end).map(|i| self.store.element(i)));
         if self.config.source_elimination {
-            members.push(self.sources[slot as usize]);
+            let source = self.sources[slot as usize];
+            out.insert(out.partition_point(|&v| v < source), source);
         }
-        members.sort_unstable();
-        members
     }
 
-    /// Indexes a freshly drawn sample at `slot` into the postings and
-    /// bookkeeping (store append/patch is the caller's business).
-    fn index_sample(&mut self, slot: u32, source: VertexId, footprint: &[VertexId]) {
-        for &v in footprint {
-            insert_sorted(&mut self.postings[v as usize], slot);
-        }
-        insert_sorted(&mut self.source_slots[source as usize], slot);
-        let eliminated = self.config.source_elimination && footprint.len() <= 1;
-        if eliminated {
-            insert_sorted(&mut self.discarded, slot);
-        } else {
-            remove_sorted(&mut self.discarded, slot);
-        }
+    /// Whether a footprint is discarded by source elimination.
+    fn eliminated(&self, footprint: &[VertexId]) -> bool {
+        self.config.source_elimination && footprint.len() <= 1
     }
 
     /// Extends the sample universe to `target` logical slots with fresh
@@ -357,11 +414,18 @@ impl<R: Resampler> StreamingImmEngine<R> {
         let indices: Vec<u64> = (have as u64..target as u64).collect();
         let drawn = self.resampler.sample(&self.graph, &indices)?;
         for (offset, (source, footprint)) in drawn.into_iter().enumerate() {
+            // Fresh slots sit above every indexed one: each list appends.
             let slot = (have + offset) as u32;
             self.sources.push(source);
             let stored = self.stored_of(source, &footprint);
             self.store.append_set(&stored);
-            self.index_sample(slot, source, &footprint);
+            for &v in &footprint {
+                self.postings[v as usize].push(slot);
+            }
+            self.source_slots[source as usize].push(slot);
+            if self.eliminated(&footprint) {
+                self.discarded.push(slot);
+            }
         }
         Ok(target - have)
     }
@@ -574,21 +638,43 @@ impl<R: Resampler> StreamingImmEngine<R> {
             let indices: Vec<u64> = stale.iter().map(|&s| s as u64).collect();
             let drawn = self.resampler.sample(&self.graph, &indices)?;
             let mut patches: Vec<(usize, Vec<VertexId>)> = Vec::with_capacity(stale.len());
+            // Postings edits, slot-ascending: only the vertices that left or
+            // joined a slot's footprint.
+            let mut removed: Vec<(VertexId, u32)> = Vec::new();
+            let mut inserted: Vec<(VertexId, u32)> = Vec::new();
+            let mut eliminated: Vec<u32> = Vec::new();
+            let mut old = Vec::new();
             for (&slot, (source, footprint)) in stale.iter().zip(drawn) {
                 debug_assert_eq!(
                     source, self.sources[slot as usize],
                     "slot {slot}: source is a pure function of (seed, index)"
                 );
-                let old_footprint = self.footprint_of(slot);
+                self.footprint_into(slot, &mut old);
                 decoded_sets += 1;
-                for &v in &old_footprint {
-                    remove_sorted(&mut self.postings[v as usize], slot);
+                footprint_edits(&old, &footprint, slot, &mut removed, &mut inserted);
+                if self.eliminated(&footprint) {
+                    eliminated.push(slot);
                 }
-                let stored = self.stored_of(source, &footprint);
-                self.index_sample(slot, source, &footprint);
-                patches.push((slot as usize, stored));
+                patches.push((slot as usize, self.stored_of(source, &footprint)));
             }
             self.store.patch_sets(&patches);
+
+            // Each touched list is rewritten once, by one merge.
+            let n = self.graph.num_vertices();
+            let (rm_starts, rm_slots) = group_by_vertex(&removed, n);
+            let (in_starts, in_slots) = group_by_vertex(&inserted, n);
+            let mut merged = Vec::new();
+            for v in 0..n {
+                let rm = &rm_slots[rm_starts[v]..rm_starts[v + 1]];
+                let ins = &in_slots[in_starts[v]..in_starts[v + 1]];
+                if !rm.is_empty() || !ins.is_empty() {
+                    patch_sorted(&self.postings[v], rm, ins, &mut merged);
+                    std::mem::swap(&mut self.postings[v], &mut merged);
+                }
+            }
+            // A redrawn slot is discarded iff its new footprint is.
+            patch_sorted(&self.discarded, &stale, &eliminated, &mut merged);
+            self.discarded = merged;
         }
 
         let before = self.slots();
@@ -891,6 +977,32 @@ mod tests {
                 "incremental must redraw a strict subset"
             );
         }
+    }
+
+    #[test]
+    fn patch_sorted_removes_then_inserts_in_one_merge() {
+        let mut out = Vec::new();
+        let list = [2, 5, 9, 14, 20];
+        patch_sorted(&list, &[5, 20], &[1, 6, 30], &mut out);
+        assert_eq!(out, [1, 2, 6, 9, 14, 30]);
+        // Removals absent from the list are ignored, and a slot both
+        // removed and inserted ends up present once.
+        patch_sorted(&list, &[3, 9, 14], &[9, 10], &mut out);
+        assert_eq!(out, [2, 5, 9, 10, 20]);
+        patch_sorted(&[], &[4], &[], &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn footprint_edits_are_the_symmetric_difference_grouped_stably() {
+        let (mut removed, mut inserted) = (Vec::new(), Vec::new());
+        footprint_edits(&[1, 3, 4, 8], &[0, 3, 8, 9], 7, &mut removed, &mut inserted);
+        footprint_edits(&[3], &[4], 9, &mut removed, &mut inserted);
+        assert_eq!(removed, [(1, 7), (4, 7), (3, 9)]);
+        assert_eq!(inserted, [(0, 7), (9, 7), (4, 9)]);
+        let (starts, slots) = group_by_vertex(&[(4, 1), (0, 2), (4, 3), (2, 5)], 5);
+        assert_eq!(starts, [0, 1, 1, 2, 2, 4]);
+        assert_eq!(slots, [2, 5, 1, 3]);
     }
 
     #[test]

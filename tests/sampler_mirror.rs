@@ -1,0 +1,207 @@
+//! The fused sampler reads a graph view, never the representation behind
+//! it. Every view of one graph — the plain CSC, and the log-encoded CSC
+//! built from the host graph, packed with plain weights, or packed with
+//! derived `1/d` weights — must yield byte-identical batches and identical
+//! simulated launch statistics, for both diffusion models and with source
+//! elimination on and off. Golden values pin the simulated charges across
+//! commits: how a view hands out its rows is host emulation and must not
+//! move a single cycle.
+
+use eim::bitpack::PackedCsc;
+use eim::core::{DeviceGraph, PackedDeviceGraph, PlainDeviceGraph};
+use eim::gpusim::{Device, DeviceSpec};
+use eim::graph::{generators, VertexId};
+use eim::prelude::*;
+use eim_core::sampler::{sample_batch, sample_indices, SampleBatch};
+
+const SEED: u64 = 2024;
+const COUNT: usize = 300;
+/// Scattered, unsorted logical indices, with a repeat — what the streaming
+/// resample kernel receives.
+const INDICES: [u64; 12] = [5, 1_000_003, 17, 4, 250, 251, 9_999, 17, 0, 77, 123_456, 64];
+
+fn test_graph() -> Graph {
+    generators::rmat(
+        400,
+        2_400,
+        generators::RmatParams::GRAPH500,
+        WeightModel::WeightedCascade,
+        41,
+    )
+}
+
+fn device() -> Device {
+    Device::new(DeviceSpec::rtx_a6000_with_mem(512 << 20))
+}
+
+/// FNV-1a over a batch's canonical bytes: per slot its kept flag, length
+/// and members, then the coverage histogram.
+fn batch_digest(b: &SampleBatch) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut mix = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for set in b.sets.iter() {
+        match set {
+            Some(s) => {
+                mix(s.len() as u64 + 1);
+                s.iter().for_each(|&v| mix(v as u64));
+            }
+            None => mix(0),
+        }
+    }
+    b.coverage.iter().for_each(|&c| mix(c as u64));
+    h
+}
+
+/// Both sampler entry points over one view, for every model and flag.
+fn batches<G: DeviceGraph>(graph: &G) -> Vec<(String, SampleBatch)> {
+    let mut out = Vec::new();
+    for model in [
+        DiffusionModel::IndependentCascade,
+        DiffusionModel::LinearThreshold,
+    ] {
+        for elim in [false, true] {
+            let d = device();
+            let b = sample_batch(&d, graph, model, SEED, 0, COUNT, elim).unwrap();
+            out.push((format!("{model}/elim={elim}/batch"), b));
+            let b = sample_indices(&d, graph, model, SEED, &INDICES, elim).unwrap();
+            out.push((format!("{model}/elim={elim}/indices"), b));
+        }
+    }
+    out
+}
+
+#[test]
+fn every_graph_view_samples_identically() {
+    let g = test_graph();
+    let reference = batches(&PlainDeviceGraph::new(&g));
+    let views: Vec<(&str, Vec<(String, SampleBatch)>)> = vec![
+        ("from_graph", batches(&PackedDeviceGraph::from_graph(&g))),
+        (
+            "new(from_graph)",
+            batches(&PackedDeviceGraph::new(PackedCsc::from_graph(&g))),
+        ),
+        (
+            "new(from_graph_derived)",
+            batches(&PackedDeviceGraph::new(PackedCsc::from_graph_derived(&g))),
+        ),
+    ];
+    for (view, runs) in &views {
+        for ((what, want), (_, got)) in reference.iter().zip(runs) {
+            assert_eq!(got.sets, want.sets, "{view} {what}: sets");
+            assert_eq!(got.sources, want.sources, "{view} {what}: sources");
+            assert_eq!(got.coverage, want.coverage, "{view} {what}: coverage");
+            assert_eq!(got.counters, want.counters, "{view} {what}: counters");
+            assert_eq!(got.stats, want.stats, "{view} {what}: launch stats");
+        }
+    }
+}
+
+#[test]
+fn recorded_sources_are_each_samples_first_draw() {
+    use eim::diffusion::sample_rng;
+    use rand::Rng;
+    let g = test_graph();
+    let n = g.num_vertices() as VertexId;
+    let view = PackedDeviceGraph::from_graph(&g);
+    for (what, b) in batches(&view) {
+        let indices: Vec<u64> = if what.ends_with("indices") {
+            INDICES.to_vec()
+        } else {
+            (0..COUNT as u64).collect()
+        };
+        assert_eq!(b.sources.len(), indices.len(), "{what}");
+        for (j, &idx) in indices.iter().enumerate() {
+            let source: VertexId = sample_rng(SEED, idx).gen_range(0..n);
+            assert_eq!(b.sources[j], source, "{what}: slot {j}");
+        }
+    }
+}
+
+#[test]
+fn launch_charges_match_pinned_values() {
+    // Recorded with `PackedDeviceGraph::new(PackedCsc::from_graph(&g))`
+    // before the view kept a decoded neighbor mirror: (total cycles,
+    // global transactions, atomics, batch digest) per run of `batches`.
+    const GOLDEN: [(&str, u64, u64, u64, u64); 8] = [
+        (
+            "IC/elim=false/batch",
+            294_840,
+            3_424,
+            4_236,
+            13_485_781_870_129_867_396,
+        ),
+        (
+            "IC/elim=false/indices",
+            29_181,
+            318,
+            441,
+            18_304_276_901_424_476_917,
+        ),
+        (
+            "IC/elim=true/batch",
+            273_560,
+            3_248,
+            3_584,
+            5_629_693_233_835_427_864,
+        ),
+        (
+            "IC/elim=true/indices",
+            28_653,
+            315,
+            423,
+            11_237_085_243_097_470_078,
+        ),
+        (
+            "LT/elim=false/batch",
+            374_765,
+            4_908,
+            6_351,
+            1_618_495_719_574_010_281,
+        ),
+        (
+            "LT/elim=false/indices",
+            16_609,
+            217,
+            282,
+            5_353_609_642_309_338_604,
+        ),
+        (
+            "LT/elim=true/batch",
+            357_325,
+            4_780,
+            5_795,
+            6_338_663_111_015_890_121,
+        ),
+        (
+            "LT/elim=true/indices",
+            16_081,
+            214,
+            264,
+            7_246_649_270_540_998_343,
+        ),
+    ];
+    let g = test_graph();
+    let got: Vec<(String, u64, u64, u64, u64)> = batches(&PackedDeviceGraph::from_graph(&g))
+        .into_iter()
+        .map(|(what, b)| {
+            (
+                what,
+                b.stats.total_cycles,
+                b.stats.hw.global_transactions,
+                b.stats.hw.atomics,
+                batch_digest(&b),
+            )
+        })
+        .collect();
+    for ((what, cycles, tx, atomics, digest), want) in got.iter().zip(GOLDEN) {
+        assert_eq!(
+            (what.as_str(), *cycles, *tx, *atomics, *digest),
+            want,
+            "charges moved"
+        );
+    }
+    assert_eq!(got.len(), GOLDEN.len());
+}

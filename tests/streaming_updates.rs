@@ -350,6 +350,129 @@ fn hub_insert_never_over_invalidates() {
     assert_eq!(report.result.seeds, cold_cpu(&cold, c));
 }
 
+/// The postings index after many in-place patches is the index a fresh
+/// engine builds on the mutated graph. Batches churn the in-rows of the
+/// current hubs, whose postings lists are the longest; after each, a probe
+/// delta on every top-10 in-degree head (one head at a time, then all ten)
+/// must invalidate the same slots in both engines, over the slots both
+/// have drawn.
+#[test]
+fn patched_postings_match_a_fresh_index_after_hub_batches() {
+    fn top_heads(g: &Graph, count: usize) -> Vec<VertexId> {
+        let mut heads: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
+        heads.sort_by_key(|&v| (std::cmp::Reverse(g.in_degree(v)), v));
+        heads.truncate(count);
+        heads
+    }
+    /// An edge into `head` that is not there yet: a probe that changes the
+    /// row without being applied.
+    fn probe(g: &Graph, head: VertexId) -> (VertexId, VertexId) {
+        let n = g.num_vertices() as VertexId;
+        let u = (0..n)
+            .find(|&u| u != head && !g.in_neighbors(head).contains(&u))
+            .expect("a hub is not adjacent to everything");
+        (u, head)
+    }
+    fn hub_batch(g: &Graph, round: u32) -> GraphDelta {
+        let n = g.num_vertices() as VertexId;
+        let mut delta = GraphDelta::default();
+        for (j, h) in top_heads(g, 5).into_iter().enumerate() {
+            let j = j as u32;
+            delta.deletes.extend(
+                g.in_neighbors(h)
+                    .iter()
+                    .skip(round as usize % 3)
+                    .step_by(4)
+                    .map(|&u| (u, h)),
+            );
+            delta.inserts.extend(
+                (1..4)
+                    .map(|k| ((h + k * 41 + round * 13 + j * 7) % n, h))
+                    .filter(|&(u, h)| u != h),
+            );
+        }
+        delta
+    }
+
+    for model in [
+        DiffusionModel::IndependentCascade,
+        DiffusionModel::LinearThreshold,
+    ] {
+        let c = base_config(model)
+            .with_source_elimination(true)
+            .with_packed(true);
+        let g0 = test_graph(71);
+        let mut host = streaming_engine(&g0, c);
+        let mut dev = StreamingImmEngine::new(
+            g0.clone(),
+            c,
+            WeightModel::WeightedCascade,
+            WEIGHT_SEED,
+            DeviceResampler::new(Device::new(spec()), &g0, c.model, c.seed),
+        );
+        host.replay().unwrap();
+        dev.replay().unwrap();
+        let mut g = g0.clone();
+        for round in 0..6u32 {
+            let delta = hub_batch(&g, round);
+            g.apply_delta(&delta, WeightModel::WeightedCascade, WEIGHT_SEED);
+            let rh = host.apply_update(&delta).unwrap();
+            let rd = dev.apply_update(&delta).unwrap();
+            assert!(rh.changed_heads >= 5, "{model} round {round}: hubs changed");
+            assert_eq!(
+                rh.resampled_slots, rd.resampled_slots,
+                "{model} round {round}"
+            );
+
+            let mut fresh = streaming_engine(&g, c);
+            fresh.replay().unwrap();
+            let heads = top_heads(&g, 10);
+            let mut probes: Vec<GraphDelta> = heads
+                .iter()
+                .map(|&h| GraphDelta::inserting(vec![probe(&g, h)]))
+                .collect();
+            probes.push(GraphDelta::inserting(
+                heads.iter().map(|&h| probe(&g, h)).collect(),
+            ));
+            let want: Vec<Vec<u32>> = probes
+                .iter()
+                .map(|d| fresh.predict_invalidated(d))
+                .collect();
+            let patched = [
+                (
+                    "host",
+                    host.slots(),
+                    probes
+                        .iter()
+                        .map(|d| host.predict_invalidated(d))
+                        .collect::<Vec<_>>(),
+                ),
+                (
+                    "device",
+                    dev.slots(),
+                    probes.iter().map(|d| dev.predict_invalidated(d)).collect(),
+                ),
+            ];
+            for (name, slots, got) in patched {
+                let common = slots.min(fresh.slots()) as u32;
+                let prefix = |slots: &[u32]| -> Vec<u32> {
+                    slots.iter().copied().filter(|&s| s < common).collect()
+                };
+                for ((got, want), delta) in got.iter().zip(&want).zip(&probes) {
+                    let got = prefix(got);
+                    assert!(!got.is_empty(), "{model} round {round}: hubs hold slots");
+                    assert_eq!(
+                        got,
+                        prefix(want),
+                        "{model} round {round} {name}: postings of {:?}",
+                        delta.inserts
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// A structurally empty batch (no updates, redundant deletes, self-healing
 /// delete+insert pairs) is a complete no-op: zero resamples, zero decodes,
 /// and the cached result is returned untouched.
