@@ -15,9 +15,11 @@
 //! costs` under round-robin assignment — exactly the
 //! `ceil(N / slots) * C` analysis of §3.5.
 
-use eim_gpusim::{Device, KernelHw, GLOBAL_TRANSACTION_BYTES, WARP_SIZE};
+use std::ops::Range;
+
+use eim_gpusim::{CostModel, Device, KernelHw, GLOBAL_TRANSACTION_BYTES, WARP_SIZE};
 use eim_graph::VertexId;
-use eim_imm::{RrrSets, Selection};
+use eim_imm::{search_probes, InvertedIndex, RrrSets, Selection};
 use rayon::prelude::*;
 
 /// Workload distribution for the selection scans.
@@ -34,29 +36,33 @@ pub enum ScanStrategy {
 /// `log2(32) = 5x`, but pays intra-warp coordination — net ~4x per set.
 const WARP_SEARCH_SPEEDUP: u64 = 4;
 
-/// What one membership scan adds up, in a single pass over the live sets
-/// of a contiguous range of slots (the slot sums land in the caller's
-/// buffer).
-#[derive(Default)]
-struct ScanTotals {
+/// What one round's membership scan adds up over every slot. Each field
+/// is a max or a sum over warp blocks, so blocks fold in any order.
+#[derive(Clone, Copy, Default)]
+struct RoundScan {
+    /// The busiest slot's summed cycles: the scan's makespan.
+    makespan: u64,
+    /// Over each 32-slot warp block, its busiest slot's cycles, summed.
+    warp_max: u64,
+    /// Every slot's cycles, summed.
+    busy: u64,
     /// Global memory transactions of the probes and count updates.
     txns: u64,
     /// Count-decrement atomics.
     atomics: u64,
     /// Predicated-off lane-cycles of the atomic tail waves (WarpPerSet).
     tail_idle: u64,
-    /// Sets that contain the new seed.
-    found: Vec<usize>,
 }
 
-impl ScanTotals {
-    /// Adds the totals of another slot range.
-    fn merge(mut self, other: Self) -> Self {
+impl RoundScan {
+    /// Folds in the same round's totals over other warp blocks.
+    fn merge(&mut self, other: &Self) {
+        self.makespan = self.makespan.max(other.makespan);
+        self.warp_max += other.warp_max;
+        self.busy += other.busy;
         self.txns += other.txns;
         self.atomics += other.atomics;
         self.tail_idle += other.tail_idle;
-        self.found.extend(other.found);
-        self
     }
 }
 
@@ -99,9 +105,18 @@ pub struct DeviceSelection {
     pub iterations: Vec<SelectIteration>,
 }
 
+/// Covering round of a set that no seed covers: every scan probes it.
+const NEVER: u32 = u32::MAX;
+
 /// Runs greedy max-coverage over `store` on `device`, charging simulated
 /// time for the argmax reductions and the per-set membership scans.
 /// Produces bit-identical seeds to [`eim_imm::select_seeds`].
+///
+/// The simulated device runs Algorithm 3 round by round, and every scan
+/// visits every set. The host charges the same work set-major instead. It
+/// first picks all the seeds (`greedy_rounds`), then walks the store
+/// once, one 32-slot warp block at a time, and adds each set's cost in
+/// every round to that round's slot sum (`ChargePass`).
 pub fn select_on_device<S: RrrSets + ?Sized>(
     device: &Device,
     store: &S,
@@ -112,14 +127,6 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
     let costs = spec.costs;
     let n = store.num_vertices();
     let num_sets = store.num_sets();
-    let mut counts: Vec<u32> = store.counts().to_vec();
-    let mut covered = 0usize;
-    let mut selected = vec![false; n];
-    let mut seeds: Vec<VertexId> = Vec::with_capacity(k);
-    let mut total_cycles: u64 = 0;
-    let mut launches = 0u64;
-    let mut iterations: Vec<SelectIteration> = Vec::with_capacity(k);
-
     let slots = match strategy {
         ScanStrategy::ThreadPerSet => spec.thread_slots(),
         ScanStrategy::WarpPerSet => spec.warp_slots(),
@@ -133,20 +140,51 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
     // path outright (the same convention as `eim_imm::select_seeds`).
     let serial = rayon::current_num_threads() <= 1;
 
-    // Sets are dealt round-robin to slots (the §3.5 schedule): round `r`
-    // holds sets `r * used_slots ..`, one per slot. Only uncovered sets do
-    // real work in a scan, so the host walks just those — one ascending
-    // live list per round — and charges each slot's covered sets their
-    // constant F[i] load in bulk. Integer sums commute, so every slot sum
-    // is exactly what a walk over all sets adds up.
-    assert!(u32::try_from(num_sets).is_ok(), "set ids must fit in u32");
-    let mut live: Vec<Vec<u32>> = (0..num_sets)
-        .step_by(used_slots)
-        .map(|base| (base as u32..(base + used_slots).min(num_sets) as u32).collect())
-        .collect();
-    let mut covered_in_slot = vec![0u64; used_slots];
-    let mut slot_sums = vec![0u64; used_slots];
+    let (seeds, cover) = greedy_rounds(store, k, serial);
+    let mut by_id: Vec<(VertexId, u32)> = (0..).zip(&seeds).map(|(r, &v)| (v, r)).collect();
+    by_id.sort_unstable();
+    let pass = ChargePass {
+        store,
+        cover: &cover,
+        by_id,
+        used_slots,
+        strategy,
+        costs,
+    };
+    let blocks = used_slots.div_ceil(WARP_SIZE);
+    let scans = if seeds.is_empty() {
+        Vec::new()
+    } else if serial {
+        pass.blocks(0..blocks)
+    } else {
+        let pieces = (rayon::current_num_threads() * 4).min(blocks);
+        let width = blocks.div_ceil(pieces);
+        (0..pieces)
+            .into_par_iter()
+            .map(|p| pass.blocks(p * width..((p + 1) * width).min(blocks)))
+            .reduce(
+                || vec![RoundScan::default(); seeds.len()],
+                |mut a, b| {
+                    a.iter_mut().zip(&b).for_each(|(a, b)| a.merge(b));
+                    a
+                },
+            )
+    };
 
+    // argmax_u C[u]: a grid-stride reduction over n counts. It is uniform
+    // work: every warp slot busy for the whole launch, no divergence; one
+    // coalesced 32-wide load per warp over the n counts.
+    let warp_slots = spec.warp_slots() as u64;
+    let argmax_cycles =
+        (n as u64).div_ceil(spec.thread_slots() as u64) * costs.global_access + 10 * costs.shuffle;
+    let mut argmax_hw = KernelHw {
+        occ_busy_cycles: argmax_cycles * warp_slots,
+        occ_capacity_cycles: argmax_cycles * warp_slots,
+        active_lane_cycles: WARP_SIZE as u64 * argmax_cycles,
+        global_transactions: (n as u64).div_ceil(WARP_SIZE as u64),
+        ..KernelHw::default()
+    };
+    argmax_hw.global_bytes = argmax_hw.global_transactions * GLOBAL_TRANSACTION_BYTES;
     let iteration = |cycles: u64, launches: u64, hw: KernelHw| SelectIteration {
         cycles,
         launches,
@@ -154,25 +192,76 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
         hw,
     };
 
-    let warp_slots = spec.warp_slots() as u64;
-    for _ in 0..k {
-        let (start_cycles, start_launches) = (total_cycles, launches);
-        // argmax_u C[u]: a grid-stride reduction over n counts.
-        let argmax_cycles = (n as u64).div_ceil(spec.thread_slots() as u64) * costs.global_access
-            + 10 * costs.shuffle;
-        total_cycles += argmax_cycles;
-        launches += 1;
-        // The argmax is uniform grid-stride work: every warp slot busy for
-        // the whole launch, no divergence; one coalesced 32-wide load per
-        // warp over the n counts.
-        let mut hw = KernelHw {
-            occ_busy_cycles: argmax_cycles * warp_slots,
-            occ_capacity_cycles: argmax_cycles * warp_slots,
-            active_lane_cycles: WARP_SIZE as u64 * argmax_cycles,
-            global_transactions: (n as u64).div_ceil(WARP_SIZE as u64),
-            ..KernelHw::default()
-        };
-        hw.global_bytes = hw.global_transactions * GLOBAL_TRANSACTION_BYTES;
+    let mut iterations: Vec<SelectIteration> = Vec::with_capacity(scans.len() + 1);
+    for scan in &scans {
+        let mut hw = argmax_hw;
+        match strategy {
+            ScanStrategy::ThreadPerSet => {
+                // 32 consecutive thread slots form a warp; the warp is
+                // resident until its slowest lane drains, and every cycle a
+                // lane waits under that makespan is divergence.
+                hw.occ_busy_cycles += scan.warp_max;
+                hw.active_lane_cycles += scan.busy;
+                hw.idle_lane_cycles += WARP_SIZE as u64 * scan.warp_max - scan.busy;
+            }
+            ScanStrategy::WarpPerSet => {
+                // Each warp slot is busy for its summed per-set cycles; the
+                // only predicated-off lanes are the atomic tail waves.
+                hw.occ_busy_cycles += scan.busy;
+                hw.active_lane_cycles +=
+                    (WARP_SIZE as u64 * scan.busy).saturating_sub(scan.tail_idle);
+                hw.idle_lane_cycles += scan.tail_idle;
+            }
+        }
+        // The scan drains when the busiest slot does.
+        hw.occ_capacity_cycles += warp_slots * scan.makespan;
+        hw.global_transactions += scan.txns;
+        hw.global_bytes += scan.txns * GLOBAL_TRANSACTION_BYTES;
+        hw.atomics += scan.atomics;
+        iterations.push(iteration(argmax_cycles + scan.makespan, 2, hw));
+    }
+    if seeds.len() < k {
+        // Every vertex is selected, but the final argmax still launched:
+        // give it its own entry so the breakdown sums to the totals.
+        iterations.push(iteration(argmax_cycles, 1, argmax_hw));
+    }
+    let total_cycles = iterations.iter().map(|it| it.cycles).sum();
+    let launches = iterations.iter().map(|it| it.launches).sum();
+
+    DeviceSelection {
+        selection: Selection {
+            seeds,
+            covered_sets: cover.iter().filter(|&&c| c != NEVER).count(),
+            num_sets,
+        },
+        elapsed_us: spec.cycles_to_us(total_cycles) + launches as f64 * costs.kernel_launch_us,
+        total_cycles,
+        launches,
+        iterations,
+    }
+}
+
+/// The greedy rounds of Algorithm 3 without their scans: each round takes
+/// the argmax of the counts (lowest id on ties), and the sets its seed
+/// newly covers, read off an inverted index of the store, leave the counts.
+/// Returns the seeds in pick order (fewer than `k` once every vertex is
+/// picked) and each set's covering round, [`NEVER`] if no seed covers it.
+fn greedy_rounds<S: RrrSets + ?Sized>(
+    store: &S,
+    k: usize,
+    serial: bool,
+) -> (Vec<VertexId>, Vec<u32>) {
+    let n = store.num_vertices();
+    assert!(
+        u32::try_from(store.num_sets()).is_ok() && k < NEVER as usize,
+        "set ids and rounds must fit in u32"
+    );
+    let index = InvertedIndex::build(store);
+    let mut counts: Vec<u32> = store.counts().to_vec();
+    let mut selected = vec![false; n];
+    let mut cover = vec![NEVER; store.num_sets()];
+    let mut seeds: Vec<VertexId> = Vec::with_capacity(k);
+    for round in 0..k as u32 {
         let best = if serial {
             let mut best = (0u32, usize::MAX);
             for (v, &c) in counts.iter().enumerate() {
@@ -180,7 +269,7 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
                     best = (c, v);
                 }
             }
-            best
+            best.1
         } else {
             (0..n)
                 .into_par_iter()
@@ -196,172 +285,196 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
                         }
                     },
                 )
+                .1
         };
-        if best.1 == usize::MAX {
-            // The dangling argmax still launched: give it its own entry so
-            // the breakdown sums to the totals.
-            iterations.push(iteration(
-                total_cycles - start_cycles,
-                launches - start_launches,
-                hw,
-            ));
+        if best == usize::MAX {
             break;
         }
-        let v = best.1 as VertexId;
-        selected[best.1] = true;
-        seeds.push(v);
+        selected[best] = true;
+        seeds.push(best as VertexId);
+        // Host mirror of the scan's device writes: the newly covered sets
+        // decrement their members' counts.
+        for &i in index.run(best) {
+            let c = &mut cover[i as usize];
+            if *c == NEVER {
+                *c = round;
+                let (s, e) = store.set_bounds(i as usize);
+                for idx in s..e {
+                    counts[store.element(idx) as usize] -= 1;
+                }
+            }
+        }
+    }
+    (seeds, cover)
+}
 
-        // Membership scan (Algorithm 3) of one live set: its cost depends
-        // on the probe count and — when found — the count-update work.
-        let scan_set = |acc: &mut ScanTotals, slot: &mut u64, i: usize| {
-            let (found, probes) = store.contains_with_probes(i, v);
-            let len = store.set_len(i) as u64;
-            let (cycles, txns) = match strategy {
-                ScanStrategy::ThreadPerSet => {
-                    // Each probe is a dependent, uncoalesced load into R.
-                    let search = probes as u64 * costs.global_latency;
-                    if found {
-                        // Serial decrement of every member's count.
-                        let c = search + costs.atomic_global * len + costs.global_access;
-                        (c, probes as u64 + len + 1)
-                    } else {
-                        (search, probes as u64)
-                    }
-                }
-                ScanStrategy::WarpPerSet => {
-                    let rounds = (probes as u64).div_ceil(WARP_SEARCH_SPEEDUP);
-                    let search = rounds * costs.global_latency;
-                    if found {
-                        // 32 lanes decrement cooperatively; the final
-                        // partial wave predicates off its unused lanes.
-                        let waves = len.div_ceil(WARP_SIZE as u64);
-                        let c = search + costs.atomic_global * waves + costs.global_access;
-                        acc.tail_idle += (waves * WARP_SIZE as u64 - len) * costs.atomic_global;
-                        (c, rounds + waves + 1)
-                    } else {
-                        (search, rounds)
-                    }
-                }
-            };
-            *slot += costs.alu + cycles;
-            acc.txns += txns;
-            if found {
-                acc.atomics += len;
-                acc.found.push(i);
-            }
-        };
-        // Fills the sums of slots `lo..lo + sums.len()`: each starts at its
-        // covered sets' F[i] loads (coalesced, `alu` each), then every round
-        // adds its live sets in that slot range — a sub-slice of the round's
-        // ascending list, so disjoint slot ranges fill disjoint sums.
-        let scan_slots = |lo: usize, sums: &mut [u64]| {
-            let hi = lo + sums.len();
-            for (sum, &c) in sums.iter_mut().zip(&covered_in_slot[lo..hi]) {
-                *sum = c * costs.alu;
-            }
-            let mut acc = ScanTotals::default();
-            for (base, ids) in (0..).step_by(used_slots).zip(&live) {
-                let from = ids.partition_point(|&i| (i as usize) < base + lo);
-                let to = ids.partition_point(|&i| (i as usize) < base + hi);
-                for &i in &ids[from..to] {
-                    let i = i as usize;
-                    scan_set(&mut acc, &mut sums[i - base - lo], i);
-                }
-            }
-            acc
-        };
-        let mut scan = if serial {
-            scan_slots(0, &mut slot_sums)
-        } else {
-            let pieces = (rayon::current_num_threads() * 4).min(used_slots);
-            let width = used_slots.div_ceil(pieces);
-            let parts: Vec<(usize, &mut [u64])> = slot_sums
-                .chunks_mut(width)
-                .enumerate()
-                .map(|(p, sums)| (p * width, sums))
-                .collect();
-            parts
-                .into_par_iter()
-                .map(|(lo, sums)| scan_slots(lo, sums))
-                .reduce(ScanTotals::default, ScanTotals::merge)
-        };
-        // The scan drains when the busiest slot does; the per-slot sums
-        // also feed the occupancy and divergence counters below.
-        let scan_makespan = slot_sums.iter().copied().max().unwrap_or(0);
-        total_cycles += scan_makespan;
-        launches += 1;
+/// Charges every round's membership scan in one walk of the store.
+///
+/// Sets are dealt round-robin to slots (the §3.5 schedule), so slot `s`
+/// holds sets `s, s + used_slots, ..`. The pass takes 32 slots at a time,
+/// decodes each of their sets once and, for every round up to the one that
+/// covers the set, gets the search's probe count from the set's length and
+/// the rank of that round's seed in it ([`search_probes`]); in every later
+/// round the set costs only its coalesced `F[i]` load (`alu`). The block's
+/// slot sums then fold into each round's makespan, warp max and busy sums.
+/// Integer sums commute, and each round's totals need only that round's
+/// slot sums, so every total equals what the round-by-round walk adds up.
+struct ChargePass<'a, S: ?Sized> {
+    store: &'a S,
+    /// Each set's covering round, or [`NEVER`].
+    cover: &'a [u32],
+    /// The seeds by ascending id, each with its round.
+    by_id: Vec<(VertexId, u32)>,
+    used_slots: usize,
+    strategy: ScanStrategy,
+    costs: CostModel,
+}
 
-        match strategy {
-            ScanStrategy::ThreadPerSet => {
-                // 32 consecutive thread slots form a warp; the warp is
-                // resident until its slowest lane drains, and every cycle a
-                // lane waits under that makespan is divergence.
-                for warp in slot_sums.chunks(WARP_SIZE) {
-                    let wmax = warp.iter().copied().max().unwrap_or(0);
-                    let wsum: u64 = warp.iter().sum();
-                    hw.occ_busy_cycles += wmax;
-                    hw.active_lane_cycles += wsum;
-                    hw.idle_lane_cycles += WARP_SIZE as u64 * wmax - wsum;
+impl<S: RrrSets + ?Sized> ChargePass<'_, S> {
+    /// Every round's totals over warp blocks `blocks`; block `b` is slots
+    /// `32 b .. 32 b + 32`.
+    fn blocks(&self, blocks: Range<usize>) -> Vec<RoundScan> {
+        let num_sets = self.cover.len();
+        let rounds = self.by_id.len();
+        let costs = &self.costs;
+        let mut scans = vec![RoundScan::default(); rounds];
+        let mut block = Block {
+            loads: vec![0; WARP_SIZE * rounds],
+            writes: vec![0; WARP_SIZE * rounds],
+        };
+        let mut per_round = vec![Fold::default(); rounds];
+        for b in blocks {
+            let lo = b * WARP_SIZE;
+            let hi = (lo + WARP_SIZE).min(self.used_slots);
+            for from in (lo..num_sets).step_by(self.used_slots) {
+                let to = (from + hi - lo).min(num_sets);
+                self.store.for_each_set_in(from, to, &mut |i, members| {
+                    self.charge_set(i - from, self.cover[i], members, &mut block, &mut scans);
+                });
+            }
+            // Fold the block lane by lane, every round at once: each slot
+            // pays its sets' `F[i]` loads every round, probed or not.
+            per_round.fill(Fold::default());
+            let lanes = block.loads.chunks_exact_mut(rounds);
+            for (slot, (loads, writes)) in
+                (lo..hi).zip(lanes.zip(block.writes.chunks_exact_mut(rounds)))
+            {
+                let flat = (num_sets - slot).div_ceil(self.used_slots) as u64 * costs.alu;
+                for ((fold, load), write) in per_round.iter_mut().zip(&*loads).zip(&*writes) {
+                    let sum = flat + load * costs.global_latency + write;
+                    fold.max = fold.max.max(sum);
+                    fold.sum += sum;
+                    fold.loads += load;
+                }
+                loads.fill(0);
+                writes.fill(0);
+            }
+            for (scan, fold) in scans.iter_mut().zip(&per_round) {
+                scan.makespan = scan.makespan.max(fold.max);
+                scan.warp_max += fold.max;
+                scan.busy += fold.sum;
+                scan.txns += fold.loads;
+            }
+        }
+        scans
+    }
+
+    /// Dependent loads of one membership search of `probes` probes into R:
+    /// one per probe for a thread, fewer for a warp's 32-ary search.
+    fn loads(&self, probes: u32) -> u64 {
+        match self.strategy {
+            ScanStrategy::ThreadPerSet => probes as u64,
+            ScanStrategy::WarpPerSet => (probes as u64).div_ceil(WARP_SEARCH_SPEEDUP),
+        }
+    }
+
+    /// Charges the set `members` in slot `lane` of the block to every round
+    /// up to `cover`, the round that finds it. The seeds between two
+    /// consecutive members share a rank, so the walk looks up one probe
+    /// count per rank.
+    fn charge_set(
+        &self,
+        lane: usize,
+        cover: u32,
+        members: &[VertexId],
+        block: &mut Block,
+        scans: &mut [RoundScan],
+    ) {
+        let seeds = &self.by_id;
+        let len = members.len();
+        let at = lane * seeds.len()..(lane + 1) * seeds.len();
+        let (loads_row, writes_row) = (&mut block.loads[at.clone()], &mut block.writes[at]);
+        let mut next = 0;
+        for rank in 0..=len {
+            if next == seeds.len() {
+                break;
+            }
+            let member = members.get(rank).copied();
+            let loads = self.loads(search_probes(len, rank, false));
+            while let Some(&(v, round)) = seeds.get(next) {
+                if member.is_some_and(|m| v >= m) {
+                    break;
+                }
+                // Rounds after `cover` charge only the flat load; adding
+                // zero keeps the skip free of a data-dependent branch.
+                loads_row[round as usize] += if round <= cover { loads } else { 0 };
+                next += 1;
+            }
+            // A seed that is a member is found by its own round's scan, or
+            // was covered by an earlier one.
+            if let (Some(m), Some(&(v, round))) = (member, seeds.get(next)) {
+                if v == m {
+                    if round == cover {
+                        let r = round as usize;
+                        loads_row[r] += self.loads(search_probes(len, rank, true));
+                        writes_row[r] += self.charge_found(len, &mut scans[r]);
+                    }
+                    next += 1;
                 }
             }
+        }
+    }
+
+    /// Counts the decrement of every member's count of a set of `len`
+    /// members into the round that finds it; returns the cycles it costs
+    /// the set's slot.
+    fn charge_found(&self, len: usize, scan: &mut RoundScan) -> u64 {
+        let len = len as u64;
+        let writes = match self.strategy {
+            // Serial decrement of every member's count.
+            ScanStrategy::ThreadPerSet => len,
+            // 32 lanes decrement cooperatively; the final partial wave
+            // predicates off its unused lanes.
             ScanStrategy::WarpPerSet => {
-                // Each warp slot is busy for its summed per-set cycles; the
-                // only predicated-off lanes are the atomic tail waves.
-                let scanned: u64 = slot_sums.iter().sum();
-                hw.occ_busy_cycles += scanned;
-                hw.active_lane_cycles +=
-                    (WARP_SIZE as u64 * scanned).saturating_sub(scan.tail_idle);
-                hw.idle_lane_cycles += scan.tail_idle;
+                let waves = len.div_ceil(WARP_SIZE as u64);
+                scan.tail_idle += (waves * WARP_SIZE as u64 - len) * self.costs.atomic_global;
+                waves
             }
-        }
-        hw.occ_capacity_cycles += warp_slots * scan_makespan;
-        hw.global_transactions += scan.txns;
-        hw.global_bytes += scan.txns * GLOBAL_TRANSACTION_BYTES;
-        hw.atomics += scan.atomics;
-
-        // Apply the updates the scan performed (host mirror of the device
-        // writes): count covered sets, decrement member counts.
-        for &i in &scan.found {
-            covered += 1;
-            let (s, e) = store.set_bounds(i);
-            for idx in s..e {
-                counts[store.element(idx) as usize] -= 1;
-            }
-        }
-        // Covered sets leave the live lists and join their slot's bulk
-        // F[i] charge from the next scan on.
-        scan.found.sort_unstable();
-        let mut rest = &scan.found[..];
-        for (base, ids) in (0..).step_by(used_slots).zip(&mut live) {
-            let (here, later) = rest.split_at(rest.partition_point(|&i| i < base + used_slots));
-            rest = later;
-            if here.is_empty() {
-                continue;
-            }
-            for &i in here {
-                covered_in_slot[i - base] += 1;
-            }
-            let mut gone = here.iter().peekable();
-            ids.retain(|&i| gone.next_if_eq(&&(i as usize)).is_none());
-        }
-        iterations.push(iteration(
-            total_cycles - start_cycles,
-            launches - start_launches,
-            hw,
-        ));
+        };
+        scan.txns += writes + 1;
+        scan.atomics += len;
+        self.costs.atomic_global * writes + self.costs.global_access
     }
+}
 
-    DeviceSelection {
-        selection: Selection {
-            seeds,
-            covered_sets: covered,
-            num_sets,
-        },
-        elapsed_us: spec.cycles_to_us(total_cycles) + launches as f64 * costs.kernel_launch_us,
-        total_cycles,
-        launches,
-        iterations,
-    }
+/// One warp block's per-slot, per-round charges, slot-major
+/// (`[lane * rounds + round]`), so a set's charges land in one short row.
+struct Block {
+    /// Dependent loads of the membership searches.
+    loads: Vec<u64>,
+    /// Cycles of the count updates in the round that finds a set.
+    writes: Vec<u64>,
+}
+
+/// One round's totals over the slots of a warp block.
+#[derive(Clone, Copy, Default)]
+struct Fold {
+    /// The busiest slot's cycles.
+    max: u64,
+    /// Every slot's cycles, summed.
+    sum: u64,
+    /// Dependent loads of the membership searches, summed.
+    loads: u64,
 }
 
 #[cfg(test)]
@@ -505,8 +618,8 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_scans_agree() {
-        // Slot sums, traffic totals and found sets come out of one pass,
-        // split across workers by slot range on the parallel path.
+        // The parallel path picks seeds with a rayon argmax and splits the
+        // charge pass across workers by warp block.
         let store = random_store(150, 5_000, 17);
         let device = Device::new(DeviceSpec::test_small());
         for strategy in [ScanStrategy::ThreadPerSet, ScanStrategy::WarpPerSet] {

@@ -45,10 +45,12 @@ pub use martingale::{
     ImmEngine, ImmResult, PhaseBreakdown,
 };
 pub use recovery::{MartingaleCheckpoint, RecoveryMode, RecoveryPolicy, RecoveryReport};
-pub use rrrstore::{AnyRrrStore, PackedRrrStore, PlainRrrStore, RrrSets, RrrStoreBuilder};
+pub use rrrstore::{
+    search_probes, AnyRrrStore, PackedRrrStore, PlainRrrStore, RrrSets, RrrStoreBuilder,
+};
 pub use selection::{
-    select_seeds, select_seeds_celf, select_seeds_reference, select_seeds_reference_with_gains,
-    select_seeds_with_gains, Selection, SelectionWorkspace,
+    select_seeds, select_seeds_reference, select_seeds_reference_with_gains,
+    select_seeds_with_gains, InvertedIndex, Selection, SelectionWorkspace,
 };
 pub use source_elim::apply_source_elimination;
 pub use spill::PackedRrrBatch;

@@ -81,6 +81,63 @@ pub trait RrrSets: Sync {
     }
 }
 
+/// Longest set whose probe counts [`search_probes`] reads from its table;
+/// longer sets replay the search's index arithmetic.
+const PROBE_TABLE_MAX_LEN: usize = 64;
+
+/// Probe counts of every `(len, rank, found)` up to
+/// [`PROBE_TABLE_MAX_LEN`], at `2 * (len * (len + 1) / 2 + rank) + found`.
+static PROBE_TABLE: [u8; (PROBE_TABLE_MAX_LEN + 1) * (PROBE_TABLE_MAX_LEN + 2)] = {
+    let mut table = [0u8; (PROBE_TABLE_MAX_LEN + 1) * (PROBE_TABLE_MAX_LEN + 2)];
+    let mut len = 0;
+    while len <= PROBE_TABLE_MAX_LEN {
+        let mut rank = 0;
+        while rank <= len {
+            let at = 2 * (len * (len + 1) / 2 + rank);
+            table[at] = replay_search(len, rank, false) as u8;
+            table[at + 1] = replay_search(len, rank, true) as u8;
+            rank += 1;
+        }
+        len += 1;
+    }
+    table
+};
+
+/// The index walk of [`RrrSets::contains_with_probes`] over positions
+/// `0..len`, where position `mid` compares less than the probed vertex iff
+/// `mid < rank`, and equal iff `found && mid == rank`.
+const fn replay_search(len: usize, rank: usize, found: bool) -> u32 {
+    let (mut lo, mut hi, mut probes) = (0, len, 0);
+    while lo < hi {
+        let mid = lo + (hi - lo) / 2;
+        probes += 1;
+        if found && mid == rank {
+            return probes;
+        }
+        if mid < rank {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    probes
+}
+
+/// Probes [`RrrSets::contains_with_probes`] makes in a set of `len`
+/// members, `rank` of them smaller than the probed vertex, which is a
+/// member (at position `rank`) iff `found`. Every comparison the search
+/// makes follows from those three values, so this is its exact probe count
+/// without reading the set.
+#[inline]
+pub fn search_probes(len: usize, rank: usize, found: bool) -> u32 {
+    debug_assert!(rank < len || (!found && rank == len));
+    if len <= PROBE_TABLE_MAX_LEN {
+        PROBE_TABLE[2 * (len * (len + 1) / 2 + rank) + found as usize] as u32
+    } else {
+        replay_search(len, rank, found)
+    }
+}
+
 /// Append interface: both stores ingest sets the same way.
 pub trait RrrStoreBuilder: RrrSets {
     /// Appends one sorted, deduplicated set, updating `O` and `C`.
@@ -710,6 +767,54 @@ mod tests {
         assert_eq!(fb.num_sets(), 3);
         assert_eq!(fb.set_members(2), vec![2, 3, 4, 5]);
         assert_eq!(fb.counts()[5], 2);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(32))]
+
+        /// The probe count read off `(len, rank, found)` is the search's own,
+        /// for every vertex in and around random sorted sets of either
+        /// layout: empty sets, short ones inside the table and long ones
+        /// past its cap.
+        #[test]
+        fn search_probes_matches_the_search(
+            n in 1u32..1_000,
+            draws in proptest::collection::vec(
+                proptest::collection::vec(proptest::prelude::any::<u32>(), 0..=700),
+                0..6,
+            ),
+        ) {
+            let mut sets: Vec<Vec<u32>> = draws
+                .into_iter()
+                .map(|d| {
+                    let mut set: Vec<u32> = d.into_iter().map(|x| x % n).collect();
+                    set.sort_unstable();
+                    set.dedup();
+                    set
+                })
+                .collect();
+            sets.push(Vec::new());
+            for packed in [false, true] {
+                let mut store = AnyRrrStore::new(n as usize, packed);
+                for set in &sets {
+                    store.append_set(set);
+                }
+                for (i, set) in sets.iter().enumerate() {
+                    for v in 0..=n {
+                        let (found, probes) = store.contains_with_probes(i, v);
+                        let rank = set.partition_point(|&u| u < v);
+                        proptest::prop_assert_eq!(
+                            search_probes(set.len(), rank, found),
+                            probes,
+                            "len {} v {} packed {}",
+                            set.len(),
+                            v,
+                            packed
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]

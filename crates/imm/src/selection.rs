@@ -66,7 +66,7 @@ const POSTINGS_CHUNK_SETS: usize = 4096;
 /// scheduling-dependent under the parallel fill, but every consumer is
 /// order-independent (counting and bit-marking), so selection results stay
 /// deterministic.
-struct InvertedIndex {
+pub struct InvertedIndex {
     /// `starts[v]..starts[v + 1]` bounds vertex `v`'s posting run.
     starts: Vec<usize>,
     /// Set ids, grouped by vertex.
@@ -74,7 +74,8 @@ struct InvertedIndex {
 }
 
 impl InvertedIndex {
-    fn build<S: RrrSets + ?Sized>(store: &S) -> Self {
+    /// Builds the index of every set in `store`.
+    pub fn build<S: RrrSets + ?Sized>(store: &S) -> Self {
         let n = store.num_vertices();
         let counts = store.counts();
         let mut starts = Vec::with_capacity(n + 1);
@@ -116,7 +117,7 @@ impl InvertedIndex {
     }
 
     /// Ids of the sets containing `v`.
-    fn run(&self, v: usize) -> &[u32] {
+    pub fn run(&self, v: usize) -> &[u32] {
         &self.postings[self.starts[v]..self.starts[v + 1]]
     }
 }
@@ -343,60 +344,6 @@ pub fn select_seeds_reference_with_gains<S: RrrSets + ?Sized>(
     )
 }
 
-/// CELF (lazy greedy) reference selector. Exact same maximization as
-/// [`select_seeds`], implemented independently with a priority queue over an
-/// explicit `Vec<Vec<_>>` inverted index — used by tests to cross-validate
-/// coverage.
-pub fn select_seeds_celf<S: RrrSets + ?Sized>(store: &S, k: usize) -> Selection {
-    let n = store.num_vertices();
-    let num_sets = store.num_sets();
-    // Inverted index: vertex -> sets containing it.
-    let mut sets_of: Vec<Vec<u32>> = vec![Vec::new(); n];
-    for i in 0..num_sets {
-        let (s, e) = store.set_bounds(i);
-        for idx in s..e {
-            sets_of[store.element(idx) as usize].push(i as u32);
-        }
-    }
-    let mut covered = vec![false; num_sets];
-    let mut covered_count = 0usize;
-    // Heap of (gain, Reverse(vertex), round_validated).
-    let mut heap: BinaryHeap<(u32, Reverse<u32>, usize)> = (0..n as u32)
-        .map(|v| (sets_of[v as usize].len() as u32, Reverse(v), 0))
-        .collect();
-    let mut seeds = Vec::with_capacity(k);
-    let mut round = 0usize;
-    while seeds.len() < k {
-        let Some((gain, Reverse(v), validated)) = heap.pop() else {
-            break;
-        };
-        if validated == round {
-            // Gain is current: select.
-            seeds.push(v);
-            round += 1;
-            for &i in &sets_of[v as usize] {
-                if !covered[i as usize] {
-                    covered[i as usize] = true;
-                    covered_count += 1;
-                }
-            }
-            let _ = gain;
-        } else {
-            // Stale: recompute and reinsert (the lazy step).
-            let fresh = sets_of[v as usize]
-                .iter()
-                .filter(|&&i| !covered[i as usize])
-                .count() as u32;
-            heap.push((fresh, Reverse(v), round));
-        }
-    }
-    Selection {
-        seeds,
-        covered_sets: covered_count,
-        num_sets,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -488,7 +435,7 @@ mod tests {
     }
 
     #[test]
-    fn celf_matches_greedy_coverage_randomized() {
+    fn reference_matches_greedy_coverage_randomized() {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
         for trial in 0..20 {
             let n = 60;
@@ -502,7 +449,7 @@ mod tests {
             }
             for k in [1, 3, 7] {
                 let a = select_seeds(&store, k);
-                let b = select_seeds_celf(&store, k);
+                let b = select_seeds_reference(&store, k);
                 // Greedy max-coverage is deterministic up to tie-breaking;
                 // covered counts must agree exactly.
                 assert_eq!(

@@ -3,7 +3,9 @@
 //! * Golden values: `select_on_device` on fixed seeded stores must report
 //!   exactly the cycles, clock bits, launches, per-iteration hardware
 //!   counters and coverage recorded for the full walk over every set, for
-//!   either store layout, either scan strategy and any rayon thread count.
+//!   either store layout, either scan strategy and any rayon thread count,
+//!   including sets longer than the probe table's cap, emptied sets and a
+//!   set count that leaves the last round of slots partly filled.
 //! * Replay: an `EimEngine` asked for the same selection over an unchanged
 //!   store returns the same seeds and charges the same simulated time as a
 //!   fresh computation; a grown store is selected afresh.
@@ -12,7 +14,9 @@ use eim::core::select::{select_on_device, DeviceSelection, ScanStrategy};
 use eim::core::EimEngine;
 use eim::gpusim::{Device, DeviceSpec, RunTrace};
 use eim::graph::generators;
-use eim::imm::{ImmConfig, ImmEngine, PackedRrrStore, PlainRrrStore, RrrStoreBuilder, Selection};
+use eim::imm::{
+    ImmConfig, ImmEngine, PackedRrrStore, PlainRrrStore, RrrSets, RrrStoreBuilder, Selection,
+};
 use eim::prelude::*;
 
 /// SplitMix64: a self-contained generator, so the stores never change with
@@ -123,33 +127,50 @@ const WARP_ROWS: [Row; 6] = [
     [14994, 2, 0x4038_fe76_c8b4_3958, 378952, 479808, 11982120, 92760, 1521, 194688, 0, 871, 0, 0, 0],
 ];
 
-#[test]
-fn selection_cost_matches_the_full_walk_golden_values() {
-    // 3,000 sets on the small spec: three rounds of 1,024 thread slots and
-    // 94 rounds of 32 warp slots, with 1,928 sets covered by the end.
-    let (plain, packed) = stores(150, 3_000, 7);
+/// Selects `k` seeds with each strategy, on both layouts and on 1 and 4
+/// rayon threads, and checks every run against that strategy's recorded
+/// seeds, totals and per-iteration rows.
+fn assert_golden(
+    (plain, packed): &(PlainRrrStore, PackedRrrStore),
+    k: usize,
+    seeds: &[u32],
+    cases: [(ScanStrategy, Totals, &[Row]); 2],
+) {
     let device = Device::new(DeviceSpec::test_small());
-    let cases = [
-        (ScanStrategy::ThreadPerSet, THREAD_TOTALS, &THREAD_ROWS),
-        (ScanStrategy::WarpPerSet, WARP_TOTALS, &WARP_ROWS),
-    ];
     for (strategy, want_totals, want_rows) in cases {
         for threads in [1, 4] {
             let runs = on_threads(threads, || {
                 [
-                    select_on_device(&device, &plain, 6, strategy),
-                    select_on_device(&device, &packed, 6, strategy),
+                    select_on_device(&device, plain, k, strategy),
+                    select_on_device(&device, packed, k, strategy),
                 ]
             });
             for (layout, r) in ["plain", "packed"].iter().zip(&runs) {
                 let at = format!("{strategy:?}, {layout}, {threads} thread(s)");
-                assert_eq!(r.selection.seeds, SEEDS, "{at}");
-                assert_eq!(r.selection.num_sets, 3_000, "{at}");
+                assert_eq!(r.selection.seeds, seeds, "{at}");
+                assert_eq!(r.selection.num_sets, plain.num_sets(), "{at}");
                 assert_eq!(totals(r), want_totals, "{at}");
-                assert_eq!(rows(r), want_rows.to_vec(), "{at}");
+                assert_eq!(rows(r), want_rows, "{at}");
             }
         }
     }
+}
+
+#[test]
+fn selection_cost_matches_the_full_walk_golden_values() {
+    // 3,000 sets on the small spec: three rounds of 1,024 thread slots and
+    // 94 rounds of 32 warp slots, with 1,928 sets covered by the end.
+    let stores = stores(150, 3_000, 7);
+    assert_eq!(stores.0.num_sets(), 3_000);
+    assert_golden(
+        &stores,
+        6,
+        &SEEDS,
+        [
+            (ScanStrategy::ThreadPerSet, THREAD_TOTALS, &THREAD_ROWS),
+            (ScanStrategy::WarpPerSet, WARP_TOTALS, &WARP_ROWS),
+        ],
+    );
 }
 
 #[test]
@@ -179,6 +200,95 @@ fn selection_past_n_golden_values() {
             assert_eq!(rows(r), want_rows.to_vec());
         }
     }
+}
+
+/// 3,333 sets over 800 vertices on the small spec: three and a quarter
+/// rounds of 1,024 thread slots, 104 and a bit rounds of 32 warp slots.
+/// Most sets are short and skewed toward high ids, so the seeds rank deep
+/// inside the long ones; every 37th set holds 100 to 600 members, past the
+/// probe table's cap; every 41st is emptied by a patch after ingest.
+fn long_and_empty_stores() -> (PlainRrrStore, PackedRrrStore) {
+    let (n, num_sets) = (800u64, 3_333usize);
+    let mut state = 29;
+    let sets: Vec<Vec<u32>> = (0..num_sets)
+        .map(|j| {
+            if j % 37 == 0 {
+                let len = 100 + next(&mut state) % 501;
+                (0..n as u32)
+                    .filter(|_| next(&mut state) % n < len)
+                    .collect()
+            } else {
+                let len = next(&mut state) % 13;
+                let mut set: Vec<u32> = (0..len)
+                    .map(|_| (n - 1 - (next(&mut state) % n) * (next(&mut state) % n) / n) as u32)
+                    .collect();
+                set.sort_unstable();
+                set.dedup();
+                set
+            }
+        })
+        .collect();
+    let emptied: Vec<(usize, Vec<u32>)> = (0..num_sets).step_by(41).map(|i| (i, vec![])).collect();
+    let mut plain = PlainRrrStore::new(n as usize);
+    let mut packed = PackedRrrStore::new(n as usize);
+    for set in &sets {
+        plain.append_set(set);
+        packed.append_set(set);
+    }
+    plain.patch_sets(&emptied);
+    packed.patch_sets(&emptied);
+    (plain, packed)
+}
+
+const LONG_SEEDS: [u32; 10] = [799, 798, 797, 796, 795, 790, 786, 794, 793, 763];
+
+const LONG_THREAD_TOTALS: Totals = (120625, 0x406b_9400_0000_0000, 20, 1125);
+#[rustfmt::skip]
+const LONG_THREAD_ROWS: [Row; 10] = [
+    [18579, 2, 0x403c_9439_5810_624e, 408732, 594528, 2678849, 10348991, 24982, 3197696, 0, 17215, 0, 0, 0],
+    [16044, 2, 0x403a_0b43_9581_0625, 235745, 513408, 2155549, 5336707, 12782, 1636096, 0, 5922, 0, 0, 0],
+    [15423, 2, 0x4039_6c49_ba5e_3540, 170932, 493536, 1965685, 3452555, 10470, 1340160, 0, 4126, 0, 0, 0],
+    [16840, 2, 0x403a_d70a_3d70_a3d7, 166565, 538880, 1829285, 3449211, 9298, 1190144, 0, 3356, 0, 0, 0],
+    [11524, 2, 0x4035_8624_dd2f_1aa0, 123913, 368768, 1686753, 2226879, 7353, 941184, 0, 1768, 0, 0, 0],
+    [9339, 2, 0x4033_56c8_b439_5810, 121485, 298848, 1628377, 2207559, 6974, 892672, 0, 1586, 0, 0, 0],
+    [12843, 2, 0x4036_d7ce_d916_872b, 109233, 410976, 1560309, 1883563, 6199, 793472, 0, 998, 0, 0, 0],
+    [11223, 2, 0x4035_3916_872b_020c, 104921, 359136, 1436341, 1869547, 5865, 750720, 0, 1088, 0, 0, 0],
+    [3955, 2, 0x402b_e8f5_c28f_5c29, 90421, 126560, 1361521, 1480367, 5152, 659456, 0, 587, 0, 0, 0],
+    [4855, 2, 0x402d_b5c2_8f5c_28f6, 99220, 155360, 1430357, 1693099, 5319, 680832, 0, 523, 0, 0, 0],
+];
+
+const LONG_WARP_TOTALS: Totals = (256908, 0x4076_4e87_2b02_0c4a, 20, 1125);
+#[rustfmt::skip]
+const LONG_WARP_ROWS: [Row; 10] = [
+    [31908, 2, 0x4044_f439_5810_624e, 966341, 1021056, 30748424, 122904, 4078, 521984, 0, 17215, 0, 0, 0],
+    [29592, 2, 0x4043_cbc6_a7ef_9db2, 870397, 946944, 27713616, 87504, 3325, 425600, 0, 5922, 0, 0, 0],
+    [27925, 2, 0x4042_f666_6666_6666, 816313, 893600, 25998192, 72240, 3048, 390144, 0, 4126, 0, 0, 0],
+    [27193, 2, 0x4042_98b4_3958_1062, 773777, 870176, 24644672, 64608, 2866, 366848, 0, 3356, 0, 0, 0],
+    [25169, 2, 0x4041_95a1_cac0_8312, 734661, 805408, 23396320, 61248, 2677, 342656, 0, 1768, 0, 0, 0],
+    [24880, 2, 0x4041_70a3_d70a_3d70, 700501, 796160, 22316496, 47952, 2525, 323200, 0, 1586, 0, 0, 0],
+    [23656, 2, 0x4040_d3f7_ced9_1687, 671865, 756992, 21401392, 46704, 2404, 307712, 0, 998, 0, 0, 0],
+    [22345, 2, 0x4040_2c28_f5c2_8f5c, 647113, 715040, 20612256, 43776, 2317, 296576, 0, 1088, 0, 0, 0],
+    [22448, 2, 0x4040_3958_1062_4dd3, 623185, 718336, 19848360, 41976, 2218, 283904, 0, 587, 0, 0, 0],
+    [21792, 2, 0x403f_cac0_8312_6e98, 601061, 697344, 19141928, 40440, 2137, 273536, 0, 523, 0, 0, 0],
+];
+
+#[test]
+fn selection_cost_of_long_and_empty_sets_golden_values() {
+    let stores = long_and_empty_stores();
+    assert_eq!(stores.0.num_sets(), 3_333);
+    assert_golden(
+        &stores,
+        10,
+        &LONG_SEEDS,
+        [
+            (
+                ScanStrategy::ThreadPerSet,
+                LONG_THREAD_TOTALS,
+                &LONG_THREAD_ROWS,
+            ),
+            (ScanStrategy::WarpPerSet, LONG_WARP_TOTALS, &LONG_WARP_ROWS),
+        ],
+    );
 }
 
 fn lt_graph() -> Graph {
