@@ -235,9 +235,10 @@ impl DeviceGraph for PlainDeviceGraph<'_> {
 /// edge of host memory), and [`DeviceGraph::device_bytes`] delegates to the
 /// packed representation unchanged.
 ///
-/// [`DeviceGraph::in_neighbor`], the LT walk's one read per step, stays on
-/// the packed arrays: for a single random read their smaller working set
-/// measured faster than the mirror.
+/// [`DeviceGraph::in_neighbor`], an LT step's one neighbor read, stays on
+/// the packed arrays: with one walk at a time their smaller working set
+/// measured faster than the mirror, and with the sampler's eight walks in
+/// flight the mirror measured no clear change.
 pub struct PackedDeviceGraph {
     csc: PackedCsc,
     /// Decoded in-neighbors in CSC order: row `v` is `tables.row(v)`.

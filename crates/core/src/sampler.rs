@@ -25,31 +25,51 @@
 //! ([`crate::device_graph::weight_threshold`]) — bit-identical to the
 //! per-edge float draw of the reference path.
 //!
+//! Under LT a block keeps [`LT_LANES`] walks in flight and steps them
+//! round-robin, the host analogue of the resident warps that hide a GPU's
+//! memory latency: each step is a chain of dependent loads (row start,
+//! prefix-sum search, neighbor, visited flag), and interleaving eight
+//! independent chains lets their cache misses overlap. Every lane owns one
+//! sample's RNG stream and one bit of the visited mask `M`, so walks in
+//! flight never see each other's marks; a finished lane publishes its set
+//! through the same epilogue as an IC sample, then takes the block's next
+//! sample. Every sample charges exactly what it would alone, to the same
+//! block, and block totals are plain sums, so the interleaving moves no
+//! simulated number.
+//!
 //! [`sample_batch_reference`] keeps the pre-fusion three-pass kernel
-//! (traverse into a scratch queue, sort, copy out) as the differential
-//! oracle: both paths consume identical RNG streams and produce
-//! byte-identical [`FlatSampleSets`], identical [`SamplerCounters`], and
-//! identical coverage histograms.
+//! (traverse into a scratch queue, sort, copy out, one sample at a time) as
+//! the differential oracle: both paths consume identical RNG streams and
+//! produce byte-identical [`FlatSampleSets`], identical
+//! [`SamplerCounters`], and identical coverage histograms.
 //!
 //! Blocks do the traversal work for real and charge warp-level costs; the
 //! resulting sets are bit-identical across runs because every set index
 //! owns a deterministic RNG stream.
 //!
 //! Host-side, the batch mirrors the device layout: every block appends its
-//! finished sets into one flat offsets + data arena (no per-set `Vec`), the
-//! traversal scratch (`M` bitmap and edge-decode buffer) lives in a
+//! finished sets into one flat data arena (no per-set `Vec`) and records a
+//! `(start, len)` span per sample, since LT lanes finish out of order; the
+//! traversal scratch (`M` mask, lanes and edge-decode buffer) lives in a
 //! per-worker arena reused across blocks
 //! ([`eim_gpusim::Device::launch_with_scratch`]), and the merged
 //! [`FlatSampleSets`] is ordered by sample index, so its bytes are
 //! independent of grid layout and thread count.
 
 use eim_diffusion::{lt_crosses, sample_rng, DiffusionModel};
-use eim_gpusim::{Device, LaunchStats, Op, SimFault, WARP_SIZE};
+use eim_gpusim::{BlockCtx, Device, LaunchStats, Op, SimFault, WARP_SIZE};
 use eim_graph::VertexId;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
 use crate::device_graph::{DeviceGraph, EdgeScratch};
+
+/// LT walks a block keeps in flight. Sixteen measured no faster than eight.
+const LT_LANES: usize = 8;
+
+/// The visited-mask bit of single-walk traversals: every IC sample and
+/// every reference-path sample.
+const SOLO: u8 = 1;
 
 /// Outcome counters of one sampling batch.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -176,10 +196,13 @@ pub struct SampleBatch {
     pub counters: SamplerCounters,
 }
 
-/// One simulated block's share of the batch, in local (round-robin) order:
-/// local position `p` holds global slot `block_id + p * num_blocks`.
+/// One simulated block's share of the batch, by local (round-robin)
+/// position: local position `p` holds global slot `block_id + p *
+/// num_blocks`. Sets land in `data` in finish order; `spans[p]` locates
+/// position `p`'s set.
 struct BlockOutput {
-    offsets: Vec<usize>,
+    /// `(start, len)` of each local position's set in `data`.
+    spans: Vec<(usize, usize)>,
     data: Vec<VertexId>,
     kept: Vec<bool>,
     sources: Vec<VertexId>,
@@ -187,35 +210,113 @@ struct BlockOutput {
 }
 
 impl BlockOutput {
-    fn with_capacity(local: usize) -> Self {
-        let mut out = Self {
-            offsets: Vec::with_capacity(local + 1),
+    fn new(local: usize) -> Self {
+        Self {
+            spans: vec![(0, 0); local],
             data: Vec::new(),
-            kept: Vec::with_capacity(local),
-            sources: Vec::with_capacity(local),
+            kept: vec![false; local],
+            sources: vec![0; local],
             counters: SamplerCounters::default(),
-        };
-        out.offsets.push(0);
-        out
+        }
+    }
+
+    /// Records `data[start..]` as local position `pos`'s set.
+    fn record(&mut self, pos: usize, start: usize, kept: bool, source: VertexId) {
+        self.spans[pos] = (start, self.data.len() - start);
+        self.kept[pos] = kept;
+        self.sources[pos] = source;
+    }
+}
+
+/// One LT walk in flight: its sample's RNG stream, source, current vertex
+/// and local position, the path so far, and the lane's bit in `M`.
+struct LtLane {
+    bit: u8,
+    pos: usize,
+    source: VertexId,
+    u: VertexId,
+    rng: ChaCha8Rng,
+    path: Vec<VertexId>,
+}
+
+impl LtLane {
+    /// Lane `l`. Its RNG is overwritten by the first [`LtLane::begin`].
+    fn new(l: usize) -> Self {
+        Self {
+            bit: 1 << l,
+            pos: 0,
+            source: 0,
+            u: 0,
+            rng: sample_rng(0, 0),
+            path: Vec::new(),
+        }
+    }
+
+    /// Starts sample `idx` at local position `pos`: thread 0 draws the
+    /// source and seeds the queue (Algorithm 2 lines 5–10).
+    fn begin(
+        &mut self,
+        ctx: &mut BlockCtx,
+        n: usize,
+        seed: u64,
+        idx: u64,
+        pos: usize,
+        visited: &mut [u8],
+    ) {
+        self.rng = sample_rng(seed, idx);
+        self.source = self.rng.gen_range(0..n as VertexId);
+        ctx.charge(Op::Rng, 1);
+        ctx.charge(Op::GlobalAccess, 1);
+        self.pos = pos;
+        self.u = self.source;
+        self.path.clear();
+        self.path.push(self.source);
+        visited[self.source as usize] |= self.bit;
+    }
+
+    /// One reverse step from the current vertex, charged as
+    /// [`lt_traverse`] charges it. Returns `false` once the walk has ended:
+    /// a dead end, no edge chosen, or a cycle closed.
+    #[inline]
+    fn step<G: DeviceGraph>(&mut self, ctx: &mut BlockCtx, graph: &G, visited: &mut [u8]) -> bool {
+        let u = self.u;
+        if graph.in_degree(u) == 0 {
+            return false;
+        }
+        ctx.charge(Op::Rng, 1); // tau, shared across the warp
+        let tau: f32 = self.rng.gen();
+        match lt_step_lookup(ctx, graph, u, tau).map(|i| graph.in_neighbor(u, i)) {
+            Some(v) if visited[v as usize] & self.bit == 0 => {
+                visited[v as usize] |= self.bit;
+                self.path.push(v);
+                ctx.charge(Op::AtomicGlobal, 2);
+                self.u = v;
+                true
+            }
+            _ => false,
+        }
     }
 }
 
 /// Host-side traversal scratch, one per rayon worker chunk: the visited
-/// bitmap `M` (all-false between sets — Algorithm 2 line 27 restores it)
-/// plus, for the fused path, the edge-decode buffer for packed graphs.
-/// Reused across every block the worker executes; the simulated per-block
-/// memset of `M` is still charged per block.
+/// mask `M` (bit `l` for LT lane `l`, [`SOLO`] for single-walk paths; all
+/// zero between blocks — Algorithm 2 line 27 restores it), the reference
+/// path's queue, the LT lanes, and the edge-decode buffer for packed
+/// graphs. Reused across every block the worker executes; the simulated
+/// per-block memset of `M` is still charged per block.
 struct SamplerScratch {
-    visited: Vec<bool>,
+    visited: Vec<u8>,
     queue: Vec<VertexId>,
+    lanes: [LtLane; LT_LANES],
     edges: EdgeScratch,
 }
 
 impl SamplerScratch {
     fn new(n: usize) -> Self {
         Self {
-            visited: vec![false; n],
+            visited: vec![0; n],
             queue: Vec::new(),
+            lanes: std::array::from_fn(LtLane::new),
             edges: EdgeScratch::default(),
         }
     }
@@ -238,30 +339,9 @@ pub fn sample_batch<G: DeviceGraph>(
     count: usize,
     source_elim: bool,
 ) -> Result<SampleBatch, SimFault> {
-    let n = graph.n();
-    let blocks = (device.spec().num_sms * 4).min(count.max(1));
-    device.check_kernel_fault("eim_sample")?;
-    let result = device.launch_with_scratch(
-        "eim_sample",
-        blocks,
-        || SamplerScratch::new(n),
-        |ctx, scratch| {
-            let b = ctx.block_id();
-            // Each block zeroes its own M (Algorithm 2): the simulated cost
-            // is per block even though the host bitmap is a worker arena.
-            ctx.charge_warp_sweep(n.div_ceil(32), ctx.spec().costs.global_access); // memset M
-            let local = count.saturating_sub(b).div_ceil(blocks);
-            let mut out = BlockOutput::with_capacity(local);
-            let mut j = b;
-            while j < count {
-                let idx = start + j as u64;
-                fused_sample_one(ctx, graph, model, seed, idx, source_elim, scratch, &mut out);
-                j += blocks;
-            }
-            out
-        },
-    );
-    Ok(merge_blocks(result, blocks, count, n, source_elim))
+    launch_fused(device, graph, model, seed, count, source_elim, |j| {
+        start + j as u64
+    })
 }
 
 /// Samples RRR sets for an explicit list of logical `indices` of run `seed`
@@ -282,8 +362,30 @@ pub fn sample_indices<G: DeviceGraph>(
     indices: &[u64],
     source_elim: bool,
 ) -> Result<SampleBatch, SimFault> {
+    launch_fused(
+        device,
+        graph,
+        model,
+        seed,
+        indices.len(),
+        source_elim,
+        |j| indices[j],
+    )
+}
+
+/// The fused kernel over `count` slots, slot `j` drawing logical sample
+/// `index(j)`: the launch body [`sample_batch`] and [`sample_indices`]
+/// share.
+fn launch_fused<G: DeviceGraph>(
+    device: &Device,
+    graph: &G,
+    model: DiffusionModel,
+    seed: u64,
+    count: usize,
+    source_elim: bool,
+    index: impl Fn(usize) -> u64 + Sync,
+) -> Result<SampleBatch, SimFault> {
     let n = graph.n();
-    let count = indices.len();
     let blocks = (device.spec().num_sms * 4).min(count.max(1));
     device.check_kernel_fault("eim_sample")?;
     let result = device.launch_with_scratch(
@@ -292,14 +394,37 @@ pub fn sample_indices<G: DeviceGraph>(
         || SamplerScratch::new(n),
         |ctx, scratch| {
             let b = ctx.block_id();
+            // Each block zeroes its own M (Algorithm 2): the simulated cost
+            // is per block even though the host mask is a worker arena.
             ctx.charge_warp_sweep(n.div_ceil(32), ctx.spec().costs.global_access); // memset M
             let local = count.saturating_sub(b).div_ceil(blocks);
-            let mut out = BlockOutput::with_capacity(local);
-            let mut j = b;
-            while j < count {
-                let idx = indices[j];
-                fused_sample_one(ctx, graph, model, seed, idx, source_elim, scratch, &mut out);
-                j += blocks;
+            let mut out = BlockOutput::new(local);
+            let index_at = |p: usize| index(b + p * blocks);
+            match model {
+                DiffusionModel::IndependentCascade => {
+                    for p in 0..local {
+                        ic_sample_one(
+                            ctx,
+                            graph,
+                            seed,
+                            index_at(p),
+                            p,
+                            source_elim,
+                            scratch,
+                            &mut out,
+                        );
+                    }
+                }
+                DiffusionModel::LinearThreshold => lt_block(
+                    ctx,
+                    graph,
+                    seed,
+                    local,
+                    index_at,
+                    source_elim,
+                    scratch,
+                    &mut out,
+                ),
             }
             out
         },
@@ -332,10 +457,9 @@ pub fn sample_batch_reference<G: DeviceGraph>(
             let b = ctx.block_id();
             ctx.charge_warp_sweep(n.div_ceil(32), ctx.spec().costs.global_access); // memset M
             let local = count.saturating_sub(b).div_ceil(blocks);
-            let mut out = BlockOutput::with_capacity(local);
-            let mut j = b;
-            while j < count {
-                let idx = start + j as u64;
+            let mut out = BlockOutput::new(local);
+            for p in 0..local {
+                let idx = start + (b + p * blocks) as u64;
                 let source = reference_sample_one(
                     ctx,
                     graph,
@@ -353,20 +477,20 @@ pub fn sample_batch_reference<G: DeviceGraph>(
                 // Copy Q into the block's flat output, applying source
                 // elimination during the copy (§3.4): drop the source, and
                 // discard samples that reduce to empty.
+                let set_start = out.data.len();
                 let kept = if source_elim {
                     if set.len() <= 1 {
                         debug_assert!(set.is_empty() || set[0] == source);
                         out.counters.discarded += 1;
                         false
                     } else {
-                        let before = out.data.len();
                         for &v in set {
                             if v != source {
                                 out.data.push(v);
                             }
                         }
                         debug_assert_eq!(
-                            out.data.len() - before,
+                            out.data.len() - set_start,
                             set.len() - 1,
                             "source must appear exactly once"
                         );
@@ -377,15 +501,12 @@ pub fn sample_batch_reference<G: DeviceGraph>(
                     true
                 };
                 if kept {
-                    let len = out.data.len() - out.offsets.last().copied().unwrap_or(0);
+                    let len = out.data.len() - set_start;
                     // The unfused kernel re-walks Q to write R.
                     ctx.charge_warp_sweep(len, ctx.spec().costs.global_access);
                     charge_publish(ctx, len);
                 }
-                out.offsets.push(out.data.len());
-                out.kept.push(kept);
-                out.sources.push(source);
-                j += blocks;
+                out.record(p, set_start, kept, source);
             }
             out
         },
@@ -413,9 +534,9 @@ fn merge_blocks(
     for (b, block) in result.outputs.iter().enumerate() {
         block.counters.debug_check(source_elim);
         counters.add(&block.counters);
-        for p in 0..block.kept.len() {
+        for (p, &(_, len)) in block.spans.iter().enumerate() {
             let slot = b + p * blocks;
-            lens[slot] = block.offsets[p + 1] - block.offsets[p];
+            lens[slot] = len;
             kept[slot] = block.kept[p];
             sources[slot] = block.sources[p];
         }
@@ -430,10 +551,10 @@ fn merge_blocks(
     }
     let mut data = vec![0 as VertexId; acc];
     for (b, block) in result.outputs.iter().enumerate() {
-        for p in 0..block.kept.len() {
+        for (p, &(start, len)) in block.spans.iter().enumerate() {
             let slot = b + p * blocks;
-            let src = &block.data[block.offsets[p]..block.offsets[p + 1]];
-            data[offsets[slot]..offsets[slot] + src.len()].copy_from_slice(src);
+            data[offsets[slot]..offsets[slot] + len]
+                .copy_from_slice(&block.data[start..start + len]);
         }
     }
     // The batch's C deltas. On the device these land via the publish step's
@@ -457,62 +578,125 @@ fn merge_blocks(
     }
 }
 
-/// One fused sample: traverse directly into the block's output arena, sort
-/// and source-eliminate in place, reset `M`, and publish — a single pass
-/// over the queue segment with no Q→R copy.
+/// One fused IC sample at local position `pos`: traverse directly into the
+/// block's output arena, then [`publish_set`] — a single pass over the
+/// queue segment with no Q→R copy.
 #[allow(clippy::too_many_arguments)]
-fn fused_sample_one<G: DeviceGraph>(
-    ctx: &mut eim_gpusim::BlockCtx,
+fn ic_sample_one<G: DeviceGraph>(
+    ctx: &mut BlockCtx,
     graph: &G,
-    model: DiffusionModel,
     seed: u64,
     idx: u64,
+    pos: usize,
     source_elim: bool,
     scratch: &mut SamplerScratch,
     out: &mut BlockOutput,
 ) {
     let mut rng = sample_rng(seed, idx);
-    let n = graph.n();
-    let source: VertexId = rng.gen_range(0..n as VertexId);
+    let source: VertexId = rng.gen_range(0..graph.n() as VertexId);
     // Thread 0 seeds the queue (Algorithm 2 lines 5–10).
     ctx.charge(Op::Rng, 1);
     ctx.charge(Op::GlobalAccess, 1);
     let set_start = out.data.len();
     out.data.push(source);
-    scratch.visited[source as usize] = true;
-    match model {
-        DiffusionModel::IndependentCascade => {
-            ic_traverse_fused(ctx, graph, &mut rng, scratch, &mut out.data, set_start)
-        }
-        DiffusionModel::LinearThreshold => {
-            // The LT reverse walk touches only the arena tail, so it runs
-            // on the output segment directly.
-            lt_traverse(
+    scratch.visited[source as usize] |= SOLO;
+    ic_traverse_fused(ctx, graph, &mut rng, scratch, &mut out.data, set_start);
+    publish_set(
+        ctx,
+        out,
+        &mut scratch.visited,
+        SOLO,
+        pos,
+        set_start,
+        source,
+        source_elim,
+    );
+}
+
+/// A block's LT samples, [`LT_LANES`] walks in flight: every live lane
+/// takes one step per round, and a lane whose walk ended publishes its set
+/// and starts the block's next local position. Each sample makes the same
+/// charges as a walk run alone, so the block's totals match the
+/// one-at-a-time order exactly.
+#[allow(clippy::too_many_arguments)]
+fn lt_block<G: DeviceGraph>(
+    ctx: &mut BlockCtx,
+    graph: &G,
+    seed: u64,
+    local: usize,
+    index_at: impl Fn(usize) -> u64,
+    source_elim: bool,
+    scratch: &mut SamplerScratch,
+    out: &mut BlockOutput,
+) {
+    let n = graph.n();
+    let SamplerScratch { visited, lanes, .. } = scratch;
+    let mut live = local.min(LT_LANES);
+    for (p, lane) in lanes[..live].iter_mut().enumerate() {
+        lane.begin(ctx, n, seed, index_at(p), p, visited);
+    }
+    let mut next = live;
+    while live > 0 {
+        let mut l = 0;
+        while l < live {
+            let lane = &mut lanes[l];
+            if lane.step(ctx, graph, visited) {
+                l += 1;
+                continue;
+            }
+            let set_start = out.data.len();
+            out.data.extend_from_slice(&lane.path);
+            publish_set(
                 ctx,
-                graph,
-                &mut rng,
-                &mut scratch.visited,
-                &mut out.data,
-                lt_step_lookup,
-            )
+                out,
+                visited,
+                lane.bit,
+                lane.pos,
+                set_start,
+                lane.source,
+                source_elim,
+            );
+            if next < local {
+                lane.begin(ctx, n, seed, index_at(next), next, visited);
+                next += 1;
+                l += 1;
+            } else {
+                // Retire the lane; the last live one takes its place.
+                live -= 1;
+                lanes.swap(l, live);
+            }
         }
     }
+}
+
+/// The fused epilogue of a finished set `out.data[set_start..]` drawn from
+/// `source`: count it, sort it ascending in place (warp bitonic sort in
+/// shared memory, so selection can binary-search), clear its `bit` in `M`
+/// in one walk (Algorithm 2 line 27), delete the source in place under
+/// elimination — the queue already IS R, so no filtered copy — then charge
+/// the publish and record the set at local position `pos`.
+#[allow(clippy::too_many_arguments)]
+fn publish_set(
+    ctx: &mut BlockCtx,
+    out: &mut BlockOutput,
+    visited: &mut [u8],
+    bit: u8,
+    pos: usize,
+    set_start: usize,
+    source: VertexId,
+    source_elim: bool,
+) {
     let q = out.data.len() - set_start;
     out.counters.sampled += 1;
     if q == 1 {
         out.counters.singletons += 1;
     }
-    // Sort ascending in place (warp bitonic sort in shared memory) so
-    // selection can binary-search.
     if q > 1 {
         charge_sort(ctx, q);
         out.data[set_start..].sort_unstable();
     }
-    // Fused epilogue: one walk of the segment resets M (Algorithm 2 line
-    // 27). The queue already IS R, so elimination is an in-place delete of
-    // the source, not a filtered copy.
     for &v in &out.data[set_start..] {
-        scratch.visited[v as usize] = false;
+        visited[v as usize] &= !bit;
     }
     ctx.charge(Op::GlobalAccess, q as u64);
     let kept = if source_elim {
@@ -521,11 +705,11 @@ fn fused_sample_one<G: DeviceGraph>(
             out.data.truncate(set_start);
             false
         } else {
-            let pos = set_start
+            let at = set_start
                 + out.data[set_start..]
                     .binary_search(&source)
                     .expect("source must appear exactly once");
-            out.data.copy_within(pos + 1.., pos);
+            out.data.copy_within(at + 1.., at);
             out.data.truncate(out.data.len() - 1);
             true
         }
@@ -535,21 +719,19 @@ fn fused_sample_one<G: DeviceGraph>(
     if kept {
         charge_publish(ctx, out.data.len() - set_start);
     }
-    out.offsets.push(out.data.len());
-    out.kept.push(kept);
-    out.sources.push(source);
+    out.record(pos, set_start, kept, source);
 }
 
 /// Traverses one RRR set into `queue` via the unfused per-edge float path,
 /// leaving it sorted ascending, and returns the sample's source vertex.
-/// `visited` must be all-false on entry and is restored before returning.
+/// `visited` must be all-zero on entry and is restored before returning.
 fn reference_sample_one<G: DeviceGraph>(
-    ctx: &mut eim_gpusim::BlockCtx,
+    ctx: &mut BlockCtx,
     graph: &G,
     model: DiffusionModel,
     seed: u64,
     idx: u64,
-    visited: &mut [bool],
+    visited: &mut [u8],
     queue: &mut Vec<VertexId>,
 ) -> VertexId {
     let mut rng = sample_rng(seed, idx);
@@ -560,12 +742,10 @@ fn reference_sample_one<G: DeviceGraph>(
     ctx.charge(Op::GlobalAccess, 1);
     queue.clear();
     queue.push(source);
-    visited[source as usize] = true;
+    visited[source as usize] = SOLO;
     match model {
         DiffusionModel::IndependentCascade => ic_traverse(ctx, graph, &mut rng, visited, queue),
-        DiffusionModel::LinearThreshold => {
-            lt_traverse(ctx, graph, &mut rng, visited, queue, lt_step_scan)
-        }
+        DiffusionModel::LinearThreshold => lt_traverse(ctx, graph, &mut rng, visited, queue),
     }
     let q = queue.len();
     if q > 1 {
@@ -574,7 +754,7 @@ fn reference_sample_one<G: DeviceGraph>(
     }
     // Reset M for the vertices we touched (Algorithm 2 line 27).
     for &v in queue.iter() {
-        visited[v as usize] = false;
+        visited[v as usize] = 0;
     }
     ctx.charge(Op::GlobalAccess, q as u64);
     source
@@ -586,7 +766,7 @@ fn reference_sample_one<G: DeviceGraph>(
 /// precomputed integer thresholds — decision-identical to the float path
 /// of [`ic_traverse`], word for word.
 fn ic_traverse_fused<G: DeviceGraph>(
-    ctx: &mut eim_gpusim::BlockCtx,
+    ctx: &mut BlockCtx,
     graph: &G,
     rng: &mut ChaCha8Rng,
     scratch: &mut SamplerScratch,
@@ -612,9 +792,9 @@ fn ic_traverse_fused<G: DeviceGraph>(
                 // clears the threshold (exactly `r <= p` in float form).
                 if words[k] >> 8 <= thresholds[i + k] {
                     let v = nbrs[i + k];
-                    if !scratch.visited[v as usize] {
+                    if scratch.visited[v as usize] == 0 {
                         // Mark in M, then atomically enqueue (§3.2).
-                        scratch.visited[v as usize] = true;
+                        scratch.visited[v as usize] = SOLO;
                         data.push(v);
                         ctx.charge(Op::AtomicGlobal, 2); // enqueue slot + tail bump
                     }
@@ -631,10 +811,10 @@ fn ic_traverse_fused<G: DeviceGraph>(
 /// uniform and activates its neighbor with probability `p_vu` (Algorithm 2
 /// lines 11–20).
 fn ic_traverse<G: DeviceGraph>(
-    ctx: &mut eim_gpusim::BlockCtx,
+    ctx: &mut BlockCtx,
     graph: &G,
     rng: &mut impl Rng,
-    visited: &mut [bool],
+    visited: &mut [u8],
     queue: &mut Vec<VertexId>,
 ) {
     let costs = *ctx.spec();
@@ -650,9 +830,9 @@ fn ic_traverse<G: DeviceGraph>(
             let v = graph.in_neighbor(u, i);
             let p = graph.in_weight(u, i);
             let r: f32 = rng.gen();
-            if r <= p && !visited[v as usize] {
+            if r <= p && visited[v as usize] == 0 {
                 // Mark in M, then atomically enqueue (order matters; §3.2).
-                visited[v as usize] = true;
+                visited[v as usize] = SOLO;
                 queue.push(v);
                 ctx.charge(Op::AtomicGlobal, 2); // enqueue slot + tail bump
             }
@@ -660,20 +840,17 @@ fn ic_traverse<G: DeviceGraph>(
     }
 }
 
-/// LT reverse walk: each step draws a threshold and selects at most one
-/// in-neighbor via the warp shuffle prefix scan (§3.3), costing
-/// `O(log d)` shuffle rounds per 32-lane wave instead of `O(d)` serialized
-/// atomics. `step` picks the in-edge and charges the scan
-/// ([`lt_step_lookup`] or [`lt_step_scan`]). Walks the tail of `queue`, so
-/// it serves both sampler paths (the fused arena segment is just a queue
-/// with a nonzero start).
+/// LT reverse walk, unfused reference: each step draws a threshold and
+/// selects at most one in-neighbor via the warp shuffle prefix scan
+/// (§3.3), costing `O(log d)` shuffle rounds per 32-lane wave instead of
+/// `O(d)` serialized atomics — emulated weight by weight
+/// ([`lt_step_scan`]). Walks the tail of `queue`.
 fn lt_traverse<G: DeviceGraph>(
-    ctx: &mut eim_gpusim::BlockCtx,
+    ctx: &mut BlockCtx,
     graph: &G,
     rng: &mut impl Rng,
-    visited: &mut [bool],
+    visited: &mut [u8],
     queue: &mut Vec<VertexId>,
-    step: fn(&mut eim_gpusim::BlockCtx, &G, VertexId, f32) -> Option<usize>,
 ) {
     let mut u = *queue.last().expect("queue seeded with source");
     loop {
@@ -682,9 +859,9 @@ fn lt_traverse<G: DeviceGraph>(
         }
         ctx.charge(Op::Rng, 1); // tau, shared across the warp
         let tau: f32 = rng.gen();
-        match step(ctx, graph, u, tau).map(|i| graph.in_neighbor(u, i)) {
-            Some(v) if !visited[v as usize] => {
-                visited[v as usize] = true;
+        match lt_step_scan(ctx, graph, u, tau).map(|i| graph.in_neighbor(u, i)) {
+            Some(v) if visited[v as usize] == 0 => {
+                visited[v as usize] = SOLO;
                 queue.push(v);
                 ctx.charge(Op::AtomicGlobal, 2);
                 u = v;
@@ -698,8 +875,9 @@ fn lt_traverse<G: DeviceGraph>(
 /// ([`DeviceGraph::lt_choose`]), charged the waves the warp scan covers
 /// before the threshold falls — through the chosen edge's wave, or all of
 /// them when no edge is chosen.
+#[inline]
 fn lt_step_lookup<G: DeviceGraph>(
-    ctx: &mut eim_gpusim::BlockCtx,
+    ctx: &mut BlockCtx,
     graph: &G,
     u: VertexId,
     tau: f32,
@@ -717,7 +895,7 @@ fn lt_step_lookup<G: DeviceGraph>(
 /// The reference LT step: the warp scan emulated weight by weight, charging
 /// each wave as it starts ([`lt_crosses`] is the choice rule).
 fn lt_step_scan<G: DeviceGraph>(
-    ctx: &mut eim_gpusim::BlockCtx,
+    ctx: &mut BlockCtx,
     graph: &G,
     u: VertexId,
     tau: f32,
@@ -738,14 +916,14 @@ fn lt_step_scan<G: DeviceGraph>(
 
 /// One 32-lane wave of the LT prefix scan: a coalesced weight load and a
 /// shuffle scan.
-fn charge_lt_wave(ctx: &mut eim_gpusim::BlockCtx) {
+fn charge_lt_wave(ctx: &mut BlockCtx) {
     ctx.charge(Op::GlobalAccess, 1);
     ctx.charge_shuffle_scan();
 }
 
 /// Charges the in-place ascending sort (warp bitonic sort in shared
 /// memory): `q log^2 q` comparator stages over 32 lanes.
-fn charge_sort(ctx: &mut eim_gpusim::BlockCtx, q: usize) {
+fn charge_sort(ctx: &mut BlockCtx, q: usize) {
     let lg = (usize::BITS - (q - 1).leading_zeros()) as u64;
     ctx.charge_cycles(
         (q as u64 * lg * lg).div_ceil(WARP_SIZE as u64) * ctx.spec().costs.shared_access,
@@ -756,7 +934,7 @@ fn charge_sort(ctx: &mut eim_gpusim::BlockCtx, q: usize) {
 /// 21–28 minus the element copy, which the fused kernel does not perform):
 /// the offset bump, the `O` write, and the in-flight per-vertex coverage
 /// count updates.
-fn charge_publish(ctx: &mut eim_gpusim::BlockCtx, len: usize) {
+fn charge_publish(ctx: &mut BlockCtx, len: usize) {
     ctx.charge(Op::AtomicGlobal, 1); // atomicAdd(offset, |R_i|)
     ctx.charge(Op::GlobalAccess, 1); // O[count + 1] write
     ctx.charge(Op::AtomicGlobal, len as u64); // C[v] updates (scattered)
@@ -1104,14 +1282,8 @@ mod tests {
                     let reference =
                         sample_batch_reference(d, dg, model, seed, start, count, elim).unwrap();
                     assert_batches_identical(&fused, &reference, &what);
-                    let copy_sweeps: u64 = reference
-                        .sets
-                        .iter()
-                        .flatten()
-                        .map(|set| set.len().div_ceil(WARP_SIZE) as u64)
-                        .sum();
                     assert_eq!(
-                        fused.stats.total_cycles + copy_sweeps * d.spec().costs.global_access,
+                        fused.stats.total_cycles + copy_sweep_cycles(d, &reference),
                         reference.stats.total_cycles,
                         "{what}: cycles differ"
                     );
@@ -1293,6 +1465,145 @@ mod tests {
             reference.stats.total_cycles
         );
         assert_eq!(fused.sets, reference.sets);
+    }
+
+    // ---- LT walks in flight: lane refill -------------------------------
+
+    /// Everything a batch reports, for equality across thread counts.
+    type Fingerprint = (
+        FlatSampleSets,
+        Vec<VertexId>,
+        Vec<u32>,
+        SamplerCounters,
+        LaunchStats,
+    );
+
+    fn fingerprint(b: SampleBatch) -> Fingerprint {
+        (b.sets, b.sources, b.coverage, b.counters, b.stats)
+    }
+
+    /// Both fused entry points under LT: the batch of slots `100..` and the
+    /// redraw of `indices`.
+    fn lt_fused_runs<G: DeviceGraph>(
+        d: &Device,
+        dg: &G,
+        indices: &[u64],
+        elim: bool,
+    ) -> (SampleBatch, SampleBatch) {
+        let lt = DiffusionModel::LinearThreshold;
+        (
+            sample_batch(d, dg, lt, 5, 100, indices.len(), elim).unwrap(),
+            sample_indices(d, dg, lt, 5, indices, elim).unwrap(),
+        )
+    }
+
+    /// The Q→R copy sweeps the reference charges on top of the fused kernel.
+    fn copy_sweep_cycles(d: &Device, reference: &SampleBatch) -> u64 {
+        let sweeps: u64 = reference
+            .sets
+            .iter()
+            .flatten()
+            .map(|set| set.len().div_ceil(WARP_SIZE) as u64)
+            .sum();
+        sweeps * d.spec().costs.global_access
+    }
+
+    /// Each walk in flight lands in its own slot with the set, source,
+    /// counters and charges it gets alone on the reference path: the batch
+    /// against the reference batch, and every redrawn index against a
+    /// one-sample reference launch of that index.
+    fn assert_lanes_match_reference<G: DeviceGraph>(
+        d: &Device,
+        dg: &G,
+        indices: &[u64],
+        elim: bool,
+        what: &str,
+    ) {
+        let lt = DiffusionModel::LinearThreshold;
+        let (batch, redraw) = lt_fused_runs(d, dg, indices, elim);
+        let reference = sample_batch_reference(d, dg, lt, 5, 100, indices.len(), elim).unwrap();
+        assert_batches_identical(&batch, &reference, &format!("{what}/batch"));
+        assert_eq!(batch.sources, reference.sources, "{what}/batch: sources");
+        assert_eq!(
+            batch.stats.total_cycles + copy_sweep_cycles(d, &reference),
+            reference.stats.total_cycles,
+            "{what}/batch: cycles"
+        );
+
+        // A zero-sample launch charges one block's memset of M and nothing
+        // else.
+        let memset = sample_batch_reference(d, dg, lt, 5, 0, 0, elim)
+            .unwrap()
+            .stats
+            .total_cycles;
+        let mut counters = SamplerCounters::default();
+        let mut coverage = vec![0u32; dg.n()];
+        let mut sample_cycles = 0u64;
+        for (j, &idx) in indices.iter().enumerate() {
+            let one = sample_batch_reference(d, dg, lt, 5, idx, 1, elim).unwrap();
+            assert_eq!(
+                redraw.sets.get(j),
+                one.sets.get(0),
+                "{what}/indices: slot {j}"
+            );
+            assert_eq!(
+                redraw.sources[j], one.sources[0],
+                "{what}/indices: source {j}"
+            );
+            counters.add(&one.counters);
+            for (c, k) in coverage.iter_mut().zip(&one.coverage) {
+                *c += k;
+            }
+            sample_cycles += one.stats.total_cycles - memset - copy_sweep_cycles(d, &one);
+        }
+        assert_eq!(redraw.counters, counters, "{what}/indices: counters");
+        assert_eq!(redraw.coverage, coverage, "{what}/indices: coverage");
+        assert_eq!(
+            redraw.stats.total_cycles,
+            redraw.stats.num_blocks as u64 * memset + sample_cycles,
+            "{what}/indices: cycles"
+        );
+    }
+
+    #[test]
+    fn lt_lane_refill_matches_reference_and_thread_counts() {
+        // `3 * LT_LANES + 5` samples per block: every lane of every block
+        // refills at least three times, and blocks end with lanes retiring
+        // out of order.
+        let d = device();
+        let count = d.spec().num_sms * 4 * (3 * LT_LANES + 5);
+        // Scattered logical indices with a repeat, as a streaming redraw
+        // hands them over.
+        let mut indices: Vec<u64> = (0..count as u64).map(|i| i * 7_919 % 1_000_003).collect();
+        indices[count - 1] = indices[2];
+        let pools = [1usize, 4].map(|threads| {
+            rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap()
+        });
+        for (name, g) in graphs_under_test() {
+            let plain = PlainDeviceGraph::new(&g);
+            let packed = PackedDeviceGraph::from_graph(&g);
+            for elim in [false, true] {
+                let what = format!("{name}/elim={elim}");
+                assert_lanes_match_reference(&d, &plain, &indices, elim, &format!("{what}/plain"));
+                assert_lanes_match_reference(
+                    &d,
+                    &packed,
+                    &indices,
+                    elim,
+                    &format!("{what}/packed"),
+                );
+                let [one, four] = pools.each_ref().map(|pool| {
+                    pool.install(|| {
+                        let (batch, redraw) = lt_fused_runs(&d, &packed, &indices, elim);
+                        (fingerprint(batch), fingerprint(redraw))
+                    })
+                });
+                assert!(one == four, "{what}: 1 vs 4 rayon threads");
+            }
+        }
     }
 
     mod properties {

@@ -205,3 +205,96 @@ fn launch_charges_match_pinned_values() {
     }
     assert_eq!(got.len(), GOLDEN.len());
 }
+
+#[test]
+fn lt_charges_with_many_samples_per_block_match_pinned_values() {
+    // `test_small` runs 16 blocks, so a 1,000-sample batch gives every block
+    // 62 or 63 LT walks and 403 indices give it 25 or 26: each block refills
+    // its walks in flight many times over. Recorded at the commit before
+    // the sampler kept several LT walks in flight per block: (total cycles,
+    // max block cycles, global transactions, atomics, makespan bits, batch
+    // digest) per run.
+    const GOLDEN: [(&str, u64, u64, u64, u64, u64, u64); 4] = [
+        (
+            "LT/elim=false/batch",
+            1_265_697,
+            88_985,
+            16_993,
+            21_990,
+            4_644_524_771_574_359_785,
+            17_990_673_805_539_274_339,
+        ),
+        (
+            "LT/elim=false/indices",
+            516_060,
+            39_562,
+            6_917,
+            8_973,
+            4_639_355_008_638_045_389,
+            11_476_235_678_534_428_248,
+        ),
+        (
+            "LT/elim=true/batch",
+            1_210_017,
+            85_393,
+            16_597,
+            20_198,
+            4_644_292_554_718_573_494,
+            5_719_369_888_546_918_250,
+        ),
+        (
+            "LT/elim=true/indices",
+            494_148,
+            38_402,
+            6_764,
+            8_264,
+            4_639_188_938_401_786_102,
+            12_069_975_772_596_262_136,
+        ),
+    ];
+    let g = test_graph();
+    let view = PackedDeviceGraph::from_graph(&g);
+    let d = Device::new(DeviceSpec::test_small());
+    let indices: Vec<u64> = (0..400u64)
+        .map(|i| i * 7_919 % 100_003)
+        .chain([17, 5, 17])
+        .collect();
+    let lt = DiffusionModel::LinearThreshold;
+    let mut got = Vec::new();
+    for elim in [false, true] {
+        for (what, b) in [
+            ("batch", sample_batch(&d, &view, lt, SEED, 11, 1_000, elim)),
+            (
+                "indices",
+                sample_indices(&d, &view, lt, SEED, &indices, elim),
+            ),
+        ] {
+            let b = b.unwrap();
+            got.push((
+                format!("LT/elim={elim}/{what}"),
+                b.stats.total_cycles,
+                b.stats.max_block_cycles,
+                b.stats.hw.global_transactions,
+                b.stats.hw.atomics,
+                b.stats.elapsed_us.to_bits(),
+                batch_digest(&b),
+            ));
+        }
+    }
+    assert_eq!(got.len(), GOLDEN.len());
+    for ((what, cycles, max_block, tx, atomics, makespan, digest), want) in got.iter().zip(GOLDEN) {
+        assert_eq!(
+            (
+                what.as_str(),
+                *cycles,
+                *max_block,
+                *tx,
+                *atomics,
+                *makespan,
+                *digest
+            ),
+            want,
+            "charges moved"
+        );
+    }
+}
