@@ -97,6 +97,73 @@ impl PackedBuf {
         v & mask(self.nbits)
     }
 
+    /// Appends elements `start..end`, decoded as `u32`, to `out`.
+    ///
+    /// Sequential decode with a rolling bit cursor, like
+    /// [`PackedArray::extend_decode_u32`]: a straddling element's high part
+    /// is shifted in without a branch (the double shift yields 0 when the
+    /// element ends in its first word), where [`PackedBuf::get`] branches
+    /// on every element. Values wider than 32 bits are truncated; callers
+    /// pack vertex ids.
+    ///
+    /// # Panics
+    /// Panics if `start > end` or `end > self.len()`.
+    #[inline]
+    pub fn extend_decode_u32(&self, start: usize, end: usize, out: &mut Vec<u32>) {
+        assert!(
+            start <= end && end <= self.len,
+            "decode range out of bounds"
+        );
+        let nbits = self.nbits as usize;
+        let m = mask(self.nbits);
+        let words = &self.words[..];
+        let mut bit = start * nbits;
+        out.extend((start..end).map(|_| {
+            let (w, off) = (bit >> 6, (bit & 63) as u32);
+            bit += nbits;
+            // Past the last word there is no next word; an element that
+            // fits its word reads nothing from it.
+            let next = words.get(w + 1).copied().unwrap_or(0);
+            let lo = words[w] >> off;
+            let hi = (next << 1) << (63 - off);
+            ((lo | hi) & m) as u32
+        }));
+    }
+
+    /// Appends elements `start..end` of `src` (same width), copying the
+    /// packed bits 64 at a time: one shifted word read and at most two
+    /// word writes per 64 bits, with no per-element decode or encode.
+    ///
+    /// # Panics
+    /// Panics if the widths differ, `start > end` or `end > src.len()`.
+    pub fn extend_from_buf(&mut self, src: &PackedBuf, start: usize, end: usize) {
+        assert_eq!(self.nbits, src.nbits, "widths must match");
+        assert!(start <= end && end <= src.len, "copy range out of bounds");
+        let nbits = self.nbits as usize;
+        let bits = (end - start) * nbits;
+        let (from, to) = (start * nbits, self.len * nbits);
+        // Bits past `len` are zero (see `truncate`), so the copy ORs in.
+        self.words.resize((to + bits).div_ceil(64), 0);
+        let mut done = 0;
+        while done < bits {
+            let take = (bits - done).min(64) as u32;
+            let (src_bit, dst_bit) = (from + done, to + done);
+            let (i, o) = (src_bit >> 6, (src_bit & 63) as u32);
+            let hi = match (o, src.words.get(i + 1)) {
+                (1.., Some(&w)) => w << (64 - o),
+                _ => 0,
+            };
+            let chunk = ((src.words[i] >> o) | hi) & mask(take);
+            let (j, d) = (dst_bit >> 6, (dst_bit & 63) as u32);
+            self.words[j] |= chunk << d;
+            if d + take > 64 {
+                self.words[j + 1] |= chunk >> (64 - d);
+            }
+            done += take as usize;
+        }
+        self.len += end - start;
+    }
+
     /// Shortens the buffer to `len` elements, discarding the tail. The
     /// partial word past the new end is scrubbed so subsequent pushes OR
     /// into clean bits. No-op when `len >= self.len()`.
@@ -204,6 +271,52 @@ mod tests {
     }
 
     proptest! {
+        /// At every width from 1 to 32, the rolling decode of any range
+        /// equals per-index `get`s, and the bulk append of any range of
+        /// another buffer equals pushing its elements one by one — onto a
+        /// buffer that was truncated first, so the copy lands at every bit
+        /// phase and its runs straddle word boundaries on both sides.
+        #[test]
+        fn rolling_decode_and_bulk_append_match_get_and_push(
+            raw in prop::collection::vec(any::<u64>(), 0..300),
+            prefix_raw in prop::collection::vec(any::<u64>(), 0..80),
+            cut in any::<usize>(),
+            cut_a in any::<usize>(),
+            cut_b in any::<usize>(),
+        ) {
+            let mut bounds = [cut_a % (raw.len() + 1), cut_b % (raw.len() + 1)];
+            bounds.sort_unstable();
+            let [start, end] = bounds;
+            for nbits in 1u32..=32 {
+                let mut src = PackedBuf::new(nbits);
+                for &v in &raw {
+                    src.push(v & mask(nbits));
+                }
+
+                let mut out = vec![7u32; 2]; // pre-existing contents must survive
+                src.extend_decode_u32(start, end, &mut out);
+                let want: Vec<u32> = (start..end).map(|i| src.get(i) as u32).collect();
+                prop_assert_eq!(&out[..2], &[7u32; 2]);
+                prop_assert_eq!(&out[2..], &want[..], "nbits {}", nbits);
+
+                let mut bulk = PackedBuf::new(nbits);
+                for &v in &prefix_raw {
+                    bulk.push(v & mask(nbits));
+                }
+                bulk.truncate(cut % (prefix_raw.len() + 1));
+                let mut pushed = bulk.clone();
+                bulk.extend_from_buf(&src, start, end);
+                for i in start..end {
+                    pushed.push(src.get(i));
+                }
+                prop_assert_eq!(&bulk, &pushed, "nbits {}", nbits);
+                // Appending keeps working after a bulk append.
+                bulk.push(mask(nbits));
+                pushed.push(mask(nbits));
+                prop_assert_eq!(&bulk, &pushed, "nbits {}", nbits);
+            }
+        }
+
         #[test]
         fn roundtrip_incremental(
             vals in prop::collection::vec(0u64..(1 << 20), 0..500),

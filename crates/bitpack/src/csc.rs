@@ -162,64 +162,6 @@ impl PackedCsc {
         MemoryReport::new(plain.bytes(), self.bytes())
     }
 
-    /// Staged rebuild with replacement rows spliced in: vertex `v` in
-    /// `updates` (sorted ascending by vertex, each row sorted with parallel
-    /// weights) takes its new in-row; every other row is decoded from the
-    /// packed stream and re-encoded as is. Offsets and neighbor ids are
-    /// repacked at the widths the new edge count demands — the log-encoded
-    /// arrays interleave rows bit-adjacently, so a row whose length changes
-    /// shifts every later bit and an in-place splice would rewrite the same
-    /// tail anyway. Derived weights stay derived (`p = 1/d` tracks the new
-    /// row lengths automatically); plain weights are spliced like rows.
-    ///
-    /// # Panics
-    /// Panics if `updates` is unsorted, names a vertex out of range, or a
-    /// row's weights do not parallel its neighbors.
-    pub fn with_updated_rows(&self, updates: &[(VertexId, Vec<VertexId>, Vec<Weight>)]) -> Self {
-        let n = self.num_vertices;
-        debug_assert!(
-            updates.windows(2).all(|w| w[0].0 < w[1].0),
-            "updates must be sorted by vertex"
-        );
-        let grown: usize = updates.iter().map(|(_, nb, _)| nb.len()).sum();
-        let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
-        offsets.push(0);
-        let mut neighbors: Vec<VertexId> = Vec::with_capacity(self.num_edges() + grown);
-        let plain = matches!(self.weights, WeightStorage::Plain(_));
-        let mut weights: Vec<Weight> =
-            Vec::with_capacity(if plain { neighbors.capacity() } else { 0 });
-        let mut next = 0usize;
-        for v in 0..n as VertexId {
-            if next < updates.len() && updates[next].0 == v {
-                let (_, nbrs, w) = &updates[next];
-                assert_eq!(nbrs.len(), w.len(), "weights must parallel neighbors");
-                neighbors.extend_from_slice(nbrs);
-                if plain {
-                    weights.extend_from_slice(w);
-                }
-                next += 1;
-            } else {
-                let (start, end) = self.row_bounds(v);
-                self.decode_neighbors_into(start, end, &mut neighbors);
-                if plain {
-                    weights.extend_from_slice(self.plain_weights(start, end).unwrap());
-                }
-            }
-            offsets.push(neighbors.len() as u64);
-        }
-        assert_eq!(next, updates.len(), "update vertex out of range");
-        Self {
-            offsets: PackedArray::from_values(&offsets),
-            neighbors: PackedArray::from_u32s(&neighbors),
-            weights: if plain {
-                WeightStorage::Plain(weights)
-            } else {
-                WeightStorage::Derived
-            },
-            num_vertices: n,
-        }
-    }
-
     /// Expected packed size in bytes for a graph with `n` vertices and `m`
     /// edges with plain weights — the closed form the paper's §4.2 trend
     /// follows (savings shrink as `log2 n` approaches 32).
@@ -370,56 +312,5 @@ mod tests {
         let p = PackedCsc::from_graph(&g);
         let predicted = PackedCsc::predicted_bytes(1_000, 8_000);
         assert_eq!(p.bytes(), predicted);
-    }
-
-    #[test]
-    fn with_updated_rows_matches_fresh_pack() {
-        use eim_graph::{GraphDelta, WeightModel};
-        let g = generators::rmat(
-            300,
-            1_800,
-            generators::RmatParams::GRAPH500,
-            WeightModel::WeightedCascade,
-            9,
-        );
-        for derived in [false, true] {
-            let before = if derived {
-                PackedCsc::from_graph_derived(&g)
-            } else {
-                PackedCsc::from_graph(&g)
-            };
-            let mut g2 = g.clone();
-            let (u, v, _) = g2.iter_edges().next().unwrap();
-            let absent = (0..300u32)
-                .flat_map(|a| (0..300u32).map(move |b| (a, b)))
-                .find(|&(a, b)| a != b && !g2.has_edge(a, b))
-                .unwrap();
-            let applied = g2.apply_delta(
-                &GraphDelta {
-                    inserts: vec![absent],
-                    deletes: vec![(u, v)],
-                },
-                WeightModel::WeightedCascade,
-                3,
-            );
-            let updates: Vec<_> = applied
-                .changed_heads
-                .iter()
-                .map(|&h| (h, g2.in_neighbors(h).to_vec(), g2.in_weights(h).to_vec()))
-                .collect();
-            let spliced = before.with_updated_rows(&updates);
-            let fresh = if derived {
-                PackedCsc::from_graph_derived(&g2)
-            } else {
-                PackedCsc::from_graph(&g2)
-            };
-            assert_eq!(spliced.num_edges(), fresh.num_edges());
-            for w in 0..300u32 {
-                assert_eq!(spliced.in_neighbors(w), fresh.in_neighbors(w), "row {w}");
-                for i in 0..spliced.in_degree(w) {
-                    assert_eq!(spliced.in_weight(w, i), fresh.in_weight(w, i));
-                }
-            }
-        }
     }
 }

@@ -272,40 +272,30 @@ impl PackedDeviceGraph {
     }
 
     /// This view after `graph`'s in-rows of `changed_heads` (sorted
-    /// ascending) changed. The packed copy is re-encoded by
-    /// [`PackedCsc::with_updated_rows`]; the host arrays splice: unchanged
-    /// row ranges are copied, and only the changed rows are derived from
-    /// `graph`. The result equals `new` over a fresh pack of `graph` with
-    /// this view's weight storage.
+    /// ascending) changed. `graph`'s CSC already holds the spliced rows, so
+    /// the neighbor mirror copies it and the packed copy packs it afresh;
+    /// no row of the old packed copy is decoded. The thresholds and prefix
+    /// sums splice: unchanged row ranges are copied, and only the changed
+    /// rows are derived. The result equals `new` over a fresh pack of
+    /// `graph` with this view's weight storage.
     pub fn with_updated_rows(&self, graph: &Graph, changed_heads: &[VertexId]) -> Self {
-        let updates: Vec<(VertexId, Vec<VertexId>, Vec<Weight>)> = changed_heads
-            .iter()
-            .map(|&v| {
-                (
-                    v,
-                    graph.in_neighbors(v).to_vec(),
-                    graph.in_weights(v).to_vec(),
-                )
-            })
-            .collect();
-        let csc = self.csc.with_updated_rows(&updates);
+        // An empty range still tells the two weight storages apart.
+        let csc = match self.csc.plain_weights(0, 0) {
+            Some(_) => PackedCsc::from_graph(graph),
+            None => PackedCsc::from_graph_derived(graph),
+        };
         let n = csc.num_vertices();
-        let mut neighbors = Vec::with_capacity(csc.num_edges());
         let mut tables = EdgeTables::with_capacity(n, csc.num_edges());
         let mut lo = 0usize;
         for &v in changed_heads {
-            let r = self.tables.starts[lo]..self.tables.starts[v as usize];
-            neighbors.extend_from_slice(&self.neighbors[r]);
             tables.copy_rows(&self.tables, lo, v as usize);
-            neighbors.extend_from_slice(graph.in_neighbors(v));
             tables.push_packed_row(&csc, v);
             lo = v as usize + 1;
         }
-        neighbors.extend_from_slice(&self.neighbors[self.tables.starts[lo]..]);
         tables.copy_rows(&self.tables, lo, n);
         Self {
             csc,
-            neighbors,
+            neighbors: graph.csc().neighbors().to_vec(),
             tables,
         }
     }
@@ -452,6 +442,15 @@ mod tests {
     fn assert_views_agree(a: &PackedDeviceGraph, b: &PackedDeviceGraph, what: &str) {
         assert_eq!(a.n(), b.n(), "{what}");
         assert_eq!(a.device_bytes(), b.device_bytes(), "{what}: device bytes");
+        assert_eq!(a.csc.offset_bits(), b.csc.offset_bits(), "{what}");
+        assert_eq!(a.csc.neighbor_bits(), b.csc.neighbor_bits(), "{what}");
+        let edges = a.csc.num_edges();
+        assert_eq!(edges, b.csc.num_edges(), "{what}");
+        assert_eq!(
+            a.csc.plain_weights(0, edges),
+            b.csc.plain_weights(0, edges),
+            "{what}: weight storage"
+        );
         let (mut s1, mut s2) = (EdgeScratch::default(), EdgeScratch::default());
         for v in 0..a.n() as VertexId {
             assert_eq!(
@@ -461,6 +460,11 @@ mod tests {
             );
             for i in 0..a.in_degree(v) {
                 assert_eq!(a.in_neighbor(v, i), b.in_neighbor(v, i), "{what}: row {v}");
+                assert_eq!(
+                    a.in_weight(v, i).to_bits(),
+                    b.in_weight(v, i).to_bits(),
+                    "{what}: row {v}"
+                );
             }
             for tau in [0.0f32, 0.05, 0.3, 0.5, 0.77, 0.999, 1.0] {
                 assert_eq!(
@@ -472,6 +476,9 @@ mod tests {
         }
     }
 
+    /// Over eight batches that empty, create, grow and shrink rows, the
+    /// updated view equals a fresh pack under both weight storages: rows,
+    /// thresholds, LT choices, packed widths and weights.
     #[test]
     fn spliced_rows_match_a_fresh_pack() {
         use eim_graph::GraphDelta;

@@ -23,8 +23,8 @@ const DEFAULT_MAX_RETRIES: u32 = 3;
 
 /// Streams RRR redraws through the device sampler, keeping a
 /// [`PackedDeviceGraph`] synchronized with the mutating host graph via
-/// [`PackedDeviceGraph::with_updated_rows`] — only the changed rows are
-/// derived anew.
+/// [`PackedDeviceGraph::with_updated_rows`] — only the changed rows'
+/// thresholds and prefix sums are derived anew.
 pub struct DeviceResampler {
     device: Device,
     graph: PackedDeviceGraph,

@@ -25,7 +25,7 @@
 //! ([`crate::device_graph::weight_threshold`]) — bit-identical to the
 //! per-edge float draw of the reference path.
 //!
-//! Under LT a block keeps [`LT_LANES`] walks in flight and steps them
+//! Under LT a block keeps `LT_LANES` walks in flight and steps them
 //! round-robin, the host analogue of the resident warps that hide a GPU's
 //! memory latency: each step is a chain of dependent loads (row start,
 //! prefix-sum search, neighbor, visited flag), and interleaving eight

@@ -226,58 +226,142 @@ impl PlainRrrStore {
     }
 }
 
-/// Validates a patch list: ascending unique set ids in range, sorted
-/// contents. Shared by every backend's `patch_sets`.
-fn validate_patches(patches: &[(usize, Vec<VertexId>)], num_sets: usize, n: usize) {
+/// Validates a patch: ascending unique set ids in range, `lens` one per id
+/// and partitioning `elements`, each content sorted. Shared by every
+/// backend's `patch_sets`.
+fn validate_patches(
+    ids: &[usize],
+    elements: &[VertexId],
+    lens: &[usize],
+    num_sets: usize,
+    n: usize,
+) {
+    assert_eq!(ids.len(), lens.len(), "one length per patched set");
+    assert_eq!(
+        lens.iter().sum::<usize>(),
+        elements.len(),
+        "lens must partition the element arena"
+    );
     debug_assert!(
-        patches.windows(2).all(|w| w[0].0 < w[1].0),
+        ids.windows(2).all(|w| w[0] < w[1]),
         "patches must be sorted by ascending set id"
     );
-    for (i, set) in patches {
-        assert!(*i < num_sets, "patch names set {i} of {num_sets}");
-        validate_set(set, n);
+    if let Some(&last) = ids.last() {
+        assert!(last < num_sets, "patch names set {last} of {num_sets}");
+    }
+    let mut cursor = 0usize;
+    for &len in lens {
+        validate_set(&elements[cursor..cursor + len], n);
+        cursor += len;
+    }
+}
+
+/// A backend's flat element array, as `patch_sets` rebuilds it.
+trait ElementStream {
+    /// Elements stored.
+    fn len(&self) -> usize;
+    /// Appends elements `start..end` of `old`.
+    fn copy_run(&mut self, old: &Self, start: usize, end: usize);
+    /// Appends one set's members.
+    fn append(&mut self, set: &[VertexId]);
+}
+
+impl ElementStream for Vec<VertexId> {
+    fn len(&self) -> usize {
+        Vec::len(self)
+    }
+    fn copy_run(&mut self, old: &Self, start: usize, end: usize) {
+        self.extend_from_slice(&old[start..end]);
+    }
+    fn append(&mut self, set: &[VertexId]) {
+        self.extend_from_slice(set);
+    }
+}
+
+impl ElementStream for PackedBuf {
+    fn len(&self) -> usize {
+        PackedBuf::len(self)
+    }
+    fn copy_run(&mut self, old: &Self, start: usize, end: usize) {
+        self.extend_from_buf(old, start, end);
+    }
+    fn append(&mut self, set: &[VertexId]) {
+        for &v in set {
+            self.push(v as u64);
+        }
+    }
+}
+
+/// Writes to `new` the element array `old` becomes when sets `ids`
+/// (ascending, at least one) take the contents `elements` split by `lens`, and shifts
+/// `offsets` to match. Each run of unpatched sets is one `copy_run`, and
+/// its offsets move by one running difference.
+fn splice_sets<E: ElementStream>(
+    old: &E,
+    new: &mut E,
+    offsets: &mut [u64],
+    ids: &[usize],
+    elements: &[VertexId],
+    lens: &[usize],
+) {
+    let first = ids[0];
+    // `pos` is where the next unplaced set starts in `old`.
+    let mut pos = offsets[first] as usize;
+    new.copy_run(old, 0, pos);
+    let (mut next, mut shift, mut cursor) = (first, 0i64, 0usize);
+    for (&id, &len) in ids.iter().zip(lens) {
+        // `offsets[id]` still holds its old value unless set `id - 1` was
+        // patched too, in which case set `id` starts where that one ended.
+        let start = if id == next {
+            pos
+        } else {
+            offsets[id] as usize
+        };
+        let end = offsets[id + 1] as usize;
+        new.copy_run(old, pos, start);
+        for o in &mut offsets[next + 1..=id] {
+            *o = o.wrapping_add_signed(shift);
+        }
+        new.append(&elements[cursor..cursor + len]);
+        cursor += len;
+        offsets[id + 1] = offsets[id] + len as u64;
+        shift += len as i64 - (end - start) as i64;
+        (pos, next) = (end, id + 1);
+    }
+    new.copy_run(old, pos, old.len());
+    for o in &mut offsets[next + 1..] {
+        *o = o.wrapping_add_signed(shift);
     }
 }
 
 impl PlainRrrStore {
-    /// Replaces the contents of the named sets in place (ids ascending,
-    /// each content sorted; empty = the set no longer covers anything).
-    /// Everything before the first patched set is untouched; the element
-    /// arena and offsets from that point on are rebuilt in one pass, and
-    /// the coverage histogram absorbs the membership diff.
-    pub fn patch_sets(&mut self, patches: &[(usize, Vec<VertexId>)]) {
-        validate_patches(patches, self.num_sets(), self.n);
-        let Some(&(first, _)) = patches.first() else {
+    /// Replaces the contents of sets `ids` (ascending) in place. The new
+    /// contents arrive the way [`RrrStoreBuilder::append_batch`] takes a
+    /// batch: `elements` is every patched set's members concatenated in id
+    /// order and `lens` partitions it (each content sorted; empty = the set
+    /// no longer covers anything). Everything before the first patched set
+    /// is untouched; from there the element array is rebuilt in one pass
+    /// that copies each unpatched run whole, and the coverage histogram
+    /// absorbs the membership diff.
+    pub fn patch_sets(&mut self, ids: &[usize], elements: &[VertexId], lens: &[usize]) {
+        validate_patches(ids, elements, lens, self.num_sets(), self.n);
+        if ids.is_empty() {
             return;
-        };
-        for (i, new) in patches {
-            let (s, e) = self.set_bounds(*i);
+        }
+        let mut removed = 0usize;
+        for &i in ids {
+            let (s, e) = self.set_bounds(i);
+            removed += e - s;
             for &v in &self.r[s..e] {
                 self.counts[v as usize] -= 1;
             }
-            for &v in new {
-                self.counts[v as usize] += 1;
-            }
         }
-        let num_sets = self.num_sets();
-        let keep = self.offsets[first] as usize;
-        let mut tail: Vec<VertexId> = Vec::with_capacity(self.r.len() - keep);
-        let mut tail_offsets: Vec<u64> = Vec::with_capacity(num_sets - first);
-        let mut p = 0usize;
-        for i in first..num_sets {
-            if p < patches.len() && patches[p].0 == i {
-                tail.extend_from_slice(&patches[p].1);
-                p += 1;
-            } else {
-                let (s, e) = self.set_bounds(i);
-                tail.extend_from_slice(&self.r[s..e]);
-            }
-            tail_offsets.push(keep as u64 + tail.len() as u64);
+        for &v in elements {
+            self.counts[v as usize] += 1;
         }
-        self.r.truncate(keep);
-        self.r.extend_from_slice(&tail);
-        self.offsets.truncate(first + 1);
-        self.offsets.extend_from_slice(&tail_offsets);
+        let rebuilt = Vec::with_capacity(self.r.len() - removed + elements.len());
+        let old = std::mem::replace(&mut self.r, rebuilt);
+        splice_sets(&old, &mut self.r, &mut self.offsets, ids, elements, lens);
     }
 }
 
@@ -368,45 +452,37 @@ impl PackedRrrStore {
         self.r.bits_per_value()
     }
 
-    /// Replaces the contents of the named sets (see
-    /// [`PlainRrrStore::patch_sets`]). The packed element stream is
-    /// bit-adjacent, so the stream is truncated at the first patched set
-    /// and re-pushed from there; earlier sets keep their packed words.
-    pub fn patch_sets(&mut self, patches: &[(usize, Vec<VertexId>)]) {
-        validate_patches(patches, self.num_sets(), self.n);
-        let Some(&(first, _)) = patches.first() else {
+    /// Replaces the contents of sets `ids` (see
+    /// [`PlainRrrStore::patch_sets`] for the arguments). The packed element
+    /// stream is bit-adjacent, so it is rebuilt from the first patched set
+    /// on: each run of unpatched sets is copied 64 bits at a time by
+    /// [`PackedBuf::extend_from_buf`], shifted to its new bit position, and
+    /// only the patched sets are encoded.
+    pub fn patch_sets(&mut self, ids: &[usize], elements: &[VertexId], lens: &[usize]) {
+        validate_patches(ids, elements, lens, self.num_sets(), self.n);
+        if ids.is_empty() {
             return;
-        };
-        for (i, new) in patches {
-            let (s, e) = self.set_bounds(*i);
-            for idx in s..e {
-                self.counts[self.r.get(idx) as usize] -= 1;
-            }
-            for &v in new {
-                self.counts[v as usize] += 1;
+        }
+        let mut removed = 0usize;
+        let mut scratch: Vec<VertexId> = Vec::new();
+        for &i in ids {
+            let (s, e) = self.set_bounds(i);
+            removed += e - s;
+            scratch.clear();
+            self.r.extend_decode_u32(s, e, &mut scratch);
+            for &v in &scratch {
+                self.counts[v as usize] -= 1;
             }
         }
-        let num_sets = self.num_sets();
-        let keep = self.offsets[first] as usize;
-        let mut tail: Vec<VertexId> = Vec::with_capacity(self.r.len() - keep);
-        let mut tail_offsets: Vec<u64> = Vec::with_capacity(num_sets - first);
-        let mut p = 0usize;
-        for i in first..num_sets {
-            if p < patches.len() && patches[p].0 == i {
-                tail.extend_from_slice(&patches[p].1);
-                p += 1;
-            } else {
-                let (s, e) = self.set_bounds(i);
-                tail.extend((s..e).map(|idx| self.r.get(idx) as VertexId));
-            }
-            tail_offsets.push(keep as u64 + tail.len() as u64);
+        for &v in elements {
+            self.counts[v as usize] += 1;
         }
-        self.r.truncate(keep);
-        for &v in &tail {
-            self.r.push(v as u64);
-        }
-        self.offsets.truncate(first + 1);
-        self.offsets.extend_from_slice(&tail_offsets);
+        let rebuilt = PackedBuf::with_capacity(
+            self.r.bits_per_value(),
+            self.r.len() - removed + elements.len(),
+        );
+        let old = std::mem::replace(&mut self.r, rebuilt);
+        splice_sets(&old, &mut self.r, &mut self.offsets, ids, elements, lens);
     }
 }
 
@@ -425,6 +501,17 @@ impl RrrSets for PackedRrrStore {
     }
     fn element(&self, idx: usize) -> VertexId {
         self.r.get(idx) as VertexId
+    }
+    fn for_each_set_in(&self, from: usize, to: usize, f: &mut dyn FnMut(usize, &[VertexId])) {
+        // One rolling decode per set into a reused buffer, not a `get` per
+        // element.
+        let mut scratch: Vec<VertexId> = Vec::new();
+        for i in from..to {
+            let (s, e) = self.set_bounds(i);
+            scratch.clear();
+            self.r.extend_decode_u32(s, e, &mut scratch);
+            f(i, &scratch);
+        }
     }
     fn counts(&self) -> &[u32] {
         &self.counts
@@ -491,13 +578,23 @@ impl AnyRrrStore {
         }
     }
 
-    /// Replaces the contents of the named sets in place (ids ascending,
-    /// contents sorted, empty allowed), dispatching to the backend's
-    /// patch path; see the per-backend `patch_sets` docs for cost models.
-    pub fn patch_sets(&mut self, patches: &[(usize, Vec<VertexId>)]) {
+    /// Replaces the contents of sets `ids` in place, dispatching to the
+    /// backend's patch path; see [`PlainRrrStore::patch_sets`] for the
+    /// arguments and the per-backend docs for cost models.
+    pub fn patch_sets(&mut self, ids: &[usize], elements: &[VertexId], lens: &[usize]) {
         match self {
-            AnyRrrStore::Plain(s) => s.patch_sets(patches),
-            AnyRrrStore::Packed(s) => s.patch_sets(patches),
+            AnyRrrStore::Plain(s) => s.patch_sets(ids, elements, lens),
+            AnyRrrStore::Packed(s) => s.patch_sets(ids, elements, lens),
+        }
+    }
+
+    /// Appends set `i`'s members to `out`: a slice copy, or one rolling
+    /// decode of the packed range.
+    pub(crate) fn extend_set(&self, i: usize, out: &mut Vec<VertexId>) {
+        let (s, e) = self.set_bounds(i);
+        match self {
+            AnyRrrStore::Plain(p) => out.extend_from_slice(&p.r[s..e]),
+            AnyRrrStore::Packed(p) => p.r.extend_decode_u32(s, e, out),
         }
     }
 }
@@ -828,67 +925,135 @@ mod tests {
 
     /// Patching a store to some content must leave it indistinguishable
     /// from a store that appended that content directly — members, counts,
-    /// and offsets.
+    /// offsets and digest — and appending after a patch keeps working.
     #[test]
     fn patch_sets_matches_fresh_append_on_every_backend() {
         use rand::{Rng, SeedableRng};
+        // 600 vertices pack at 10 bits, so sets and runs start at every
+        // bit phase and straddle words.
         let n = 600usize;
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(77);
-        let rand_set = |rng: &mut rand_chacha::ChaCha8Rng| {
-            let len = rng.gen_range(0..12usize);
+        let rand_set = |rng: &mut rand_chacha::ChaCha8Rng, max_len: usize| {
+            let len = rng.gen_range(0..max_len);
             let mut s: Vec<u32> = (0..len).map(|_| rng.gen_range(0..n as u32)).collect();
             s.sort_unstable();
             s.dedup();
             s
         };
-        let old: Vec<Vec<u32>> = (0..1124).map(|_| rand_set(&mut rng)).collect();
-        // Patch a scatter of ids, including the first and last sets and an
-        // emptied set.
-        let mut ids = vec![3, 511, 512, old.len() - 1];
+        let old: Vec<Vec<u32>> = (0..1124).map(|_| rand_set(&mut rng, 12)).collect();
+        let last = old.len() - 1;
+        let mut scatter = vec![3, 511, 512, last];
         for _ in 0..40 {
-            ids.push(rng.gen_range(0..old.len()));
+            scatter.push(rng.gen_range(0..old.len()));
         }
-        ids.sort_unstable();
-        ids.dedup();
-        let patches: Vec<(usize, Vec<u32>)> = ids
-            .iter()
-            .enumerate()
-            .map(|(j, &i)| (i, if j == 0 { vec![] } else { rand_set(&mut rng) }))
-            .collect();
-        let mut target = old.clone();
-        for (i, new) in &patches {
-            target[*i] = new.clone();
-        }
-
-        for packed in [false, true] {
-            let mut patched = AnyRrrStore::new(n, packed);
-            let mut fresh = AnyRrrStore::new(n, packed);
-            for set in &old {
-                patched.append_set(set);
+        scatter.sort_unstable();
+        scatter.dedup();
+        let every: Vec<usize> = (0..old.len()).collect();
+        // Each case: the patched ids and how a patched set's new content
+        // is drawn from its old one.
+        type Redraw = fn(&[u32], &mut rand_chacha::ChaCha8Rng) -> Vec<u32>;
+        let random: Redraw = |_, rng| {
+            let len = rng.gen_range(0..12usize);
+            let mut s: Vec<u32> = (0..len).map(|_| rng.gen_range(0..600)).collect();
+            s.sort_unstable();
+            s.dedup();
+            s
+        };
+        let emptied: Redraw = |_, _| Vec::new();
+        let grown: Redraw = |old, rng| {
+            let mut s = old.to_vec();
+            s.extend((0..1 + rng.gen_range(0..20)).map(|_| rng.gen_range(0..600)));
+            s.sort_unstable();
+            s.dedup();
+            s
+        };
+        let shrunk: Redraw = |old, rng| old[..rng.gen_range(0..old.len().max(1))].to_vec();
+        let cases: [(&str, Vec<usize>, Redraw); 9] = [
+            ("scatter", scatter.clone(), random),
+            ("first set", vec![0], random),
+            ("last set", vec![last], random),
+            ("first and last", vec![0, last], grown),
+            ("every set", every.clone(), random),
+            ("every set emptied", every.clone(), emptied),
+            ("scatter emptied", scatter.clone(), emptied),
+            ("every set grown", every.clone(), grown),
+            ("scatter shrunk", scatter.clone(), shrunk),
+        ];
+        for (name, ids, redraw) in cases {
+            let news: Vec<Vec<u32>> = ids.iter().map(|&i| redraw(&old[i], &mut rng)).collect();
+            let mut target = old.clone();
+            for (&i, new) in ids.iter().zip(&news) {
+                target[i] = new.clone();
             }
-            for set in &target {
-                fresh.append_set(set);
-            }
-            patched.patch_sets(&patches);
-            assert_eq!(patched.num_sets(), fresh.num_sets());
-            assert_eq!(patched.total_elements(), fresh.total_elements());
-            assert_eq!(patched.counts(), fresh.counts());
-            for i in 0..patched.num_sets() {
+            let elements: Vec<u32> = news.concat();
+            let lens: Vec<usize> = news.iter().map(Vec::len).collect();
+            for packed in [false, true] {
+                let label = format!("{name} packed={packed}");
+                let mut patched = AnyRrrStore::new(n, packed);
+                let mut fresh = AnyRrrStore::new(n, packed);
+                for set in &old {
+                    patched.append_set(set);
+                }
+                for set in &target {
+                    fresh.append_set(set);
+                }
+                patched.patch_sets(&ids, &elements, &lens);
+                assert_eq!(patched.num_sets(), fresh.num_sets(), "{label}");
+                assert_eq!(patched.total_elements(), fresh.total_elements(), "{label}");
+                assert_eq!(patched.counts(), fresh.counts(), "{label}");
+                assert_eq!(patched.bytes(), fresh.bytes(), "{label}");
+                for i in 0..patched.num_sets() {
+                    assert_eq!(
+                        patched.set_members(i),
+                        fresh.set_members(i),
+                        "{label} set {i}"
+                    );
+                    assert_eq!(
+                        patched.set_bounds(i),
+                        fresh.set_bounds(i),
+                        "{label} set {i}"
+                    );
+                }
                 assert_eq!(
-                    patched.set_members(i),
-                    fresh.set_members(i),
-                    "set {i} packed={packed}"
+                    crate::checkpoint::store_digest(&patched),
+                    crate::checkpoint::store_digest(&fresh),
+                    "{label}"
                 );
-                assert_eq!(patched.set_bounds(i), fresh.set_bounds(i));
+                // Appending after a patch keeps working.
+                let extra = rand_set(&mut rng, 12);
+                patched.append_set(&extra);
+                fresh.append_set(&extra);
+                assert_eq!(
+                    patched.set_members(patched.num_sets() - 1),
+                    fresh.set_members(fresh.num_sets() - 1),
+                    "{label}"
+                );
             }
-            // Appending after a patch keeps working.
-            let extra = rand_set(&mut rng);
-            patched.append_set(&extra);
-            fresh.append_set(&extra);
-            assert_eq!(
-                patched.set_members(patched.num_sets() - 1),
-                fresh.set_members(fresh.num_sets() - 1)
-            );
         }
+        // An empty patch changes nothing.
+        let mut store = AnyRrrStore::new(n, true);
+        for set in &old {
+            store.append_set(set);
+        }
+        let before = crate::checkpoint::store_digest(&store);
+        store.patch_sets(&[], &[], &[]);
+        assert_eq!(crate::checkpoint::store_digest(&store), before);
+    }
+
+    /// The packed store's rolling-decode `for_each_set_in` hands out the
+    /// same members as the per-element default, over any range.
+    #[test]
+    fn packed_for_each_set_in_matches_element_reads() {
+        let mut s = PackedRrrStore::new(6);
+        fill(&mut s);
+        let mut seen = Vec::new();
+        s.for_each_set_in(1, 5, &mut |i, members| seen.push((i, members.to_vec())));
+        let want: Vec<(usize, Vec<u32>)> = (1..5)
+            .map(|i| {
+                let (a, b) = s.set_bounds(i);
+                (i, (a..b).map(|idx| s.element(idx)).collect())
+            })
+            .collect();
+        assert_eq!(seen, want);
     }
 }

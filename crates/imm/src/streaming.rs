@@ -25,6 +25,17 @@
 //!   selection replays warm from binary searches over the postings without
 //!   decoding a single stored set.
 //!
+//! The host cost of an update follows the data it touches. The redrawn
+//! slots are marked in a slot bitmap, and the vertices of their old
+//! footprints (decoded from the store) are marked touched. One counting
+//! sort groups the new footprints' `(vertex, slot)` pairs by vertex. Each
+//! touched postings list is rewritten once: a branch-free filter drops the
+//! stale slots in place, then that vertex's new slots are merged in (or
+//! appended, when they all sort after the list). The store takes the new
+//! contents as one element arena plus lengths; the packed store rebuilds
+//! its bit stream from the first patched set, copying each unpatched run
+//! with a word-level shifted copy and encoding only the patched sets.
+//!
 //! After patching, the martingale driver is replayed arithmetically
 //! (identical float ops to [`crate::run_imm`]) with selection restricted to
 //! the logical prefix each estimation iteration would have seen; the store
@@ -50,7 +61,7 @@ use crate::bounds::{
 use crate::checkpoint::{run_fingerprint, store_digest};
 use crate::config::ImmConfig;
 use crate::martingale::EngineError;
-use crate::rrrstore::{AnyRrrStore, RrrSets, RrrStoreBuilder};
+use crate::rrrstore::{AnyRrrStore, RrrStoreBuilder};
 use crate::selection::Selection;
 
 /// Draws RRR samples for explicit `(seed, index)` slots against the current
@@ -179,82 +190,40 @@ fn below(sorted: &[u32], cutoff: usize) -> usize {
     sorted.partition_point(|&s| (s as usize) < cutoff)
 }
 
-/// Writes `(list \ removed) ∪ inserted` to `out`. All three are
-/// ascending, and `inserted` is disjoint from `list \ removed`. Unedited
-/// runs of `list` are copied whole, so a long list with few edits costs one
-/// binary search per edit plus one copy.
-fn patch_sorted(list: &[u32], removed: &[u32], inserted: &[u32], out: &mut Vec<u32>) {
-    out.clear();
-    out.reserve(list.len() + inserted.len());
-    let (mut pos, mut r, mut i) = (0usize, 0usize, 0usize);
-    while r < removed.len() || i < inserted.len() {
-        let remove = i == inserted.len() || (r < removed.len() && removed[r] <= inserted[i]);
-        let slot = if remove { removed[r] } else { inserted[i] };
-        let at = pos + list[pos..].partition_point(|&s| s < slot);
-        out.extend_from_slice(&list[pos..at]);
-        pos = at;
-        if remove {
-            r += 1;
-            if list.get(pos) == Some(&slot) {
-                pos += 1;
-            }
-        } else {
-            i += 1;
-            out.push(slot);
-        }
+/// Rewrites one ascending slot list in place: drops every slot marked in
+/// the `stale` bitmap with a branch-free filter, then merges `inserted`
+/// (ascending, all stale, so disjoint from what is left). Inserts that all
+/// sort after the last kept slot are appended; otherwise a branch-free
+/// backward merge moves each kept slot at most once.
+fn refresh_list(list: &mut Vec<u32>, stale: &[u64], inserted: &[u32]) {
+    let mut kept = 0usize;
+    for r in 0..list.len() {
+        let slot = list[r];
+        list[kept] = slot;
+        kept += ((stale[(slot / 64) as usize] >> (slot % 64)) & 1 == 0) as usize;
     }
-    out.extend_from_slice(&list[pos..]);
-}
-
-/// Appends the postings edits that turn `slot`'s `old` footprint into its
-/// `new` one (both ascending): a removal for each vertex only in `old`, an
-/// insertion for each vertex only in `new`.
-fn footprint_edits(
-    old: &[VertexId],
-    new: &[VertexId],
-    slot: u32,
-    removed: &mut Vec<(VertexId, u32)>,
-    inserted: &mut Vec<(VertexId, u32)>,
-) {
-    let (mut a, mut b) = (0usize, 0usize);
-    while a < old.len() && b < new.len() {
-        match old[a].cmp(&new[b]) {
-            std::cmp::Ordering::Less => {
-                removed.push((old[a], slot));
-                a += 1;
-            }
-            std::cmp::Ordering::Greater => {
-                inserted.push((new[b], slot));
-                b += 1;
-            }
-            std::cmp::Ordering::Equal => {
-                a += 1;
-                b += 1;
+    list.truncate(kept);
+    match (list.last(), inserted.first()) {
+        (_, None) => {}
+        (Some(&last), Some(&first)) if first < last => {
+            let (mut i, mut j) = (kept, inserted.len());
+            list.resize(kept + j, 0);
+            // Fill from the back: each step moves the larger of the two
+            // tails' last entries to `k`. Once every kept slot is placed
+            // (`i == 0`), the remaining inserts go in order.
+            for k in (0..list.len()).rev() {
+                if j == 0 {
+                    break;
+                }
+                let (a, b) = (list[i.saturating_sub(1)], inserted[j - 1]);
+                let take_kept = (i > 0) & (a > b);
+                list[k] = if take_kept { a } else { b };
+                i -= take_kept as usize;
+                j -= !take_kept as usize;
             }
         }
+        _ => list.extend_from_slice(inserted),
     }
-    removed.extend(old[a..].iter().map(|&v| (v, slot)));
-    inserted.extend(new[b..].iter().map(|&v| (v, slot)));
-}
-
-/// Groups `(vertex, slot)` pairs by vertex with a stable counting sort over
-/// `n` vertices: vertex `v`'s slots are `slots[starts[v]..starts[v + 1]]`,
-/// in input order.
-fn group_by_vertex(pairs: &[(VertexId, u32)], n: usize) -> (Vec<usize>, Vec<u32>) {
-    let mut starts = vec![0usize; n + 1];
-    for &(v, _) in pairs {
-        starts[v as usize + 1] += 1;
-    }
-    for v in 0..n {
-        starts[v + 1] += starts[v];
-    }
-    let mut cursor = starts.clone();
-    let mut slots = vec![0u32; pairs.len()];
-    for &(v, slot) in pairs {
-        slots[cursor[v as usize]] = slot;
-        cursor[v as usize] += 1;
-    }
-    (starts, slots)
 }
 
 /// Discriminant of a weight model, with any model parameters folded in, so
@@ -373,30 +342,23 @@ impl<R: Resampler> StreamingImmEngine<R> {
         h
     }
 
-    /// Stored (post-elimination) content for a footprint drawn with
-    /// `source`: under elimination the source is dropped and sets that
-    /// contained nothing else are discarded (stored empty).
-    fn stored_of(&self, source: VertexId, footprint: &[VertexId]) -> Vec<VertexId> {
+    /// Appends the stored (post-elimination) content of a footprint drawn
+    /// with `source` to `out`: under elimination the source is dropped and
+    /// sets that contained nothing else are discarded (stored empty).
+    /// Returns the stored length.
+    fn push_stored(
+        &self,
+        source: VertexId,
+        footprint: &[VertexId],
+        out: &mut Vec<VertexId>,
+    ) -> usize {
+        let before = out.len();
         if !self.config.source_elimination {
-            return footprint.to_vec();
+            out.extend_from_slice(footprint);
+        } else if !self.eliminated(footprint) {
+            out.extend(footprint.iter().copied().filter(|&v| v != source));
         }
-        if self.eliminated(footprint) {
-            return Vec::new();
-        }
-        footprint.iter().copied().filter(|&v| v != source).collect()
-    }
-
-    /// Reconstructs `slot`'s footprint from the store into `out` (decodes
-    /// one set): the stored members, plus the source at its sorted position
-    /// under elimination.
-    fn footprint_into(&self, slot: u32, out: &mut Vec<VertexId>) {
-        out.clear();
-        let (start, end) = self.store.set_bounds(slot as usize);
-        out.extend((start..end).map(|i| self.store.element(i)));
-        if self.config.source_elimination {
-            let source = self.sources[slot as usize];
-            out.insert(out.partition_point(|&v| v < source), source);
-        }
+        out.len() - before
     }
 
     /// Whether a footprint is discarded by source elimination.
@@ -413,11 +375,13 @@ impl<R: Resampler> StreamingImmEngine<R> {
         }
         let indices: Vec<u64> = (have as u64..target as u64).collect();
         let drawn = self.resampler.sample(&self.graph, &indices)?;
+        let mut stored = Vec::new();
         for (offset, (source, footprint)) in drawn.into_iter().enumerate() {
             // Fresh slots sit above every indexed one: each list appends.
             let slot = (have + offset) as u32;
             self.sources.push(source);
-            let stored = self.stored_of(source, &footprint);
+            stored.clear();
+            self.push_stored(source, &footprint, &mut stored);
             self.store.append_set(&stored);
             for &v in &footprint {
                 self.postings[v as usize].push(slot);
@@ -637,44 +601,70 @@ impl<R: Resampler> StreamingImmEngine<R> {
         if !stale.is_empty() {
             let indices: Vec<u64> = stale.iter().map(|&s| s as u64).collect();
             let drawn = self.resampler.sample(&self.graph, &indices)?;
-            let mut patches: Vec<(usize, Vec<VertexId>)> = Vec::with_capacity(stale.len());
-            // Postings edits, slot-ascending: only the vertices that left or
-            // joined a slot's footprint.
-            let mut removed: Vec<(VertexId, u32)> = Vec::new();
-            let mut inserted: Vec<(VertexId, u32)> = Vec::new();
-            let mut eliminated: Vec<u32> = Vec::new();
+            let n = self.graph.num_vertices();
+            // Every redrawn slot leaves every list of its old footprint, so
+            // those lists are the ones to filter.
+            let mut stale_bits = vec![0u64; self.slots().div_ceil(64)];
+            let mut touched = vec![false; n];
             let mut old = Vec::new();
-            for (&slot, (source, footprint)) in stale.iter().zip(drawn) {
+            for &slot in &stale {
+                stale_bits[(slot / 64) as usize] |= 1 << (slot % 64);
+                old.clear();
+                self.store.extend_set(slot as usize, &mut old);
+                decoded_sets += 1;
+                for &v in &old {
+                    touched[v as usize] = true;
+                }
+                if self.config.source_elimination {
+                    touched[self.sources[slot as usize] as usize] = true;
+                }
+            }
+
+            // Group the new footprints' `(vertex, slot)` pairs by vertex
+            // with one counting sort; slots stay ascending within a vertex.
+            // Slot ids are `u32`, and so are the bucket offsets.
+            let pairs: usize = drawn.iter().map(|(_, footprint)| footprint.len()).sum();
+            assert!(pairs <= u32::MAX as usize, "a batch's pairs index with u32");
+            let mut starts = vec![0u32; n + 1];
+            for (_, footprint) in &drawn {
+                for &v in footprint {
+                    starts[v as usize + 1] += 1;
+                }
+            }
+            for v in 0..n {
+                starts[v + 1] += starts[v];
+            }
+            let mut fill = starts.clone();
+            let mut grouped = vec![0u32; starts[n] as usize];
+            let ids: Vec<usize> = stale.iter().map(|&s| s as usize).collect();
+            let mut elements: Vec<VertexId> = Vec::new();
+            let mut lens: Vec<usize> = Vec::with_capacity(stale.len());
+            let mut eliminated: Vec<u32> = Vec::new();
+            for (&slot, (source, footprint)) in stale.iter().zip(&drawn) {
                 debug_assert_eq!(
-                    source, self.sources[slot as usize],
+                    *source, self.sources[slot as usize],
                     "slot {slot}: source is a pure function of (seed, index)"
                 );
-                self.footprint_into(slot, &mut old);
-                decoded_sets += 1;
-                footprint_edits(&old, &footprint, slot, &mut removed, &mut inserted);
-                if self.eliminated(&footprint) {
+                for &v in footprint {
+                    grouped[fill[v as usize] as usize] = slot;
+                    fill[v as usize] += 1;
+                }
+                if self.eliminated(footprint) {
                     eliminated.push(slot);
                 }
-                patches.push((slot as usize, self.stored_of(source, &footprint)));
+                lens.push(self.push_stored(*source, footprint, &mut elements));
             }
-            self.store.patch_sets(&patches);
+            self.store.patch_sets(&ids, &elements, &lens);
 
-            // Each touched list is rewritten once, by one merge.
-            let n = self.graph.num_vertices();
-            let (rm_starts, rm_slots) = group_by_vertex(&removed, n);
-            let (in_starts, in_slots) = group_by_vertex(&inserted, n);
-            let mut merged = Vec::new();
-            for v in 0..n {
-                let rm = &rm_slots[rm_starts[v]..rm_starts[v + 1]];
-                let ins = &in_slots[in_starts[v]..in_starts[v + 1]];
-                if !rm.is_empty() || !ins.is_empty() {
-                    patch_sorted(&self.postings[v], rm, ins, &mut merged);
-                    std::mem::swap(&mut self.postings[v], &mut merged);
+            // Each touched list is rewritten once.
+            for (v, list) in self.postings.iter_mut().enumerate() {
+                let inserted = &grouped[starts[v] as usize..starts[v + 1] as usize];
+                if touched[v] || !inserted.is_empty() {
+                    refresh_list(list, &stale_bits, inserted);
                 }
             }
             // A redrawn slot is discarded iff its new footprint is.
-            patch_sorted(&self.discarded, &stale, &eliminated, &mut merged);
-            self.discarded = merged;
+            refresh_list(&mut self.discarded, &stale_bits, &eliminated);
         }
 
         let before = self.slots();
@@ -980,29 +970,31 @@ mod tests {
     }
 
     #[test]
-    fn patch_sorted_removes_then_inserts_in_one_merge() {
-        let mut out = Vec::new();
-        let list = [2, 5, 9, 14, 20];
-        patch_sorted(&list, &[5, 20], &[1, 6, 30], &mut out);
-        assert_eq!(out, [1, 2, 6, 9, 14, 30]);
-        // Removals absent from the list are ignored, and a slot both
-        // removed and inserted ends up present once.
-        patch_sorted(&list, &[3, 9, 14], &[9, 10], &mut out);
-        assert_eq!(out, [2, 5, 9, 10, 20]);
-        patch_sorted(&[], &[4], &[], &mut out);
-        assert!(out.is_empty());
-    }
-
-    #[test]
-    fn footprint_edits_are_the_symmetric_difference_grouped_stably() {
-        let (mut removed, mut inserted) = (Vec::new(), Vec::new());
-        footprint_edits(&[1, 3, 4, 8], &[0, 3, 8, 9], 7, &mut removed, &mut inserted);
-        footprint_edits(&[3], &[4], 9, &mut removed, &mut inserted);
-        assert_eq!(removed, [(1, 7), (4, 7), (3, 9)]);
-        assert_eq!(inserted, [(0, 7), (9, 7), (4, 9)]);
-        let (starts, slots) = group_by_vertex(&[(4, 1), (0, 2), (4, 3), (2, 5)], 5);
-        assert_eq!(starts, [0, 1, 1, 2, 2, 4]);
-        assert_eq!(slots, [2, 5, 1, 3]);
+    fn refresh_list_filters_stale_slots_then_merges_inserts() {
+        let mut stale = vec![0u64; 2];
+        for slot in [5u32, 9, 20, 64, 70] {
+            stale[(slot / 64) as usize] |= 1 << (slot % 64);
+        }
+        // Stale slots leave; a stale slot that is re-inserted comes back
+        // once, at its sorted place, among the merged inserts.
+        let mut list = vec![2, 5, 9, 14, 20, 64, 66];
+        refresh_list(&mut list, &stale, &[1, 9, 65, 70]);
+        assert_eq!(list, [1, 2, 9, 14, 65, 66, 70]);
+        // Inserts past the last kept slot append; here the old last entry,
+        // 20, is stale, filtered, and re-inserted.
+        let mut list = vec![1, 2, 14, 20];
+        refresh_list(&mut list, &stale, &[20, 64]);
+        assert_eq!(list, [1, 2, 14, 20, 64]);
+        // A list that empties, one that only gains, one left untouched.
+        let mut gone = vec![5, 20];
+        refresh_list(&mut gone, &stale, &[]);
+        assert!(gone.is_empty());
+        let mut fresh = Vec::new();
+        refresh_list(&mut fresh, &stale, &[9, 20]);
+        assert_eq!(fresh, [9, 20]);
+        let mut same = vec![1, 3, 127];
+        refresh_list(&mut same, &stale, &[]);
+        assert_eq!(same, [1, 3, 127]);
     }
 
     #[test]

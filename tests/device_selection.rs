@@ -228,15 +228,15 @@ fn long_and_empty_stores() -> (PlainRrrStore, PackedRrrStore) {
             }
         })
         .collect();
-    let emptied: Vec<(usize, Vec<u32>)> = (0..num_sets).step_by(41).map(|i| (i, vec![])).collect();
+    let emptied: Vec<usize> = (0..num_sets).step_by(41).collect();
     let mut plain = PlainRrrStore::new(n as usize);
     let mut packed = PackedRrrStore::new(n as usize);
     for set in &sets {
         plain.append_set(set);
         packed.append_set(set);
     }
-    plain.patch_sets(&emptied);
-    packed.patch_sets(&emptied);
+    plain.patch_sets(&emptied, &[], &vec![0; emptied.len()]);
+    packed.patch_sets(&emptied, &[], &vec![0; emptied.len()]);
     (plain, packed)
 }
 

@@ -189,9 +189,10 @@ fn incremental_matches_on_every_store_backend() {
     }
 }
 
-/// The device resampler (packed device rows refreshed in place via
-/// `PackedCsc::with_updated_rows`) must match both the host resampler's
-/// incremental run and a cold packed-graph device engine at every checkpoint.
+/// The device resampler (packed device rows refreshed after every batch
+/// via `PackedDeviceGraph::with_updated_rows`) must match both the host
+/// resampler's incremental run and a cold packed-graph device engine at
+/// every checkpoint.
 #[test]
 fn device_resampler_tracks_cold_packed_engine() {
     let g0 = test_graph(31);
@@ -355,7 +356,7 @@ fn hub_insert_never_over_invalidates() {
 /// current hubs, whose postings lists are the longest; after each, a probe
 /// delta on every top-10 in-degree head (one head at a time, then all ten)
 /// must invalidate the same slots in both engines, over the slots both
-/// have drawn.
+/// have drawn. Runs under IC and LT, with source elimination on and off.
 #[test]
 fn patched_postings_match_a_fresh_index_after_hub_batches() {
     fn top_heads(g: &Graph, count: usize) -> Vec<VertexId> {
@@ -394,12 +395,14 @@ fn patched_postings_match_a_fresh_index_after_hub_batches() {
         delta
     }
 
-    for model in [
-        DiffusionModel::IndependentCascade,
-        DiffusionModel::LinearThreshold,
+    for (model, elim) in [
+        (DiffusionModel::IndependentCascade, true),
+        (DiffusionModel::LinearThreshold, true),
+        (DiffusionModel::IndependentCascade, false),
+        (DiffusionModel::LinearThreshold, false),
     ] {
         let c = base_config(model)
-            .with_source_elimination(true)
+            .with_source_elimination(elim)
             .with_packed(true);
         let g0 = test_graph(71);
         let mut host = streaming_engine(&g0, c);
@@ -418,10 +421,13 @@ fn patched_postings_match_a_fresh_index_after_hub_batches() {
             g.apply_delta(&delta, WeightModel::WeightedCascade, WEIGHT_SEED);
             let rh = host.apply_update(&delta).unwrap();
             let rd = dev.apply_update(&delta).unwrap();
-            assert!(rh.changed_heads >= 5, "{model} round {round}: hubs changed");
+            assert!(
+                rh.changed_heads >= 5,
+                "{model} elim={elim} round {round}: hubs changed"
+            );
             assert_eq!(
                 rh.resampled_slots, rd.resampled_slots,
-                "{model} round {round}"
+                "{model} elim={elim} round {round}"
             );
 
             let mut fresh = streaming_engine(&g, c);
@@ -460,17 +466,85 @@ fn patched_postings_match_a_fresh_index_after_hub_batches() {
                 };
                 for ((got, want), delta) in got.iter().zip(&want).zip(&probes) {
                     let got = prefix(got);
-                    assert!(!got.is_empty(), "{model} round {round}: hubs hold slots");
+                    assert!(
+                        !got.is_empty(),
+                        "{model} elim={elim} round {round}: hubs hold slots"
+                    );
                     assert_eq!(
                         got,
                         prefix(want),
-                        "{model} round {round} {name}: postings of {:?}",
+                        "{model} elim={elim} round {round} {name}: postings of {:?}",
                         delta.inserts
                     );
                 }
             }
         }
     }
+}
+
+/// `(slots, store_digest())` after the initial replay and after each of four
+/// scripted batches, for the plain and packed stores with source
+/// elimination off and on. Recorded before the bitmap postings filter and
+/// the arena store patch landed: how an update patches the store may
+/// change, what it stores may not. The digest hashes set contents, not
+/// their encoding, so both layouts pin the same values.
+const STORE_DIGESTS: [[(usize, u64); 5]; 4] = [
+    // plain, elimination off
+    [
+        (3464, 0xee00_4689_feb2_1d3f),
+        (3464, 0xbdd2_18e9_73ea_24c1),
+        (3464, 0x3df3_cb0e_17f7_7d14),
+        (3464, 0x4a59_964a_88d1_462e),
+        (3464, 0x84ca_c620_a86a_fa4c),
+    ],
+    // plain, elimination on
+    [
+        (1764, 0x1d57_659e_cd04_dfdb),
+        (1769, 0xae4e_11a9_77ae_fedf),
+        (1769, 0x4d4a_7655_605b_b046),
+        (1769, 0x1bb3_3f46_ed25_21c7),
+        (1769, 0x76fe_4ef8_c61f_ccec),
+    ],
+    // packed, elimination off
+    [
+        (3464, 0xee00_4689_feb2_1d3f),
+        (3464, 0xbdd2_18e9_73ea_24c1),
+        (3464, 0x3df3_cb0e_17f7_7d14),
+        (3464, 0x4a59_964a_88d1_462e),
+        (3464, 0x84ca_c620_a86a_fa4c),
+    ],
+    // packed, elimination on
+    [
+        (1764, 0x1d57_659e_cd04_dfdb),
+        (1769, 0xae4e_11a9_77ae_fedf),
+        (1769, 0x4d4a_7655_605b_b046),
+        (1769, 0x1bb3_3f46_ed25_21c7),
+        (1769, 0x76fe_4ef8_c61f_ccec),
+    ],
+];
+
+#[test]
+fn store_digests_after_scripted_batches_match_pinned_values() {
+    let g0 = test_graph(41);
+    let deltas = scripted_stream(&g0, 13, 4);
+    let mut got = Vec::new();
+    for packed in [false, true] {
+        for elim in [false, true] {
+            let c = base_config(DiffusionModel::IndependentCascade)
+                .with_packed(packed)
+                .with_source_elimination(elim);
+            let mut s = streaming_engine(&g0, c);
+            s.replay().unwrap();
+            let mut row = vec![(s.slots(), s.store_digest())];
+            for delta in &deltas {
+                let report = s.apply_update(delta).unwrap();
+                assert!(!report.resampled_slots.is_empty(), "batches redraw");
+                row.push((s.slots(), s.store_digest()));
+            }
+            got.push(row);
+        }
+    }
+    assert_eq!(got, STORE_DIGESTS);
 }
 
 /// A structurally empty batch (no updates, redundant deletes, self-healing
