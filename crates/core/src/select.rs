@@ -19,7 +19,7 @@ use std::ops::Range;
 
 use eim_gpusim::{CostModel, Device, KernelHw, GLOBAL_TRANSACTION_BYTES, WARP_SIZE};
 use eim_graph::VertexId;
-use eim_imm::{search_probes, InvertedIndex, RrrSets, Selection};
+use eim_imm::{greedy_cover_store, search_probes, RrrSets, Selection};
 use rayon::prelude::*;
 
 /// Workload distribution for the selection scans.
@@ -105,18 +105,18 @@ pub struct DeviceSelection {
     pub iterations: Vec<SelectIteration>,
 }
 
-/// Covering round of a set that no seed covers: every scan probes it.
-const NEVER: u32 = u32::MAX;
-
 /// Runs greedy max-coverage over `store` on `device`, charging simulated
 /// time for the argmax reductions and the per-set membership scans.
 /// Produces bit-identical seeds to [`eim_imm::select_seeds`].
 ///
 /// The simulated device runs Algorithm 3 round by round, and every scan
-/// visits every set. The host charges the same work set-major instead. It
-/// first picks all the seeds (`greedy_rounds`), then walks the store
-/// once, one 32-slot warp block at a time, and adds each set's cost in
-/// every round to that round's slot sum (`ChargePass`).
+/// visits every set. The host takes the seeds and each set's covering
+/// round from the shared greedy core ([`greedy_cover_store`]) and charges the
+/// device work set-major: it walks the store once, one 32-slot warp block
+/// at a time, and adds each set's cost in every round to that round's slot
+/// sum (`ChargePass`). For `k > n` the core stops after `n` picks, and the
+/// device's final argmax, which finds nothing left to pick, is charged on
+/// its own.
 pub fn select_on_device<S: RrrSets + ?Sized>(
     device: &Device,
     store: &S,
@@ -137,10 +137,12 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
     let used_slots = slots.min(num_sets.max(1));
     // Rayon with a single worker still pays per-call pool dispatch; the
     // simulated cost model is identical either way, so take the serial
-    // path outright (the same convention as `eim_imm::select_seeds`).
+    // path outright.
     let serial = rayon::current_num_threads() <= 1;
 
-    let (seeds, cover) = greedy_rounds(store, k, serial);
+    let greedy = greedy_cover_store(store, k);
+    let covered_sets = greedy.covered_sets();
+    let (seeds, cover) = (greedy.seeds, greedy.cover);
     let mut by_id: Vec<(VertexId, u32)> = (0..).zip(&seeds).map(|(r, &v)| (v, r)).collect();
     by_id.sort_unstable();
     let pass = ChargePass {
@@ -231,7 +233,7 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
     DeviceSelection {
         selection: Selection {
             seeds,
-            covered_sets: cover.iter().filter(|&&c| c != NEVER).count(),
+            covered_sets,
             num_sets,
         },
         elapsed_us: spec.cycles_to_us(total_cycles) + launches as f64 * costs.kernel_launch_us,
@@ -239,73 +241,6 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
         launches,
         iterations,
     }
-}
-
-/// The greedy rounds of Algorithm 3 without their scans: each round takes
-/// the argmax of the counts (lowest id on ties), and the sets its seed
-/// newly covers, read off an inverted index of the store, leave the counts.
-/// Returns the seeds in pick order (fewer than `k` once every vertex is
-/// picked) and each set's covering round, [`NEVER`] if no seed covers it.
-fn greedy_rounds<S: RrrSets + ?Sized>(
-    store: &S,
-    k: usize,
-    serial: bool,
-) -> (Vec<VertexId>, Vec<u32>) {
-    let n = store.num_vertices();
-    assert!(
-        u32::try_from(store.num_sets()).is_ok() && k < NEVER as usize,
-        "set ids and rounds must fit in u32"
-    );
-    let index = InvertedIndex::build(store);
-    let mut counts: Vec<u32> = store.counts().to_vec();
-    let mut selected = vec![false; n];
-    let mut cover = vec![NEVER; store.num_sets()];
-    let mut seeds: Vec<VertexId> = Vec::with_capacity(k);
-    for round in 0..k as u32 {
-        let best = if serial {
-            let mut best = (0u32, usize::MAX);
-            for (v, &c) in counts.iter().enumerate() {
-                if !selected[v] && (best.1 == usize::MAX || c > best.0) {
-                    best = (c, v);
-                }
-            }
-            best.1
-        } else {
-            (0..n)
-                .into_par_iter()
-                .filter(|&v| !selected[v])
-                .map(|v| (counts[v], v))
-                .reduce(
-                    || (0u32, usize::MAX),
-                    |a, b| {
-                        if b.0 > a.0 || (b.0 == a.0 && b.1 < a.1) {
-                            b
-                        } else {
-                            a
-                        }
-                    },
-                )
-                .1
-        };
-        if best == usize::MAX {
-            break;
-        }
-        selected[best] = true;
-        seeds.push(best as VertexId);
-        // Host mirror of the scan's device writes: the newly covered sets
-        // decrement their members' counts.
-        for &i in index.run(best) {
-            let c = &mut cover[i as usize];
-            if *c == NEVER {
-                *c = round;
-                let (s, e) = store.set_bounds(i as usize);
-                for idx in s..e {
-                    counts[store.element(idx) as usize] -= 1;
-                }
-            }
-        }
-    }
-    (seeds, cover)
 }
 
 /// Charges every round's membership scan in one walk of the store.
@@ -321,7 +256,7 @@ fn greedy_rounds<S: RrrSets + ?Sized>(
 /// slot sums, so every total equals what the round-by-round walk adds up.
 struct ChargePass<'a, S: ?Sized> {
     store: &'a S,
-    /// Each set's covering round, or [`NEVER`].
+    /// Each set's covering round, or [`eim_imm::NEVER`].
     cover: &'a [u32],
     /// The seeds by ascending id, each with its round.
     by_id: Vec<(VertexId, u32)>,
@@ -618,8 +553,8 @@ mod tests {
 
     #[test]
     fn serial_and_parallel_scans_agree() {
-        // The parallel path picks seeds with a rayon argmax and splits the
-        // charge pass across workers by warp block.
+        // The parallel path splits the charge pass across workers by warp
+        // block.
         let store = random_store(150, 5_000, 17);
         let device = Device::new(DeviceSpec::test_small());
         for strategy in [ScanStrategy::ThreadPerSet, ScanStrategy::WarpPerSet] {

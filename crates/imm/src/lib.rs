@@ -12,7 +12,8 @@
 //!    and the final requirement `theta = lambda* / LB`.
 //! 2. **Sample** ([`ImmEngine::extend_to`]): generate RRR sets up to `theta`.
 //! 3. **Select seeds** ([`select_seeds`]): greedy max-coverage over the
-//!    collected sets.
+//!    collected sets, by the one lazy greedy core every engine shares
+//!    ([`greedy_cover_store`]).
 //!
 //! The RRR sets live in an [`RrrSets`] store — plain (`u32` flat array) or
 //! log-encoded ([`PackedRrrStore`], the paper's §3.1 layout: one flat packed
@@ -49,8 +50,8 @@ pub use rrrstore::{
     search_probes, AnyRrrStore, PackedRrrStore, PlainRrrStore, RrrSets, RrrStoreBuilder,
 };
 pub use selection::{
-    select_seeds, select_seeds_reference, select_seeds_reference_with_gains,
-    select_seeds_with_gains, InvertedIndex, Selection, SelectionWorkspace,
+    greedy_cover_store, select_seeds, select_seeds_reference, select_seeds_reference_with_gains,
+    Greedy, Selection, SelectionWorkspace, NEVER,
 };
 pub use source_elim::apply_source_elimination;
 pub use spill::PackedRrrBatch;

@@ -202,8 +202,8 @@ pub struct ImmResult {
     pub seeds: Vec<VertexId>,
     /// Fraction of RRR sets covered by `S` at the end.
     pub coverage: f64,
-    /// RRR sets held when selection ran (>= the theoretical theta when the
-    /// estimation sets are reused, per standard practice).
+    /// Kept RRR sets the final selection ran over (>= the theoretical theta
+    /// when the estimation sets are reused, per standard practice).
     pub num_sets: usize,
     /// The theoretical requirement `ceil(lambda* / LB)`.
     pub theta: usize,
@@ -213,7 +213,7 @@ pub struct ImmResult {
     pub total_elements: usize,
     /// Device/host bytes of the store (`R` + `O`).
     pub store_bytes: usize,
-    /// Sets present at the end of the estimation phase.
+    /// Kept sets the last estimation selection ran over.
     pub estimation_sets: usize,
     /// Time attribution.
     pub phases: PhaseBreakdown,
@@ -520,6 +520,8 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
     }
 
     if !resumed_past_estimation {
+        // Kept sets the last estimation selection ran over.
+        let mut kept = None;
         for i in start_iteration..=max_estimation_iterations(n) {
             let x = n_f / 2f64.powi(i as i32);
             let theta_i = (lp / x).ceil().max(1.0) as usize;
@@ -528,6 +530,7 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
             trace.metrics().set_phase("select");
             let sel = engine.select(k);
             trace.metrics().tick_stream(engine.elapsed_us());
+            kept = Some(sel.num_sets);
             last_coverage = sel.coverage_fraction();
             if n_f * last_coverage >= (1.0 + eps_p) * x {
                 lower_bound = (n_f * last_coverage / (1.0 + eps_p)).max(1.0);
@@ -561,17 +564,21 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
             // the last observed coverage instead of theta = lambda*.
             lower_bound = (n_f * last_coverage / (1.0 + eps_p)).max(1.0);
         }
-        estimation_sets = engine.store().num_sets();
+        // A resume past the last iteration made no selection; a cold
+        // engine's store holds exactly its kept sets.
+        estimation_sets = kept.unwrap_or_else(|| engine.store().num_sets());
         t1 = engine.elapsed_us();
     }
     trace.record_phase("estimation", t0, t1 - t0);
 
     let theta = (ls / lower_bound).ceil().max(1.0) as usize;
-    if engine.store().num_sets() > 0 || engine.logical_sets() == 0 {
+    // When every estimation sample was eliminated (degenerate input),
+    // further sampling cannot add coverage, so skip the final extension.
+    // The count is the selection's, not the store's: a streaming engine's
+    // store also holds eliminated slots and slots past its cutoff.
+    if estimation_sets > 0 || engine.logical_sets() == 0 {
         extend_with_recovery(engine, theta, policy, trace, &mut report)?;
     }
-    // else: every estimation sample was eliminated (degenerate input);
-    // further sampling cannot add coverage, so skip the final extension.
     let t2 = engine.elapsed_us();
     trace.record_phase("sampling", t1, t2 - t1);
     write_checkpoint(
@@ -610,7 +617,7 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
     Ok(ImmResult {
         seeds: sel.seeds.clone(),
         coverage: sel.coverage_fraction(),
-        num_sets: store.num_sets(),
+        num_sets: sel.num_sets,
         theta,
         lower_bound,
         total_elements: store.total_elements(),

@@ -1,20 +1,23 @@
-//! Greedy max-coverage seed selection (§3.5, Algorithm 3 — CPU reference).
+//! Greedy max-coverage seed selection (§3.5, Algorithm 3).
 //!
-//! Two host implementations, byte-identical in output:
+//! One greedy core, [`greedy_cover`], serves every engine. It is CELF lazy
+//! greedy over a [`CoverIndex`] (vertex → ids of the sets containing it):
+//! a heap holds one `(gain bound, vertex)` entry per vertex, a stale entry
+//! is recounted against the current coverage when it reaches the top, and
+//! a current one is picked and marks its sets covered. By submodularity a
+//! bound never understates a gain, so each pick recounts only the few
+//! vertices whose bound still competes. The core reports each set's
+//! covering round; coverage, per-pick gains and the device cost accounting
+//! are all read off that array. Two indexes feed it: an [`InvertedIndex`]
+//! built from a store ([`greedy_cover_store`]), and the streaming engine's
+//! postings prefix.
 //!
-//! * [`select_seeds`] — the production path. A rayon-built CSR inverted
-//!   index (vertex → ids of the sets containing it) feeds CELF lazy greedy:
-//!   stale heap entries carry upper bounds (submodularity), so each pick
-//!   touches only the few vertices whose bound still competes, and those
-//!   are revalidated in parallel. Replaces the per-pick full rescan of
-//!   every RRR set with `O(|run|)` work per touched vertex.
-//! * [`select_seeds_reference`] — the direct Algorithm 3 transcription:
-//!   repeat `k` times, take the vertex appearing in the most *uncovered*
-//!   RRR sets, mark every set containing it covered (one task per set,
-//!   membership by binary search — structurally identical to the paper's
-//!   thread-based GPU scan), and decrement the counts of all vertices in
-//!   the newly covered sets. Kept as the differential-testing oracle; the
-//!   GPU-model variant with cost accounting lives in `eim-core`.
+//! [`select_seeds_reference`] is the direct Algorithm 3 transcription:
+//! repeat `k` times, take the vertex appearing in the most *uncovered* RRR
+//! sets, mark every set containing it covered (one task per set,
+//! membership by binary search — structurally identical to the paper's
+//! thread-based GPU scan), and decrement the counts of all vertices in the
+//! newly covered sets. It is the differential-testing oracle.
 //!
 //! Both break gain ties toward the smallest vertex id, so seed sets are
 //! deterministic and interchangeable between the two paths.
@@ -51,180 +54,174 @@ impl Selection {
     }
 }
 
-/// Sets per task when the inverted index's postings fill runs in parallel.
-const POSTINGS_CHUNK_SETS: usize = 4096;
+/// The sets the greedy core can cover, seen from the vertices: for every
+/// vertex, the ids of the sets containing it.
+pub(crate) trait CoverIndex {
+    /// Candidate seeds are `0..num_vertices()`.
+    fn num_vertices(&self) -> usize;
+    /// One past the largest set id.
+    fn id_bound(&self) -> usize;
+    /// How many sets contain `v`: its gain before any pick.
+    fn degree(&self, v: usize) -> u32;
+    /// Calls `f` with the id of every set containing `v`.
+    fn for_each_set(&self, v: usize, f: impl FnMut(u32));
+}
 
 /// CSR inverted index over an RRR store: for every vertex, the ids of the
 /// sets containing it — the transpose of the store's `R`/`O` layout. The
 /// per-vertex run starts are the exclusive prefix sum of the store's count
-/// array `C`. The postings fill streams the store's sets in order
-/// ([`RrrSets::for_each_set_in`]): sequentially with plain cursors on a
-/// single-threaded pool, or in set-range chunks claiming slots through
-/// per-vertex atomic cursors when real parallelism is available — the
-/// one-task-per-set atomic fill costs 5-6x the sequential pass when there
-/// is only one thread to run it. Posting order within a run is
-/// scheduling-dependent under the parallel fill, but every consumer is
-/// order-independent (counting and bit-marking), so selection results stay
-/// deterministic.
-pub struct InvertedIndex {
+/// array `C`. The postings fill is one sequential pass over the store's
+/// sets ([`RrrSets::for_each_set_in`]), so every run is ascending.
+pub(crate) struct InvertedIndex {
     /// `starts[v]..starts[v + 1]` bounds vertex `v`'s posting run.
     starts: Vec<usize>,
     /// Set ids, grouped by vertex.
     postings: Vec<u32>,
+    /// Sets in the indexed store.
+    num_sets: usize,
 }
 
 impl InvertedIndex {
     /// Builds the index of every set in `store`.
-    pub fn build<S: RrrSets + ?Sized>(store: &S) -> Self {
+    pub(crate) fn build<S: RrrSets + ?Sized>(store: &S) -> Self {
         let n = store.num_vertices();
-        let counts = store.counts();
         let mut starts = Vec::with_capacity(n + 1);
         let mut acc = 0usize;
         starts.push(0);
-        for &c in counts {
+        for &c in store.counts() {
             acc += c as usize;
             starts.push(acc);
         }
         let num_sets = store.num_sets();
-        let postings = if rayon::current_num_threads() <= 1 {
-            let mut cursors: Vec<usize> = starts[..n].to_vec();
-            let mut postings = vec![0u32; acc];
-            store.for_each_set_in(0, num_sets, &mut |i, members| {
-                for &v in members {
-                    let cursor = &mut cursors[v as usize];
-                    postings[*cursor] = i as u32;
-                    *cursor += 1;
-                }
-            });
-            postings
-        } else {
-            let cursors: Vec<AtomicUsize> =
-                starts[..n].iter().map(|&s| AtomicUsize::new(s)).collect();
-            let postings: Vec<AtomicU32> = (0..acc).map(|_| AtomicU32::new(0)).collect();
-            let chunk = POSTINGS_CHUNK_SETS;
-            (0..num_sets.div_ceil(chunk)).into_par_iter().for_each(|c| {
-                let (from, to) = (c * chunk, ((c + 1) * chunk).min(num_sets));
-                store.for_each_set_in(from, to, &mut |i, members| {
-                    for &v in members {
-                        let pos = cursors[v as usize].fetch_add(1, Ordering::Relaxed);
-                        postings[pos].store(i as u32, Ordering::Relaxed);
-                    }
-                });
-            });
-            postings.into_iter().map(AtomicU32::into_inner).collect()
-        };
-        Self { starts, postings }
-    }
-
-    /// Ids of the sets containing `v`.
-    pub fn run(&self, v: usize) -> &[u32] {
-        &self.postings[self.starts[v]..self.starts[v + 1]]
+        let mut cursors: Vec<usize> = starts[..n].to_vec();
+        let mut postings = vec![0u32; acc];
+        store.for_each_set_in(0, num_sets, &mut |i, members| {
+            for &v in members {
+                let cursor = &mut cursors[v as usize];
+                postings[*cursor] = i as u32;
+                *cursor += 1;
+            }
+        });
+        Self {
+            starts,
+            postings,
+            num_sets,
+        }
     }
 }
 
-/// Cap on heap entries revalidated per lazy round; bounds the scratch the
-/// revalidation batch holds.
-const REVALIDATE_BATCH: usize = 1024;
+impl CoverIndex for InvertedIndex {
+    fn num_vertices(&self) -> usize {
+        self.starts.len() - 1
+    }
 
-/// Minimum summed posting-run length before a revalidation batch goes to the
-/// thread pool — below this, spawning workers costs more than the counting.
-const REVALIDATE_PAR_WORK: usize = 1 << 16;
+    fn id_bound(&self) -> usize {
+        self.num_sets
+    }
 
-/// Greedy max-coverage over `store`, choosing `k` seeds. Ties break toward
-/// the smallest vertex id, making the result deterministic.
-pub fn select_seeds<S: RrrSets + ?Sized>(store: &S, k: usize) -> Selection {
-    select_seeds_with_gains(store, k).0
+    fn degree(&self, v: usize) -> u32 {
+        (self.starts[v + 1] - self.starts[v]) as u32
+    }
+
+    fn for_each_set(&self, v: usize, mut f: impl FnMut(u32)) {
+        let run = &self.postings[self.starts[v]..self.starts[v + 1]];
+        run.iter().for_each(|&i| f(i));
+    }
 }
 
-/// [`select_seeds`] plus the marginal gain of each pick: element `i` of the
-/// gains vector is how many *additional* RRR sets seed `i` covered — the
-/// submodular diminishing-returns curve applications plot when choosing a
-/// budget.
-pub fn select_seeds_with_gains<S: RrrSets + ?Sized>(
-    store: &S,
-    k: usize,
-) -> (Selection, Vec<usize>) {
-    let n = store.num_vertices();
-    let num_sets = store.num_sets();
-    assert!(k <= n, "k exceeds vertex count");
-    let index = InvertedIndex::build(store);
-    // Covered flags, one bit per set (the paper's binary array F).
-    let mut covered = vec![0u32; num_sets.div_ceil(32)];
-    let mut covered_count = 0usize;
+/// Covering round of a set that no seed covers.
+pub const NEVER: u32 = u32::MAX;
+
+/// What the greedy core picked and what each pick covered.
+#[derive(Debug)]
+pub struct Greedy {
+    /// Selected vertices, in pick order.
+    pub seeds: Vec<VertexId>,
+    /// Each set id's covering round (the index into `seeds` of the pick
+    /// that covered it), [`NEVER`] if no seed covers it.
+    pub cover: Vec<u32>,
+}
+
+impl Greedy {
+    /// Sets some seed covers.
+    pub fn covered_sets(&self) -> usize {
+        self.cover.iter().filter(|&&c| c != NEVER).count()
+    }
+
+    /// Element `r` is how many *additional* sets pick `r` covered — the
+    /// submodular diminishing-returns curve.
+    #[cfg(test)]
+    pub(crate) fn gains(&self) -> Vec<usize> {
+        let mut gains = vec![0; self.seeds.len()];
+        for &c in &self.cover {
+            if c != NEVER {
+                gains[c as usize] += 1;
+            }
+        }
+        gains
+    }
+}
+
+/// Greedy max-coverage over `index`, picking up to `k` seeds: fewer only
+/// when every vertex is picked. Ties break toward the smallest vertex id,
+/// making the result deterministic.
+pub(crate) fn greedy_cover<I: CoverIndex + ?Sized>(index: &I, k: usize) -> Greedy {
+    let n = index.num_vertices();
+    assert!(
+        index.id_bound() <= NEVER as usize && k < NEVER as usize,
+        "set ids and rounds must fit in u32"
+    );
+    let mut cover = vec![NEVER; index.id_bound()];
     // Heap of (gain upper bound, Reverse(vertex), round validated). Exactly
     // one entry per vertex at all times, so the `(gain desc, id asc)` order
     // reproduces the reference tie-break: an equal-gain smaller-id entry —
     // stale or not — always pops before a larger-id one can be selected.
-    let mut heap: BinaryHeap<(u32, Reverse<u32>, u32)> = store
-        .counts()
-        .iter()
-        .enumerate()
-        .map(|(v, &c)| (c, Reverse(v as u32), 0u32))
+    let mut heap: BinaryHeap<(u32, Reverse<u32>, u32)> = (0..n)
+        .map(|v| (index.degree(v), Reverse(v as u32), 0u32))
         .collect();
-    let mut seeds: Vec<VertexId> = Vec::with_capacity(k);
-    let mut gains = Vec::with_capacity(k);
-    let mut round: u32 = 0;
-    let mut stale: Vec<(u32, Reverse<u32>, u32)> = Vec::new();
+    let mut seeds: Vec<VertexId> = Vec::with_capacity(k.min(n));
     while seeds.len() < k {
-        let Some(top) = heap.pop() else { break };
-        if top.2 == round {
-            // Bound is current: select, mark the vertex's run covered.
-            let v = top.1 .0;
-            let mut gain = 0usize;
-            for &i in index.run(v as usize) {
-                let (word, bit) = ((i / 32) as usize, 1u32 << (i % 32));
-                if covered[word] & bit == 0 {
-                    covered[word] |= bit;
+        let Some((bound, Reverse(v), validated)) = heap.pop() else {
+            break;
+        };
+        let round = seeds.len() as u32;
+        if validated == round {
+            // The bound is current: pick the vertex, cover its sets.
+            let mut gain = 0u32;
+            index.for_each_set(v as usize, |i| {
+                let c = &mut cover[i as usize];
+                if *c == NEVER {
+                    *c = round;
                     gain += 1;
                 }
-            }
-            debug_assert_eq!(gain as u32, top.0, "validated gain was not exact");
-            covered_count += gain;
+            });
+            debug_assert_eq!(gain, bound, "validated gain was not exact");
             seeds.push(v);
-            gains.push(gain);
-            round += 1;
         } else {
-            // Drain the stale prefix of the heap (up to the batch cap) and
-            // recompute those bounds against the current coverage in one
-            // parallel pass — CELF's lazy step, batched.
-            stale.clear();
-            stale.push(top);
-            let mut work = index.starts[top.1 .0 as usize + 1] - index.starts[top.1 .0 as usize];
-            while stale.len() < REVALIDATE_BATCH {
-                match heap.peek() {
-                    Some(&(_, Reverse(v), validated)) if validated != round => {
-                        work += index.starts[v as usize + 1] - index.starts[v as usize];
-                        stale.push(heap.pop().expect("peeked entry"));
-                    }
-                    _ => break,
-                }
-            }
-            let covered_ref = &covered;
-            let revalidate = |&(_, Reverse(v), _): &(u32, Reverse<u32>, u32)| {
-                let fresh = index
-                    .run(v as usize)
-                    .iter()
-                    .filter(|&&i| covered_ref[(i / 32) as usize] & (1u32 << (i % 32)) == 0)
-                    .count() as u32;
-                (fresh, Reverse(v), round)
-            };
-            if work >= REVALIDATE_PAR_WORK && rayon::current_num_threads() > 1 {
-                let fresh: Vec<_> = stale.par_iter().map(revalidate).collect();
-                heap.extend(fresh);
-            } else {
-                heap.extend(stale.iter().map(revalidate));
-            }
+            let mut fresh = 0u32;
+            index.for_each_set(v as usize, |i| fresh += (cover[i as usize] == NEVER) as u32);
+            heap.push((fresh, Reverse(v), round));
         }
     }
+    Greedy { seeds, cover }
+}
 
-    (
-        Selection {
-            seeds,
-            covered_sets: covered_count,
-            num_sets,
-        },
-        gains,
-    )
+/// The greedy core over every set in `store`: up to `k` seeds and each
+/// set's covering round.
+pub fn greedy_cover_store<S: RrrSets + ?Sized>(store: &S, k: usize) -> Greedy {
+    greedy_cover(&InvertedIndex::build(store), k)
+}
+
+/// Greedy max-coverage over `store`, choosing `k` seeds. Ties break toward
+/// the smallest vertex id, making the result deterministic.
+pub fn select_seeds<S: RrrSets + ?Sized>(store: &S, k: usize) -> Selection {
+    assert!(k <= store.num_vertices(), "k exceeds vertex count");
+    let greedy = greedy_cover_store(store, k);
+    Selection {
+        covered_sets: greedy.covered_sets(),
+        seeds: greedy.seeds,
+        num_sets: store.num_sets(),
+    }
 }
 
 /// Reusable buffers for the reference selector, so repeated calls (the IMM
@@ -263,8 +260,9 @@ pub fn select_seeds_reference<S: RrrSets + ?Sized>(store: &S, k: usize) -> Selec
 /// Algorithm 3 as written: per pick, a parallel argmax over the still
 /// unselected vertices (a compacted candidate list, so already-selected ids
 /// cost nothing) followed by a thread-parallel membership scan over every
-/// RRR set. Byte-identical to [`select_seeds_with_gains`]; quadratically
-/// slower at scale, which is exactly what makes it a useful oracle.
+/// RRR set. Byte-identical to [`greedy_cover_store`]'s seeds and gains;
+/// quadratically slower at scale, which is exactly what makes it a useful
+/// oracle.
 pub fn select_seeds_reference_with_gains<S: RrrSets + ?Sized>(
     store: &S,
     k: usize,
@@ -427,7 +425,7 @@ mod tests {
             set.dedup();
             store.append_set(&set);
         }
-        let (sel, gains) = super::select_seeds_with_gains(&store, 8);
+        let (sel, gains) = select_with_gains(&store, 8);
         assert_eq!(gains.len(), sel.seeds.len());
         assert_eq!(gains.iter().sum::<usize>(), sel.covered_sets);
         // Submodularity of coverage: marginal gains never increase.
@@ -513,8 +511,14 @@ mod tests {
         store
     }
 
+    /// [`select_seeds`] plus the per-pick gains read off the covering rounds.
+    fn select_with_gains(store: &PlainRrrStore, k: usize) -> (Selection, Vec<usize>) {
+        let gains = greedy_cover_store(store, k).gains();
+        (select_seeds(store, k), gains)
+    }
+
     fn assert_paths_identical(store: &PlainRrrStore, k: usize, ctx: &str) {
-        let (fast, fast_gains) = select_seeds_with_gains(store, k);
+        let (fast, fast_gains) = select_with_gains(store, k);
         let (reference, ref_gains) =
             select_seeds_reference_with_gains(store, k, &mut SelectionWorkspace::new());
         assert_eq!(fast, reference, "{ctx}");
@@ -568,13 +572,13 @@ mod tests {
     #[test]
     fn deterministic_under_varying_thread_counts() {
         let store = random_store(150, 2_000, 12, 77);
-        let baseline = select_seeds_with_gains(&store, 20);
+        let baseline = select_with_gains(&store, 20);
         for threads in [1, 2, 3, 8] {
             let pool = rayon::ThreadPoolBuilder::new()
                 .num_threads(threads)
                 .build()
                 .unwrap();
-            let got = pool.install(|| select_seeds_with_gains(&store, 20));
+            let got = pool.install(|| select_with_gains(&store, 20));
             assert_eq!(got.0, baseline.0, "threads = {threads}");
             assert_eq!(got.1, baseline.1, "threads = {threads}");
             let reference = pool.install(|| {

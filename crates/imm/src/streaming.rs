@@ -21,9 +21,9 @@
 //!   whose footprint contains it. A delta batch maps to the exact set of
 //!   invalidated slots by a union over its changed heads;
 //! * the same index doubles as the selection inverted index, and the store's
-//!   per-vertex coverage histogram is patched in place — so the CELF
-//!   selection replays warm from binary searches over the postings without
-//!   decoding a single stored set.
+//!   per-vertex coverage histogram is patched in place — so the greedy
+//!   core behind [`crate::select_seeds`] selects over the postings prefix
+//!   below the cutoff without decoding a single stored set.
 //!
 //! The host cost of an update follows the data it touches. The redrawn
 //! slots are marked in a slot bitmap, and the vertices of their old
@@ -36,17 +36,17 @@
 //! its bit stream from the first patched set, copying each unpatched run
 //! with a word-level shifted copy and encoding only the patched sets.
 //!
-//! After patching, the martingale driver is replayed arithmetically
-//! (identical float ops to [`crate::run_imm`]) with selection restricted to
-//! the logical prefix each estimation iteration would have seen; the store
-//! only grows when the mutated graph's coverage demands more samples than
-//! any earlier run drew. The correctness bar is differential: at every
+//! After patching, [`crate::run_imm`] drives the engine over the cutoff.
+//! The engine is an [`ImmEngine`] whose logical prefix is the cutoff:
+//! `extend_to` raises it (drawing slots only past those already
+//! materialized) and `select` runs over the slots below it, which is the
+//! prefix each estimation iteration of a cold run would have seen. The
+//! store only grows when the mutated graph's coverage demands more samples
+//! than any earlier run drew. The correctness bar is differential: at every
 //! update checkpoint, seeds are byte-identical to a cold full recompute on
 //! the mutated graph (`tests/streaming_updates.rs` enforces this across
 //! engines, store backends, and thread pools).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::path::{Path, PathBuf};
 
 use rand::Rng;
@@ -55,14 +55,11 @@ use rayon::prelude::*;
 use eim_diffusion::{sample_rng, sample_rrr, DiffusionModel};
 use eim_graph::{Graph, GraphDelta, VertexId, WeightModel};
 
-use crate::bounds::{
-    adjusted_ell, epsilon_prime, lambda_prime, lambda_star, max_estimation_iterations,
-};
 use crate::checkpoint::{run_fingerprint, store_digest};
 use crate::config::ImmConfig;
-use crate::martingale::EngineError;
-use crate::rrrstore::{AnyRrrStore, RrrStoreBuilder};
-use crate::selection::Selection;
+use crate::martingale::{run_imm, EngineError, ImmEngine};
+use crate::rrrstore::{AnyRrrStore, RrrSets, RrrStoreBuilder};
+use crate::selection::{greedy_cover, CoverIndex, Selection};
 
 /// Draws RRR samples for explicit `(seed, index)` slots against the current
 /// graph. Implementations must return, per index, the source vertex and the
@@ -130,7 +127,7 @@ impl Resampler for HostResampler {
     }
 }
 
-/// The martingale replay's outcome at one update checkpoint.
+/// The martingale run's outcome at one update checkpoint.
 #[derive(Clone, Debug, PartialEq)]
 pub struct StreamRunResult {
     /// The seed set, in selection order — byte-identical to a cold run on
@@ -145,7 +142,7 @@ pub struct StreamRunResult {
     pub cutoff: usize,
     /// The theoretical requirement `ceil(lambda* / LB)`.
     pub theta: usize,
-    /// The coverage lower bound the estimation replay produced.
+    /// The coverage lower bound the estimation phase produced.
     pub lower_bound: f64,
 }
 
@@ -159,7 +156,7 @@ pub struct UpdateReport {
     /// Slots the invalidation index marked stale — exactly the slots
     /// redrawn. Sorted ascending.
     pub resampled_slots: Vec<u32>,
-    /// Fresh slots appended because the replay needed more samples than any
+    /// Fresh slots appended because the run needed more samples than any
     /// earlier run had drawn.
     pub fresh_slots: usize,
     /// Stored sets decoded while patching (old-footprint reads). Zero for
@@ -167,7 +164,7 @@ pub struct UpdateReport {
     pub decoded_sets: usize,
     /// Logical slots materialized after the update (including fresh ones).
     pub slots: usize,
-    /// The replayed run at this checkpoint.
+    /// The run at this checkpoint.
     pub result: StreamRunResult,
 }
 
@@ -188,6 +185,45 @@ impl UpdateReport {
 #[inline]
 fn below(sorted: &[u32], cutoff: usize) -> usize {
     sorted.partition_point(|&s| (s as usize) < cutoff)
+}
+
+/// The postings below a cutoff, as the greedy core reads them. Under source
+/// elimination a slot's stored set leaves out its source, so each vertex's
+/// own source slots are skipped; that also skips every eliminated slot,
+/// whose footprint is its source alone.
+struct PostingsPrefix<'a> {
+    postings: &'a [Vec<u32>],
+    source_slots: &'a [Vec<u32>],
+    sources: &'a [VertexId],
+    cutoff: usize,
+    elim: bool,
+}
+
+impl CoverIndex for PostingsPrefix<'_> {
+    fn num_vertices(&self) -> usize {
+        self.postings.len()
+    }
+
+    fn id_bound(&self) -> usize {
+        self.cutoff
+    }
+
+    fn degree(&self, v: usize) -> u32 {
+        let mut g = below(&self.postings[v], self.cutoff);
+        if self.elim {
+            g -= below(&self.source_slots[v], self.cutoff);
+        }
+        g as u32
+    }
+
+    fn for_each_set(&self, v: usize, mut f: impl FnMut(u32)) {
+        let list = &self.postings[v];
+        for &i in &list[..below(list, self.cutoff)] {
+            if !(self.elim && self.sources[i as usize] as usize == v) {
+                f(i);
+            }
+        }
+    }
 }
 
 /// Rewrites one ascending slot list in place: drops every slot marked in
@@ -259,9 +295,15 @@ pub struct StreamingImmEngine<R: Resampler> {
     postings: Vec<Vec<u32>>,
     /// Per-vertex ascending slot ids whose source is the vertex.
     source_slots: Vec<Vec<u32>>,
+    /// Logical samples the driver counts: selection runs over the slots
+    /// below it.
+    cutoff: usize,
+    /// The last selection and its `(cutoff, k)`. It is a pure function of
+    /// those over an unchanged index, so a repeated `select` reuses it.
+    selection: Option<((usize, usize), Selection)>,
     /// Update batches applied so far.
     delta_cursor: u64,
-    /// The most recent replay, reused verbatim for no-op batches.
+    /// The most recent run, reused verbatim for no-op batches.
     last: Option<StreamRunResult>,
 }
 
@@ -290,6 +332,8 @@ impl<R: Resampler> StreamingImmEngine<R> {
             discarded: Vec::new(),
             postings: vec![Vec::new(); n],
             source_slots: vec![Vec::new(); n],
+            cutoff: 0,
+            selection: None,
             delta_cursor: 0,
             last: None,
         }
@@ -316,7 +360,7 @@ impl<R: Resampler> StreamingImmEngine<R> {
         self.delta_cursor
     }
 
-    /// The most recent replay result, if any run has happened.
+    /// The most recent run's result, if any run has happened.
     pub fn last_result(&self) -> Option<&StreamRunResult> {
         self.last.as_ref()
     }
@@ -375,6 +419,7 @@ impl<R: Resampler> StreamingImmEngine<R> {
         }
         let indices: Vec<u64> = (have as u64..target as u64).collect();
         let drawn = self.resampler.sample(&self.graph, &indices)?;
+        self.selection = None;
         let mut stored = Vec::new();
         for (offset, (source, footprint)) in drawn.into_iter().enumerate() {
             // Fresh slots sit above every indexed one: each list appends.
@@ -400,125 +445,35 @@ impl<R: Resampler> StreamingImmEngine<R> {
         cutoff - below(&self.discarded, cutoff)
     }
 
-    /// Greedy max-coverage over the kept multiset of slots `< cutoff`,
-    /// selection-identical to [`crate::select_seeds`] on a cold store with
-    /// the same content: same per-vertex gains, same `(gain desc, id asc)`
-    /// tie-break via the one-entry-per-vertex lazy heap. Runs entirely on
-    /// the postings index — zero store decodes.
-    fn select_prefix(&self, cutoff: usize, k: usize) -> Selection {
-        let n = self.graph.num_vertices();
-        let elim = self.config.source_elimination;
-        let kept = self.kept_below(cutoff);
-        let mut covered = vec![0u32; cutoff.div_ceil(32)];
-        let mut covered_count = 0usize;
-        let mut heap: BinaryHeap<(u32, Reverse<u32>, u32)> = (0..n)
-            .map(|v| {
-                let mut g = below(&self.postings[v], cutoff);
-                if elim {
-                    g -= below(&self.source_slots[v], cutoff);
-                }
-                (g as u32, Reverse(v as u32), 0u32)
-            })
-            .collect();
-        let mut seeds: Vec<VertexId> = Vec::with_capacity(k);
-        let mut round: u32 = 0;
-        while seeds.len() < k {
-            let Some((bound, Reverse(v), validated)) = heap.pop() else {
-                break;
-            };
-            let run = &self.postings[v as usize][..below(&self.postings[v as usize], cutoff)];
-            if validated == round {
-                let mut gain = 0u32;
-                for &i in run {
-                    if elim && self.sources[i as usize] == v {
-                        continue;
-                    }
-                    let (word, bit) = ((i / 32) as usize, 1u32 << (i % 32));
-                    if covered[word] & bit == 0 {
-                        covered[word] |= bit;
-                        gain += 1;
-                    }
-                }
-                debug_assert_eq!(gain, bound, "validated gain was not exact");
-                covered_count += gain as usize;
-                seeds.push(v);
-                round += 1;
-            } else {
-                let fresh = run
-                    .iter()
-                    .filter(|&&i| {
-                        !(elim && self.sources[i as usize] == v)
-                            && covered[(i / 32) as usize] & (1u32 << (i % 32)) == 0
-                    })
-                    .count() as u32;
-                heap.push((fresh, Reverse(v), round));
-            }
-        }
-        Selection {
-            seeds,
-            covered_sets: covered_count,
-            num_sets: kept,
+    /// The postings below `cutoff`: the kept multiset of those slots, as an
+    /// index the greedy core reads. The core over it selects exactly as
+    /// [`crate::select_seeds`] on a cold store with the same content.
+    fn prefix(&self, cutoff: usize) -> PostingsPrefix<'_> {
+        PostingsPrefix {
+            postings: &self.postings,
+            source_slots: &self.source_slots,
+            sources: &self.sources,
+            cutoff,
+            elim: self.config.source_elimination,
         }
     }
 
-    /// Replays the martingale driver against the maintained sample
-    /// universe: identical arithmetic to [`crate::run_imm`], with each
-    /// estimation iteration selecting over the logical prefix `theta_i` a
-    /// cold run would have held. Extends the universe only when the
+    /// Runs [`run_imm`] over the maintained sample universe from a zero
+    /// cutoff, so each estimation iteration selects over the logical prefix
+    /// a cold run would have held. Extends the universe only when the
     /// mutated graph's coverage demands more samples than any earlier run
     /// drew. Returns the run result and caches it for no-op batches.
     pub fn replay(&mut self) -> Result<StreamRunResult, EngineError> {
-        let n = self.graph.num_vertices();
-        let k = self.config.k;
-        let eps = self.config.epsilon;
-        let ell = adjusted_ell(self.config.ell, n);
-        let lp = lambda_prime(n, k, eps, ell);
-        let ls = lambda_star(n, k, eps, ell);
-        let eps_p = epsilon_prime(eps);
-        let n_f = n as f64;
-
-        let mut lower_bound = f64::NAN;
-        let mut last_coverage = 0.0f64;
-        let mut cutoff = 0usize;
-        // The selection over the current `cutoff`, while it still is.
-        let mut last_sel: Option<Selection> = None;
-        for i in 1..=max_estimation_iterations(n) {
-            let x = n_f / 2f64.powi(i as i32);
-            let theta_i = (lp / x).ceil().max(1.0) as usize;
-            self.ensure_slots(theta_i)?;
-            cutoff = theta_i;
-            let sel = self.select_prefix(theta_i, k);
-            last_coverage = sel.coverage_fraction();
-            last_sel = Some(sel);
-            if n_f * last_coverage >= (1.0 + eps_p) * x {
-                lower_bound = (n_f * last_coverage / (1.0 + eps_p)).max(1.0);
-                break;
-            }
-        }
-        if lower_bound.is_nan() {
-            lower_bound = (n_f * last_coverage / (1.0 + eps_p)).max(1.0);
-        }
-
-        let theta = (ls / lower_bound).ceil().max(1.0) as usize;
-        // Mirror the cold driver's guard: when every estimation sample was
-        // eliminated, further sampling cannot add coverage, so the final
-        // extension is skipped and selection stays on the estimation prefix.
-        if (self.kept_below(cutoff) > 0 || cutoff == 0) && theta > cutoff {
-            self.ensure_slots(theta)?;
-            cutoff = theta;
-            last_sel = None;
-        }
-        // `select_prefix` is a pure function of `(cutoff, k)` over an
-        // unchanged index: without an extension, the last estimation
-        // selection is the answer.
-        let sel = last_sel.unwrap_or_else(|| self.select_prefix(cutoff, k));
+        self.cutoff = 0;
+        let config = self.config;
+        let run = run_imm(self, &config)?;
         let result = StreamRunResult {
-            seeds: sel.seeds.clone(),
-            coverage: sel.coverage_fraction(),
-            num_sets: sel.num_sets,
-            cutoff,
-            theta,
-            lower_bound,
+            seeds: run.seeds,
+            coverage: run.coverage,
+            num_sets: run.num_sets,
+            cutoff: self.cutoff,
+            theta: run.theta,
+            lower_bound: run.lower_bound,
         };
         self.last = Some(result.clone());
         Ok(result)
@@ -562,8 +517,8 @@ impl<R: Resampler> StreamingImmEngine<R> {
 
     /// Applies one update batch: mutates the graph, invalidates exactly the
     /// slots whose footprints crossed a changed in-row, redraws them,
-    /// patches the store/postings/histogram in place, and replays the
-    /// martingale driver. A batch with no net structural effect is a no-op:
+    /// patches the store/postings/histogram in place, and runs the
+    /// martingale driver again ([`Self::replay`]). A batch with no net structural effect is a no-op:
     /// zero decodes, zero resamples, cached result returned.
     pub fn apply_update(&mut self, delta: &GraphDelta) -> Result<UpdateReport, EngineError> {
         let applied = self
@@ -599,6 +554,7 @@ impl<R: Resampler> StreamingImmEngine<R> {
 
         let mut decoded_sets = 0usize;
         if !stale.is_empty() {
+            self.selection = None;
             let indices: Vec<u64> = stale.iter().map(|&s| s as u64).collect();
             let drawn = self.resampler.sample(&self.graph, &indices)?;
             let n = self.graph.num_vertices();
@@ -678,6 +634,53 @@ impl<R: Resampler> StreamingImmEngine<R> {
             slots: self.slots(),
             result,
         })
+    }
+}
+
+impl<R: Resampler> ImmEngine for StreamingImmEngine<R> {
+    fn n(&self) -> usize {
+        self.graph.num_vertices()
+    }
+
+    /// Materializes slots up to `target` and raises the cutoff to it. The
+    /// cutoff never drops: an extension below it is a no-op, as it is for a
+    /// cold engine.
+    fn extend_to(&mut self, target: usize) -> Result<(), EngineError> {
+        self.ensure_slots(target)?;
+        self.cutoff = self.cutoff.max(target);
+        Ok(())
+    }
+
+    fn select(&mut self, k: usize) -> Selection {
+        let key = (self.cutoff, k);
+        if let Some((hit, selection)) = &self.selection {
+            if *hit == key {
+                return selection.clone();
+            }
+        }
+        let greedy = greedy_cover(&self.prefix(self.cutoff), k);
+        let selection = Selection {
+            covered_sets: greedy.covered_sets(),
+            seeds: greedy.seeds,
+            num_sets: self.kept_below(self.cutoff),
+        };
+        self.selection = Some((key, selection.clone()));
+        selection
+    }
+
+    /// Every materialized slot, eliminated ones stored empty; the driver
+    /// counts kept sets from the selection instead.
+    fn store(&self) -> &dyn RrrSets {
+        &self.store
+    }
+
+    fn logical_sets(&self) -> usize {
+        self.cutoff
+    }
+
+    /// No timeline: a streaming run reports no phase times.
+    fn elapsed_us(&self) -> f64 {
+        0.0
     }
 }
 
@@ -775,7 +778,7 @@ impl StreamCheckpointing {
     }
 }
 
-/// Runs `engine` over `deltas` under `ckpt`: an initial cold replay, then
+/// Runs `engine` over `deltas` under `ckpt`: an initial cold run, then
 /// one [`StreamingImmEngine::apply_update`] per batch, with a
 /// [`StreamCheckpoint`] written after the initial run and after every
 /// batch. On resume, the engine re-derives the checkpointed state by
@@ -867,7 +870,8 @@ fn write_stream_checkpoint<R: Resampler>(
 mod tests {
     use super::*;
     use crate::engine::{CpuEngine, CpuParallelism};
-    use crate::martingale::run_imm;
+    use crate::rrrstore::PlainRrrStore;
+    use crate::selection::{InvertedIndex, NEVER};
     use eim_graph::generators;
 
     fn graph() -> Graph {
@@ -923,18 +927,24 @@ mod tests {
             HostResampler::new(c.model, c.seed),
         );
         let r = s.replay().unwrap();
-        assert!(r.theta <= r.cutoff, "theta {} cutoff {}", r.theta, r.cutoff);
-        let fresh = s.select_prefix(r.cutoff, c.k);
+        // The extension below the cutoff must not lower it.
+        assert_eq!((r.cutoff, r.theta), (785, 780));
+        assert_eq!(s.logical_sets(), r.cutoff);
+        let fresh = greedy_cover(&s.prefix(r.cutoff), c.k);
+        let coverage = fresh.covered_sets() as f64 / s.kept_below(r.cutoff) as f64;
         assert_eq!(r.seeds, fresh.seeds);
-        assert_eq!(r.num_sets, fresh.num_sets);
-        assert_eq!(r.coverage.to_bits(), fresh.coverage_fraction().to_bits());
-        assert_eq!(r.seeds, cold_seeds(&g, c));
+        assert_eq!(r.num_sets, s.kept_below(r.cutoff));
+        assert_eq!(r.coverage.to_bits(), coverage.to_bits());
+        let mut cold = CpuEngine::new(&g, c, CpuParallelism::Rayon);
+        let want = run_imm(&mut cold, &c).unwrap();
+        assert_eq!(cold.logical_sets(), r.cutoff);
+        assert_eq!(r.seeds, want.seeds);
+        assert_eq!(r.coverage.to_bits(), want.coverage.to_bits());
     }
 
     #[test]
     fn updates_track_cold_recompute() {
         let g = graph();
-        let c = config();
         let spec = generators::UpdateStreamSpec {
             batches: 3,
             edges_per_batch: 12,
@@ -942,30 +952,94 @@ mod tests {
             seed: 5,
         };
         let deltas = generators::update_stream(&g, &spec);
-        let mut s = StreamingImmEngine::new(
-            g.clone(),
-            c,
-            WeightModel::WeightedCascade,
-            7,
-            HostResampler::new(c.model, c.seed),
-        );
-        s.replay().unwrap();
-        let mut cold_graph = g.clone();
-        for delta in &deltas {
-            let predicted = s.predict_invalidated(delta);
-            let report = s.apply_update(delta).unwrap();
-            assert_eq!(report.resampled_slots, predicted);
-            cold_graph.apply_delta(delta, WeightModel::WeightedCascade, 7);
-            assert_eq!(
-                report.result.seeds,
-                cold_seeds(&cold_graph, c),
-                "batch {}",
-                report.batch
+        // With k = 50 and eps = 0.1 estimation ends at its first iteration
+        // and the final extension is a no-op, so the run after an update
+        // first selects at the very cutoff the run before it cached.
+        for c in [config(), config().with_k(50).with_epsilon(0.1)] {
+            let mut s = StreamingImmEngine::new(
+                g.clone(),
+                c,
+                WeightModel::WeightedCascade,
+                7,
+                HostResampler::new(c.model, c.seed),
             );
-            assert!(
-                report.resampled_slots.len() < s.slots(),
-                "incremental must redraw a strict subset"
+            s.replay().unwrap();
+            let mut cold_graph = g.clone();
+            for delta in &deltas {
+                let predicted = s.predict_invalidated(delta);
+                let report = s.apply_update(delta).unwrap();
+                assert_eq!(report.resampled_slots, predicted);
+                cold_graph.apply_delta(delta, WeightModel::WeightedCascade, 7);
+                assert_eq!(
+                    report.result.seeds,
+                    cold_seeds(&cold_graph, c),
+                    "k {} batch {}",
+                    c.k,
+                    report.batch
+                );
+                assert!(
+                    report.resampled_slots.len() < s.slots(),
+                    "incremental must redraw a strict subset"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn prefix_core_matches_an_index_of_the_kept_sets() {
+        // The core over the postings below a cutoff must pick, cover and
+        // gain exactly as over an inverted index of a cold store holding
+        // the kept sets below that cutoff, in slot order.
+        let g = graph();
+        let spec = generators::UpdateStreamSpec {
+            batches: 3,
+            edges_per_batch: 12,
+            insert_fraction: 0.5,
+            seed: 9,
+        };
+        let deltas = generators::update_stream(&g, &spec);
+        for elim in [false, true] {
+            let c = config().with_source_elimination(elim);
+            let mut s = StreamingImmEngine::new(
+                g.clone(),
+                c,
+                WeightModel::WeightedCascade,
+                7,
+                HostResampler::new(c.model, c.seed),
             );
+            s.replay().unwrap();
+            for b in 0..=deltas.len() {
+                if b > 0 {
+                    s.apply_update(&deltas[b - 1]).unwrap();
+                }
+                let slots = s.slots();
+                for cutoff in [0, 1, slots / 3, slots / 2 + 7, slots] {
+                    let mut cold = PlainRrrStore::new(g.num_vertices());
+                    let mut kept_slots = Vec::new();
+                    let mut members = Vec::new();
+                    for slot in 0..cutoff {
+                        if s.discarded.binary_search(&(slot as u32)).is_err() {
+                            members.clear();
+                            s.store.extend_set(slot, &mut members);
+                            cold.append_set(&members);
+                            kept_slots.push(slot);
+                        }
+                    }
+                    assert_eq!(kept_slots.len(), s.kept_below(cutoff));
+                    for k in [1, 4, 12] {
+                        let ctx = format!("elim={elim} batch {b} cutoff {cutoff} k {k}");
+                        let want = greedy_cover(&InvertedIndex::build(&cold), k);
+                        let got = greedy_cover(&s.prefix(cutoff), k);
+                        assert_eq!(got.seeds, want.seeds, "{ctx}");
+                        assert_eq!(got.gains(), want.gains(), "{ctx}");
+                        let mut mapped = vec![NEVER; cutoff];
+                        for (&slot, &round) in kept_slots.iter().zip(&want.cover) {
+                            mapped[slot] = round;
+                        }
+                        assert_eq!(got.cover, mapped, "{ctx}");
+                    }
+                }
+            }
         }
     }
 

@@ -14,7 +14,8 @@ use eim::diffusion::sample_rng;
 use eim::gpusim::{Device, DeviceSpec, FaultPlan, FaultSpec, RunTrace};
 use eim::graph::{generators, GraphDelta, VertexId};
 use eim::imm::{
-    run_imm, CpuEngine, CpuParallelism, HostResampler, ImmConfig, RrrSets, StreamingImmEngine,
+    run_imm, CpuEngine, CpuParallelism, HostResampler, ImmConfig, ImmEngine, RrrSets,
+    StreamRunResult, StreamingImmEngine,
 };
 use eim::prelude::*;
 use proptest::prelude::*;
@@ -545,6 +546,62 @@ fn store_digests_after_scripted_batches_match_pinned_values() {
         }
     }
     assert_eq!(got, STORE_DIGESTS);
+}
+
+/// The streaming engine against a cold `CpuEngine` on degenerate graphs,
+/// result field by field. On an edgeless graph under source elimination
+/// every estimation sample is eliminated, so `run_imm` must skip the final
+/// extension and select over the estimation prefix; after a few inserts the
+/// cutoff must drop back below the slots still materialized.
+#[test]
+fn degenerate_graphs_match_a_cold_cpu_run() {
+    fn check(
+        s: &StreamingImmEngine<HostResampler>,
+        c: ImmConfig,
+        result: &StreamRunResult,
+        ctx: &str,
+    ) {
+        let mut cold = CpuEngine::new(s.graph(), c, CpuParallelism::Rayon);
+        let want = run_imm(&mut cold, &c).unwrap();
+        assert_eq!(result.seeds, want.seeds, "{ctx}");
+        assert_eq!(result.num_sets, want.num_sets, "{ctx}");
+        assert_eq!(result.cutoff, cold.logical_sets(), "{ctx}");
+        assert_eq!(result.cutoff, s.logical_sets(), "{ctx}");
+        assert_eq!(result.theta, want.theta, "{ctx}");
+        assert_eq!(
+            result.lower_bound.to_bits(),
+            want.lower_bound.to_bits(),
+            "{ctx}"
+        );
+        assert_eq!(result.coverage.to_bits(), want.coverage.to_bits(), "{ctx}");
+    }
+
+    let edgeless = eim::graph::GraphBuilder::new(50).build(WeightModel::WeightedCascade);
+    for packed in [false, true] {
+        let c = base_config(DiffusionModel::IndependentCascade)
+            .with_k(2)
+            .with_epsilon(0.5)
+            .with_seed(3)
+            .with_source_elimination(true)
+            .with_packed(packed);
+        let mut s = streaming_engine(&edgeless, c);
+        let r = s.replay().unwrap();
+        assert_eq!((r.cutoff, r.theta), (2127, 7245), "packed={packed}");
+        assert_eq!(r.num_sets, 0, "packed={packed}: every sample eliminated");
+        check(&s, c, &r, &format!("edgeless packed={packed}"));
+
+        let delta = GraphDelta::inserting(vec![(0, 1), (2, 3), (4, 1), (5, 6)]);
+        let report = s.apply_update(&delta).unwrap();
+        assert_eq!(report.result.cutoff, 347, "packed={packed}");
+        assert_eq!(s.slots(), 2127, "packed={packed}: slots stay materialized");
+        check(&s, c, &report.result, &format!("inserts packed={packed}"));
+    }
+
+    let star = generators::star_in(100, WeightModel::WeightedCascade);
+    let c = base_config(DiffusionModel::IndependentCascade).with_k(1);
+    let mut s = streaming_engine(&star, c);
+    let r = s.replay().unwrap();
+    check(&s, c, &r, "star_in(100)");
 }
 
 /// A structurally empty batch (no updates, redundant deletes, self-healing
