@@ -14,12 +14,20 @@
 //! The makespan of each scan is `max over slots of its summed per-set
 //! costs` under round-robin assignment — exactly the
 //! `ceil(N / slots) * C` analysis of §3.5.
+//!
+//! The host charges all k scans in one pass over the store instead of
+//! replaying them. Each slot keeps a difference row over the seeds in id
+//! order, and a set enters only the points where its charge changes: one
+//! per member for a set no round covers (its rank under each seed follows
+//! from a per-vertex count of the seeds at or below each id), and one pair
+//! per probing round for a covered set. Every charge is an integer, so the
+//! totals equal the round-by-round walk's exactly.
 
 use std::ops::Range;
 
 use eim_gpusim::{CostModel, Device, KernelHw, GLOBAL_TRANSACTION_BYTES, WARP_SIZE};
 use eim_graph::VertexId;
-use eim_imm::{greedy_cover_store, search_probes, RrrSets, Selection};
+use eim_imm::{greedy_cover_store, search_probes, RrrSets, Selection, NEVER};
 use rayon::prelude::*;
 
 /// Workload distribution for the selection scans.
@@ -113,10 +121,10 @@ pub struct DeviceSelection {
 /// visits every set. The host takes the seeds and each set's covering
 /// round from the shared greedy core ([`greedy_cover_store`]) and charges the
 /// device work set-major: it walks the store once, one 32-slot warp block
-/// at a time, and adds each set's cost in every round to that round's slot
-/// sum (`ChargePass`). For `k > n` the core stops after `n` picks, and the
-/// device's final argmax, which finds nothing left to pick, is charged on
-/// its own.
+/// at a time, and enters each set's cost in every round into its slot's
+/// difference row over the seeds in id order (`ChargePass`). For `k > n`
+/// the core stops after `n` picks, and the device's final argmax, which
+/// finds nothing left to pick, is charged on its own.
 pub fn select_on_device<S: RrrSets + ?Sized>(
     device: &Device,
     store: &S,
@@ -143,18 +151,9 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
     let greedy = greedy_cover_store(store, k);
     let covered_sets = greedy.covered_sets();
     let (seeds, cover) = (greedy.seeds, greedy.cover);
-    let mut by_id: Vec<(VertexId, u32)> = (0..).zip(&seeds).map(|(r, &v)| (v, r)).collect();
-    by_id.sort_unstable();
-    let pass = ChargePass {
-        store,
-        cover: &cover,
-        by_id,
-        used_slots,
-        strategy,
-        costs,
-    };
+    let pass = ChargePass::new(store, &seeds, &cover, used_slots, strategy, costs);
     let blocks = used_slots.div_ceil(WARP_SIZE);
-    let scans = if seeds.is_empty() {
+    let by_id = if seeds.is_empty() {
         Vec::new()
     } else if serial {
         pass.blocks(0..blocks)
@@ -172,6 +171,7 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
                 },
             )
     };
+    let scans: Vec<RoundScan> = pass.pos.iter().map(|&j| by_id[j as usize]).collect();
 
     // argmax_u C[u]: a grid-stride reduction over n counts. It is uniform
     // work: every warp slot busy for the whole launch, no divergence; one
@@ -246,72 +246,127 @@ pub fn select_on_device<S: RrrSets + ?Sized>(
 /// Charges every round's membership scan in one walk of the store.
 ///
 /// Sets are dealt round-robin to slots (the §3.5 schedule), so slot `s`
-/// holds sets `s, s + used_slots, ..`. The pass takes 32 slots at a time,
-/// decodes each of their sets once and, for every round up to the one that
-/// covers the set, gets the search's probe count from the set's length and
-/// the rank of that round's seed in it ([`search_probes`]); in every later
-/// round the set costs only its coalesced `F[i]` load (`alu`). The block's
-/// slot sums then fold into each round's makespan, warp max and busy sums.
-/// Integer sums commute, and each round's totals need only that round's
-/// slot sums, so every total equals what the round-by-round walk adds up.
+/// holds sets `s, s + used_slots, ..`. The pass takes 32 slots at a time and
+/// decodes each of their sets once. It indexes the rounds by their seeds in
+/// ascending id order, `j`, and keeps one difference row over `j` per slot:
+/// the row's prefix sum at `j` is what the slot pays in the scan for the
+/// `j`-th smallest seed.
+///
+/// * A seed's rank in a set, the number of members below it, comes from
+///   `upto[v]`, the number of seeds with id `<= v`: member `m` is below the
+///   `j`-th smallest seed exactly when `upto[m] <= j`, whether or not that
+///   seed is itself a member.
+/// * A set that no round covers is probed in every round and never found.
+///   Its rank, and so its search's loads ([`search_probes`]), can change
+///   only where `j` reaches a member's `upto`, so `len + 1` row entries
+///   charge it in all `k` rounds. Only these sets read `upto` per member,
+///   and none of their members is a seed.
+/// * A set covered in round `c` is probed only by the seeds of rounds
+///   `0..=c`. Each of those finds its rank by binary search and charges its
+///   loads to its own `j` alone (an entry and its negation at `j + 1`). The
+///   seed of round `c` is a member: it pays the found search and the count
+///   updates (`charge_found`).
+/// * Every set pays its coalesced `F[i]` load (`alu`) in every round, from
+///   `j = 0` on.
+///
+/// After each block, the fold prefix-sums the block's 32 rows together and
+/// keeps each seed's busiest slot for the makespan and the warp max. The
+/// busy and transaction sums are linear in the charges, so they come from
+/// the pass's totals, not from the rows. Entries are added with wrapping
+/// arithmetic, and every prefix sum is a true, non-negative charge, so each
+/// total equals what the round-by-round walk adds up. The caller maps `j`
+/// back to rounds once, after the pass.
 struct ChargePass<'a, S: ?Sized> {
     store: &'a S,
-    /// Each set's covering round, or [`eim_imm::NEVER`].
+    /// Each set's covering round, or [`NEVER`].
     cover: &'a [u32],
-    /// The seeds by ascending id, each with its round.
-    by_id: Vec<(VertexId, u32)>,
+    /// The seeds in round order.
+    seeds: &'a [VertexId],
+    /// Each round's seed's position `j` among the seeds by ascending id.
+    pos: Vec<u32>,
+    /// `upto[v]`: how many seeds have an id `<= v`.
+    upto: Vec<u32>,
     used_slots: usize,
     strategy: ScanStrategy,
     costs: CostModel,
 }
 
-impl<S: RrrSets + ?Sized> ChargePass<'_, S> {
-    /// Every round's totals over warp blocks `blocks`; block `b` is slots
-    /// `32 b .. 32 b + 32`.
+impl<'a, S: RrrSets + ?Sized> ChargePass<'a, S> {
+    fn new(
+        store: &'a S,
+        seeds: &'a [VertexId],
+        cover: &'a [u32],
+        used_slots: usize,
+        strategy: ScanStrategy,
+        costs: CostModel,
+    ) -> Self {
+        let mut upto = vec![0; store.num_vertices()];
+        for &v in seeds {
+            upto[v as usize] = 1;
+        }
+        let mut seen = 0;
+        for at in &mut upto {
+            seen += *at;
+            *at = seen;
+        }
+        // The seeds are distinct, so seed `v` is the `upto[v] - 1`-th
+        // smallest.
+        let pos = seeds.iter().map(|&v| upto[v as usize] - 1).collect();
+        Self {
+            store,
+            cover,
+            seeds,
+            pos,
+            upto,
+            used_slots,
+            strategy,
+            costs,
+        }
+    }
+
+    /// Every seed's totals over warp blocks `blocks`, by ascending seed id;
+    /// block `b` is slots `32 b .. 32 b + 32`.
     fn blocks(&self, blocks: Range<usize>) -> Vec<RoundScan> {
         let num_sets = self.cover.len();
-        let rounds = self.by_id.len();
-        let costs = &self.costs;
-        let mut scans = vec![RoundScan::default(); rounds];
-        let mut block = Block {
-            loads: vec![0; WARP_SIZE * rounds],
-            writes: vec![0; WARP_SIZE * rounds],
+        let k = self.seeds.len();
+        let mut piece = Piece {
+            scans: vec![RoundScan::default(); k],
+            rows: vec![0; (k + 1) * WARP_SIZE],
+            load_steps: vec![0; k + 1],
         };
-        let mut per_round = vec![Fold::default(); rounds];
+        let mut sets = 0;
         for b in blocks {
             let lo = b * WARP_SIZE;
             let hi = (lo + WARP_SIZE).min(self.used_slots);
             for from in (lo..num_sets).step_by(self.used_slots) {
                 let to = (from + hi - lo).min(num_sets);
+                sets += (to - from) as u64;
                 self.store.for_each_set_in(from, to, &mut |i, members| {
-                    self.charge_set(i - from, self.cover[i], members, &mut block, &mut scans);
+                    self.charge_set(i - from, self.cover[i], members, &mut piece);
                 });
             }
-            // Fold the block lane by lane, every round at once: each slot
-            // pays its sets' `F[i]` loads every round, probed or not.
-            per_round.fill(Fold::default());
-            let lanes = block.loads.chunks_exact_mut(rounds);
-            for (slot, (loads, writes)) in
-                (lo..hi).zip(lanes.zip(block.writes.chunks_exact_mut(rounds)))
-            {
-                let flat = (num_sets - slot).div_ceil(self.used_slots) as u64 * costs.alu;
-                for ((fold, load), write) in per_round.iter_mut().zip(&*loads).zip(&*writes) {
-                    let sum = flat + load * costs.global_latency + write;
-                    fold.max = fold.max.max(sum);
-                    fold.sum += sum;
-                    fold.loads += load;
+            // The entries past the last seed only balance the rows.
+            let (rows, past) = piece.rows.split_at_mut(k * WARP_SIZE);
+            past.fill(0);
+            let mut cycles = [0u64; WARP_SIZE];
+            for (steps, scan) in rows.chunks_exact_mut(WARP_SIZE).zip(&mut piece.scans) {
+                for (lane, step) in cycles.iter_mut().zip(&*steps) {
+                    *lane = lane.wrapping_add(*step);
                 }
-                loads.fill(0);
-                writes.fill(0);
-            }
-            for (scan, fold) in scans.iter_mut().zip(&per_round) {
-                scan.makespan = scan.makespan.max(fold.max);
-                scan.warp_max += fold.max;
-                scan.busy += fold.sum;
-                scan.txns += fold.loads;
+                steps.fill(0);
+                let max = cycles.iter().fold(0, |max, &c| max.max(c));
+                scan.makespan = scan.makespan.max(max);
+                scan.warp_max += max;
             }
         }
-        scans
+        let flat = sets * self.costs.alu;
+        let mut loads = 0u64;
+        for (scan, &step) in piece.scans.iter_mut().zip(&piece.load_steps) {
+            loads = loads.wrapping_add(step);
+            scan.busy += flat + loads * self.costs.global_latency;
+            scan.txns += loads;
+        }
+        piece.scans
     }
 
     /// Dependent loads of one membership search of `probes` probes into R:
@@ -324,50 +379,34 @@ impl<S: RrrSets + ?Sized> ChargePass<'_, S> {
     }
 
     /// Charges the set `members` in slot `lane` of the block to every round
-    /// up to `cover`, the round that finds it. The seeds between two
-    /// consecutive members share a rank, so the walk looks up one probe
-    /// count per rank.
-    fn charge_set(
-        &self,
-        lane: usize,
-        cover: u32,
-        members: &[VertexId],
-        block: &mut Block,
-        scans: &mut [RoundScan],
-    ) {
-        let seeds = &self.by_id;
+    /// up to `cover`, the round that finds it.
+    fn charge_set(&self, lane: usize, cover: u32, members: &[VertexId], piece: &mut Piece) {
+        let latency = self.costs.global_latency;
         let len = members.len();
-        let at = lane * seeds.len()..(lane + 1) * seeds.len();
-        let (loads_row, writes_row) = (&mut block.loads[at.clone()], &mut block.writes[at]);
-        let mut next = 0;
-        for rank in 0..=len {
-            if next == seeds.len() {
-                break;
+        piece.add(lane, 0, self.costs.alu);
+        if cover == NEVER {
+            let mut prev = self.loads(search_probes(len, 0, false));
+            piece.add_loads(lane, 0, prev, latency);
+            for (rank, &m) in (1..).zip(members) {
+                let next = self.loads(search_probes(len, rank, false));
+                let j = self.upto[m as usize] as usize;
+                piece.add_loads(lane, j, next.wrapping_sub(prev), latency);
+                prev = next;
             }
-            let member = members.get(rank).copied();
-            let loads = self.loads(search_probes(len, rank, false));
-            while let Some(&(v, round)) = seeds.get(next) {
-                if member.is_some_and(|m| v >= m) {
-                    break;
-                }
-                // Rounds after `cover` charge only the flat load; adding
-                // zero keeps the skip free of a data-dependent branch.
-                loads_row[round as usize] += if round <= cover { loads } else { 0 };
-                next += 1;
-            }
-            // A seed that is a member is found by its own round's scan, or
-            // was covered by an earlier one.
-            if let (Some(m), Some(&(v, round))) = (member, seeds.get(next)) {
-                if v == m {
-                    if round == cover {
-                        let r = round as usize;
-                        loads_row[r] += self.loads(search_probes(len, rank, true));
-                        writes_row[r] += self.charge_found(len, &mut scans[r]);
-                    }
-                    next += 1;
-                }
-            }
+            return;
         }
+        let cover = cover as usize;
+        for (round, &seed) in self.seeds[..=cover].iter().enumerate() {
+            let rank = members.partition_point(|&m| m < seed);
+            let loads = self.loads(search_probes(len, rank, round == cover));
+            let j = self.pos[round] as usize;
+            piece.add_loads(lane, j, loads, latency);
+            piece.add_loads(lane, j + 1, loads.wrapping_neg(), latency);
+        }
+        let j = self.pos[cover] as usize;
+        let cycles = self.charge_found(len, &mut piece.scans[j]);
+        piece.add(lane, j, cycles);
+        piece.add(lane, j + 1, cycles.wrapping_neg());
     }
 
     /// Counts the decrement of every member's count of a set of `len`
@@ -386,30 +425,42 @@ impl<S: RrrSets + ?Sized> ChargePass<'_, S> {
                 waves
             }
         };
+        let cycles = self.costs.atomic_global * writes + self.costs.global_access;
         scan.txns += writes + 1;
         scan.atomics += len;
-        self.costs.atomic_global * writes + self.costs.global_access
+        scan.busy += cycles;
+        cycles
     }
 }
 
-/// One warp block's per-slot, per-round charges, slot-major
-/// (`[lane * rounds + round]`), so a set's charges land in one short row.
-struct Block {
-    /// Dependent loads of the membership searches.
-    loads: Vec<u64>,
-    /// Cycles of the count updates in the round that finds a set.
-    writes: Vec<u64>,
+/// One worker's share of the charge pass, indexed by ascending seed id `j`.
+struct Piece {
+    /// Each seed's totals over the worker's blocks so far, except the busy
+    /// and transaction sums of the membership searches and `F[i]` loads,
+    /// which the worker adds at the end.
+    scans: Vec<RoundScan>,
+    /// The current block's difference rows of each slot's cycles,
+    /// seed-major (`[j * 32 + lane]`, `j` up to the seed count inclusive).
+    rows: Vec<u64>,
+    /// The difference row of the membership searches' loads, summed over
+    /// every slot the worker charged.
+    load_steps: Vec<u64>,
 }
 
-/// One round's totals over the slots of a warp block.
-#[derive(Clone, Copy, Default)]
-struct Fold {
-    /// The busiest slot's cycles.
-    max: u64,
-    /// Every slot's cycles, summed.
-    sum: u64,
-    /// Dependent loads of the membership searches, summed.
-    loads: u64,
+impl Piece {
+    /// Adds `cycles` to slot `lane`'s charge for seeds `j..` (wrapping, so a
+    /// later entry can take it back).
+    fn add(&mut self, lane: usize, j: usize, cycles: u64) {
+        let at = &mut self.rows[j * WARP_SIZE + lane];
+        *at = at.wrapping_add(cycles);
+    }
+
+    /// Adds `loads` dependent loads to slot `lane`'s searches for seeds
+    /// `j..`, each costing `latency` cycles.
+    fn add_loads(&mut self, lane: usize, j: usize, loads: u64, latency: u64) {
+        self.add(lane, j, loads.wrapping_mul(latency));
+        self.load_steps[j] = self.load_steps[j].wrapping_add(loads);
+    }
 }
 
 #[cfg(test)]

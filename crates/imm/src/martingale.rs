@@ -51,12 +51,14 @@ pub enum EngineError {
         checkpoints_written: u32,
     },
     /// A resume checkpoint does not belong to this run (different config,
-    /// graph, engine, or device count), or the replayed store diverged from
-    /// the digest the checkpoint recorded.
+    /// graph, engine, or device count), the replayed store diverged from
+    /// the digest the checkpoint recorded, or the estimation iteration it
+    /// names is not the one that follows its sample count.
     CheckpointMismatch {
-        /// The fingerprint/digest this run expected.
+        /// The fingerprint, digest or next estimation iteration this run
+        /// expected (0 when no iteration matches the sample count).
         expected: u64,
-        /// The fingerprint/digest actually found.
+        /// The fingerprint, digest or next estimation iteration found.
         found: u64,
     },
     /// A checkpoint could not be persisted to disk.
@@ -458,6 +460,9 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
     let ls = lambda_star(n, k, eps, ell);
     let eps_p = epsilon_prime(eps);
     let n_f = n as f64;
+    let last_iteration = max_estimation_iterations(n);
+    // Estimation iteration `i` samples up to θ_i = λ' / (n / 2^i).
+    let theta_at = |i: usize| (lp / (n_f / 2f64.powi(i as i32))).ceil().max(1.0) as usize;
 
     let mut t0 = engine.elapsed_us();
     let mut t1 = t0;
@@ -474,6 +479,22 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
                 expected: ckpt.fingerprint,
                 found: cp.fingerprint,
             });
+        }
+        if let CheckpointPhase::Estimation { next_iteration } = cp.phase {
+            // Iteration `i` checkpoints after sampling θ_i sets and names
+            // `i + 1`. Any other pairing would restart the martingale at an
+            // iteration the store does not match; a wrong one still passes
+            // the store digest, because the store itself is unchanged.
+            let next = next_iteration as usize;
+            if !(2..=last_iteration + 1).contains(&next) || theta_at(next - 1) != cp.logical_sets {
+                let expected = (1..=last_iteration)
+                    .find(|&i| theta_at(i) == cp.logical_sets)
+                    .map_or(0, |i| i as u64 + 1);
+                return Err(EngineError::CheckpointMismatch {
+                    expected,
+                    found: u64::from(next_iteration),
+                });
+            }
         }
         report = cp.report;
         report.resumes += 1;
@@ -522,9 +543,9 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
     if !resumed_past_estimation {
         // Kept sets the last estimation selection ran over.
         let mut kept = None;
-        for i in start_iteration..=max_estimation_iterations(n) {
+        for i in start_iteration..=last_iteration {
             let x = n_f / 2f64.powi(i as i32);
-            let theta_i = (lp / x).ceil().max(1.0) as usize;
+            let theta_i = theta_at(i);
             extend_with_recovery(engine, theta_i, policy, trace, &mut report)?;
             let short = engine.logical_sets() < theta_i;
             trace.metrics().set_phase("select");

@@ -13,9 +13,9 @@ use eim::core::EimEngine;
 use eim::gpusim::{DeviceSpec, FaultSpec, RunTrace};
 use eim::graph::{generators, Graph, WeightModel};
 use eim::imm::{
-    run_fingerprint, run_imm_checkpointed, run_imm_recovering, run_stream, Checkpointing,
-    EngineError, HostResampler, ImmConfig, ImmEngine as _, RecoveryPolicy, RunCheckpoint,
-    StreamCheckpoint, StreamCheckpointing, StreamingImmEngine,
+    run_fingerprint, run_imm_checkpointed, run_imm_recovering, run_stream, CheckpointPhase,
+    Checkpointing, EngineError, HostResampler, ImmConfig, ImmEngine as _, RecoveryPolicy,
+    RunCheckpoint, StreamCheckpoint, StreamCheckpointing, StreamingImmEngine,
 };
 
 fn graph() -> Graph {
@@ -125,6 +125,60 @@ fn kill_and_resume_reproduce_the_clean_run_exactly() {
             assert_eq!(resumed.3, 1, "resume counter");
         }
     }
+}
+
+/// A cold checkpoint's estimation iteration must be the one its sample
+/// count belongs to. Naming a later one (5) or one past the last (70) over
+/// the same store passes the fingerprint and store-digest checks, so
+/// without this check the resume restarts the martingale mid-way and
+/// returns other seeds. It must fail typed instead, while the checkpoint as
+/// written still resumes to the clean run.
+#[test]
+fn resume_at_another_estimation_iteration_is_a_checkpoint_mismatch() {
+    let g = graph();
+    let c = config(true);
+    let fp = run_fingerprint(&c, g.num_vertices(), "multigpu", 4);
+    let policy = RecoveryPolicy::retry();
+    let clean = run_imm_recovering(&mut engine(&g, c), &c, &policy, &RunTrace::disabled()).unwrap();
+
+    let dir = temp_dir("foreign-iteration");
+    let run = |resume: Option<RunCheckpoint>, kill_after: Option<u32>| {
+        run_imm_checkpointed(
+            &mut engine(&g, c),
+            &c,
+            &policy,
+            &RunTrace::disabled(),
+            &Checkpointing {
+                dir: Some(dir.clone()),
+                resume,
+                kill_after,
+                fingerprint: fp,
+            },
+        )
+    };
+    run(None, Some(1)).unwrap_err();
+    let cp = RunCheckpoint::load(&dir).unwrap();
+    assert_eq!(cp.phase, CheckpointPhase::Estimation { next_iteration: 2 });
+    for forged in [5, 70] {
+        let mut bad = cp.clone();
+        bad.phase = CheckpointPhase::Estimation {
+            next_iteration: forged,
+        };
+        let err = run(Some(bad), None).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EngineError::CheckpointMismatch { expected: 2, found } if found == u64::from(forged)
+            ),
+            "next_iteration {forged}: {err}"
+        );
+    }
+    let resumed = run(Some(cp), None).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        (resumed.seeds, resumed.num_sets),
+        (clean.seeds, clean.num_sets)
+    );
 }
 
 /// A run that loses devices mid-flight, and a kill/resume of that same

@@ -6,18 +6,27 @@
 //!   either store layout, either scan strategy and any rayon thread count,
 //!   including sets longer than the probe table's cap, emptied sets and a
 //!   set count that leaves the last round of slots partly filled.
+//! * Oracle: on random stores, `select_on_device` must report the totals and
+//!   per-iteration rows of a literal round-by-round walk of Algorithm 3
+//!   (a membership search per round, slot and set until the set is covered,
+//!   its flag load after), for either layout, strategy and thread count,
+//!   with empty and long sets, `k > n`, hundreds of seeds, and more slots
+//!   than sets as well as fewer.
 //! * Replay: an `EimEngine` asked for the same selection over an unchanged
 //!   store returns the same seeds and charges the same simulated time as a
 //!   fresh computation; a grown store is selected afresh.
 
+use eim::core::select::SelectIteration;
 use eim::core::select::{select_on_device, DeviceSelection, ScanStrategy};
 use eim::core::EimEngine;
-use eim::gpusim::{Device, DeviceSpec, RunTrace};
+use eim::gpusim::{Device, DeviceSpec, KernelHw, RunTrace, GLOBAL_TRANSACTION_BYTES, WARP_SIZE};
 use eim::graph::generators;
 use eim::imm::{
-    ImmConfig, ImmEngine, PackedRrrStore, PlainRrrStore, RrrSets, RrrStoreBuilder, Selection,
+    select_seeds_reference, ImmConfig, ImmEngine, PackedRrrStore, PlainRrrStore, RrrSets,
+    RrrStoreBuilder, Selection,
 };
 use eim::prelude::*;
+use proptest::prelude::*;
 
 /// SplitMix64: a self-contained generator, so the stores never change with
 /// the vendored `rand`.
@@ -289,6 +298,228 @@ fn selection_cost_of_long_and_empty_sets_golden_values() {
             (ScanStrategy::WarpPerSet, LONG_WARP_TOTALS, &LONG_WARP_ROWS),
         ],
     );
+}
+
+/// Algorithm 3 as the device runs it, one round at a time: the round's
+/// argmax over the `n` counts, then a membership scan in which each slot
+/// takes its sets round-robin and binary-searches each one for the round's
+/// seed ([`RrrSets::contains_with_probes`]), unless an earlier round covered
+/// the set; every set also pays its flag load `F[i]` in every round. A set
+/// the search finds decrements each member's count. Returns the seeds, the
+/// per-iteration rows and the totals, as `select_on_device` reports them.
+fn walk<S: RrrSets>(
+    spec: &DeviceSpec,
+    store: &S,
+    k: usize,
+    strategy: ScanStrategy,
+) -> (Vec<u32>, Vec<Row>, Totals) {
+    let costs = spec.costs;
+    let (n, num_sets) = (store.num_vertices(), store.num_sets());
+    let seeds = select_seeds_reference(store, k.min(n)).seeds;
+    let slots = match strategy {
+        ScanStrategy::ThreadPerSet => spec.thread_slots(),
+        ScanStrategy::WarpPerSet => spec.warp_slots(),
+    };
+    let lanes = WARP_SIZE as u64;
+    let warp_slots = spec.warp_slots() as u64;
+    let argmax_cycles =
+        (n as u64).div_ceil(spec.thread_slots() as u64) * costs.global_access + 10 * costs.shuffle;
+    let argmax_hw = KernelHw {
+        occ_busy_cycles: argmax_cycles * warp_slots,
+        occ_capacity_cycles: argmax_cycles * warp_slots,
+        active_lane_cycles: lanes * argmax_cycles,
+        global_transactions: (n as u64).div_ceil(lanes),
+        global_bytes: (n as u64).div_ceil(lanes) * GLOBAL_TRANSACTION_BYTES,
+        ..KernelHw::default()
+    };
+    let iteration = |cycles: u64, launches: u64, hw: KernelHw| SelectIteration {
+        cycles,
+        launches,
+        elapsed_us: spec.cycles_to_us(cycles) + launches as f64 * costs.kernel_launch_us,
+        hw,
+    };
+
+    let mut covered = vec![false; num_sets];
+    let mut iterations = Vec::new();
+    for &seed in &seeds {
+        let mut slot_cycles = vec![0u64; slots];
+        let (mut txns, mut atomics, mut tail_idle) = (0, 0, 0);
+        for (i, is_covered) in covered.iter_mut().enumerate() {
+            let slot = &mut slot_cycles[i % slots];
+            *slot += costs.alu;
+            if *is_covered {
+                continue;
+            }
+            let (found, probes) = store.contains_with_probes(i, seed);
+            let loads = match strategy {
+                ScanStrategy::ThreadPerSet => probes as u64,
+                ScanStrategy::WarpPerSet => (probes as u64).div_ceil(4),
+            };
+            *slot += loads * costs.global_latency;
+            txns += loads;
+            if found {
+                *is_covered = true;
+                let len = store.set_len(i) as u64;
+                let writes = match strategy {
+                    ScanStrategy::ThreadPerSet => len,
+                    ScanStrategy::WarpPerSet => {
+                        let waves = len.div_ceil(lanes);
+                        tail_idle += (waves * lanes - len) * costs.atomic_global;
+                        waves
+                    }
+                };
+                *slot += costs.atomic_global * writes + costs.global_access;
+                txns += writes + 1;
+                atomics += len;
+            }
+        }
+        let makespan = slot_cycles.iter().copied().max().unwrap_or(0);
+        let busy: u64 = slot_cycles.iter().sum();
+        let warp_max: u64 = slot_cycles
+            .chunks(WARP_SIZE)
+            .map(|warp| warp.iter().copied().max().unwrap_or(0))
+            .sum();
+        let mut hw = argmax_hw;
+        match strategy {
+            ScanStrategy::ThreadPerSet => {
+                hw.occ_busy_cycles += warp_max;
+                hw.active_lane_cycles += busy;
+                hw.idle_lane_cycles += lanes * warp_max - busy;
+            }
+            ScanStrategy::WarpPerSet => {
+                hw.occ_busy_cycles += busy;
+                hw.active_lane_cycles += lanes * busy - tail_idle;
+                hw.idle_lane_cycles += tail_idle;
+            }
+        }
+        hw.occ_capacity_cycles += warp_slots * makespan;
+        hw.global_transactions += txns;
+        hw.global_bytes += txns * GLOBAL_TRANSACTION_BYTES;
+        hw.atomics += atomics;
+        iterations.push(iteration(argmax_cycles + makespan, 2, hw));
+    }
+    if seeds.len() < k {
+        iterations.push(iteration(argmax_cycles, 1, argmax_hw));
+    }
+    let total_cycles: u64 = iterations.iter().map(|it| it.cycles).sum();
+    let launches: u64 = iterations.iter().map(|it| it.launches).sum();
+    let elapsed_us = spec.cycles_to_us(total_cycles) + launches as f64 * costs.kernel_launch_us;
+    let result = DeviceSelection {
+        selection: Selection {
+            seeds: seeds.clone(),
+            covered_sets: covered.iter().filter(|&&c| c).count(),
+            num_sets,
+        },
+        elapsed_us,
+        total_cycles,
+        launches,
+        iterations,
+    };
+    (seeds, rows(&result), totals(&result))
+}
+
+/// `sets` sets over `0..n` drawn from `seed` and skewed toward low ids;
+/// every `long`-th set draws each vertex with probability about 1/2 (past
+/// the probe table's 64 entries once `n` is large enough), and every
+/// `empty`-th set is empty.
+fn random_stores(
+    n: u64,
+    sets: usize,
+    seed: u64,
+    long: usize,
+    empty: usize,
+) -> (PlainRrrStore, PackedRrrStore) {
+    let mut state = seed;
+    let mut plain = PlainRrrStore::new(n as usize);
+    let mut packed = PackedRrrStore::new(n as usize);
+    for j in 0..sets {
+        let set: Vec<u32> = if j % empty == 0 {
+            Vec::new()
+        } else if j % long == 0 {
+            (0..n as u32)
+                .filter(|_| next(&mut state).is_multiple_of(2))
+                .collect()
+        } else {
+            let len = 1 + next(&mut state) % 12;
+            let mut set: Vec<u32> = (0..len)
+                .map(|_| ((next(&mut state) % n) * (next(&mut state) % n) / n) as u32)
+                .collect();
+            set.sort_unstable();
+            set.dedup();
+            set
+        };
+        plain.append_set(&set);
+        packed.append_set(&set);
+    }
+    (plain, packed)
+}
+
+/// Checks `select_on_device` against [`walk`] for both strategies, both
+/// layouts and 1 and 4 rayon threads.
+fn assert_matches_walk((plain, packed): &(PlainRrrStore, PackedRrrStore), k: usize) {
+    let spec = DeviceSpec::test_small();
+    let device = Device::new(spec);
+    for strategy in [ScanStrategy::ThreadPerSet, ScanStrategy::WarpPerSet] {
+        let (seeds, want_rows, want_totals) = walk(&spec, plain, k, strategy);
+        for threads in [1, 4] {
+            let runs = on_threads(threads, || {
+                [
+                    select_on_device(&device, plain, k, strategy),
+                    select_on_device(&device, packed, k, strategy),
+                ]
+            });
+            for (layout, r) in ["plain", "packed"].iter().zip(&runs) {
+                let at = format!(
+                    "{strategy:?}, {layout}, {threads} thread(s), n = {}, {} sets, k = {k}",
+                    plain.num_vertices(),
+                    plain.num_sets()
+                );
+                prop_assert_eq!(&r.selection.seeds, &seeds, "{}", at);
+                prop_assert_eq!(totals(r), want_totals, "{}", at);
+                prop_assert_eq!(rows(r), want_rows.clone(), "{}", at);
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn charges_match_a_round_by_round_walk(
+        n in 1u64..200,
+        sets in 0usize..2_500,
+        k in 1usize..16,
+        seed in any::<u64>(),
+        long in 2usize..40,
+        empty in 2usize..30,
+    ) {
+        // 1,024 thread slots and 32 warp slots: most stores have more sets
+        // than warp slots, and either more or fewer than thread slots.
+        assert_matches_walk(&random_stores(n, sets, seed, long, empty), k);
+    }
+
+    #[test]
+    fn charges_match_the_walk_past_n(
+        n in 1u64..10,
+        sets in 0usize..80,
+        extra in 1usize..5,
+        seed in any::<u64>(),
+        empty in 2usize..10,
+    ) {
+        assert_matches_walk(&random_stores(n, sets, seed, usize::MAX, empty), n as usize + extra);
+    }
+
+    #[test]
+    fn charges_match_the_walk_with_hundreds_of_seeds(
+        n in 300u64..420,
+        sets in 100usize..900,
+        k in 256usize..300,
+        seed in any::<u64>(),
+        long in 5usize..40,
+    ) {
+        assert_matches_walk(&random_stores(n, sets, seed, long, usize::MAX), k);
+    }
 }
 
 fn lt_graph() -> Graph {
