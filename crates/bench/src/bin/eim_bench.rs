@@ -1,25 +1,7 @@
-//! `eim-bench` — host wall-clock performance benchmarks with JSON output,
-//! plus a randomized fault-injection soak harness.
+//! `eim-bench` — the streaming-vs-recompute benchmark and a randomized
+//! fault-injection soak harness.
 //!
 //! ```text
-//! eim-bench perf [OPTIONS]
-//!
-//! Options:
-//!   --json <file>      write results as JSON (default: stdout summary only)
-//!   --baseline <file>  embed a previous run's numbers as `before`, mirror
-//!                      this run's under `after`, and emit speedups
-//!   --smoke            small, CI-sized workloads (seconds, not minutes)
-//!   --seed <n>         base RNG seed (default 190)
-//!   --no-overlap       force-serialize the devices' copy streams; outputs
-//!                      are identical, only simulated time differs
-//!   --metrics <file>   write the simulated hardware counters of the
-//!                      benchmarked device work in Prometheus text format
-//!   --digest <file>    write a deterministic JSON digest of every bench's
-//!                      *outputs* (RRR-set/coverage hashes, counters, cycle
-//!                      totals, selected seeds) with no wall times — two
-//!                      runs at the same seed must produce byte-identical
-//!                      digests, which CI checks with `cmp`
-//!
 //! eim-bench chaos [OPTIONS]
 //!
 //! Options:
@@ -46,17 +28,10 @@
 //! dataset, seed, `git describe`) so checked-in `BENCH_*.json` lineage is
 //! self-describing.
 //!
-//! `perf` measures the host wall-clock hot paths on fixed seeds: RRR-set
-//! sampling (`sample_batch`), greedy seed selection (`select_seeds`), and an
-//! end-to-end `run_imm`. Simulated cycle counts are byte-stable and
-//! covered by the test suite; this harness tracks the *real* time the
-//! reproduction takes, so performance wins are provable and regressions
-//! visible. The checked-in `BENCH_pr3.json` / `BENCH_pr6.json`
-//! at the repo root are this tool's output with `--baseline` pointing at a
-//! pre-optimization capture; CI's `perf-smoke` job reruns `--smoke` and
-//! fails on a >2x regression versus `BENCH_smoke_baseline.json` (>1.5x for
-//! the sampler, the fused critical path), and `cmp`s the `--digest` output
-//! of two runs.
+//! Host performance is measured by `repobench/` at the repository root, the
+//! one benchmark harness; this binary keeps only the two checks that are
+//! differential: `updates` compares every incremental batch against a cold
+//! recompute, and `chaos` compares every faulted run against the clean one.
 //!
 //! `chaos` generates N deterministic fault plans mixing every injection
 //! class (kernel, transfer, device_fail, link_flap, straggler, pressure),
@@ -69,71 +44,21 @@
 use std::path::PathBuf;
 use std::time::Instant;
 
-use eim_core::sampler::sample_batch;
-use eim_core::{EimEngine, PlainDeviceGraph, ScanStrategy};
-use eim_diffusion::DiffusionModel;
+use eim_core::EimEngine;
 use eim_gpusim::{
-    provenance, write_metrics_file, Device, DeviceSpec, FaultSpec, MetricsRegistry, MetricsSink,
-    RunTrace,
+    provenance, write_metrics_file, DeviceSpec, FaultSpec, MetricsRegistry, MetricsSink, RunTrace,
 };
 use eim_graph::{generators, Dataset, WeightModel};
 use eim_imm::{
-    run_imm, run_imm_recovering, select_seeds, select_seeds_reference, CpuEngine, CpuParallelism,
-    EngineError, HostResampler, ImmConfig, ImmEngine as _, PlainRrrStore, RecoveryPolicy,
-    RrrStoreBuilder, StreamingImmEngine,
+    run_imm, run_imm_recovering, CpuEngine, CpuParallelism, EngineError, HostResampler, ImmConfig,
+    ImmEngine as _, RecoveryPolicy, StreamingImmEngine,
 };
 use rand::{Rng, SeedableRng};
 use serde_json::{Map, Value};
 
-struct Args {
-    json: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    smoke: bool,
-    seed: u64,
-    no_overlap: bool,
-    metrics: Option<PathBuf>,
-    digest: Option<PathBuf>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        json: None,
-        baseline: None,
-        smoke: false,
-        seed: 190,
-        no_overlap: false,
-        metrics: None,
-        digest: None,
-    };
-    let mut it = std::env::args().skip(2);
-    while let Some(arg) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .unwrap_or_else(|| panic!("missing value for {name}"))
-        };
-        match arg.as_str() {
-            "--json" => args.json = Some(PathBuf::from(value("--json"))),
-            "--baseline" => args.baseline = Some(PathBuf::from(value("--baseline"))),
-            "--smoke" => args.smoke = true,
-            "--seed" => args.seed = value("--seed").parse().expect("seed"),
-            "--no-overlap" => args.no_overlap = true,
-            "--metrics" => args.metrics = Some(PathBuf::from(value("--metrics"))),
-            "--digest" => args.digest = Some(PathBuf::from(value("--digest"))),
-            "--help" | "-h" => usage_and_exit(0),
-            other => {
-                eprintln!("unknown option {other}");
-                usage_and_exit(1);
-            }
-        }
-    }
-    args
-}
-
 fn usage_and_exit(code: i32) -> ! {
     println!(
-        "eim-bench perf  [--json FILE] [--baseline FILE] [--smoke] [--seed N] [--no-overlap] \
-         [--metrics FILE] [--digest FILE]\n\
-         eim-bench chaos [--plans N] [--seed N] [--devices N] [--json FILE] [--metrics FILE]\n\
+        "eim-bench chaos [--plans N] [--seed N] [--devices N] [--json FILE] [--metrics FILE]\n\
          eim-bench updates [--json FILE] [--smoke] [--seed N] [--metrics FILE]"
     );
     std::process::exit(code);
@@ -383,325 +308,6 @@ fn parse_chaos_args() -> ChaosArgs {
     args
 }
 
-/// Workload sizes for one mode. Full mode mirrors the set counts a default
-/// `reproduce` sweep reaches on the mid-size networks; smoke mode is sized
-/// for CI.
-struct Workload {
-    /// Selection: vertices in the store.
-    sel_n: usize,
-    /// Selection: RRR sets in the store.
-    sel_sets: usize,
-    /// Selection: seeds to pick.
-    sel_k: usize,
-    /// Sampler: graph vertices / edges.
-    smp_n: usize,
-    smp_m: usize,
-    /// Sampler: sets per batch.
-    smp_count: usize,
-    /// End-to-end: graph vertices / edges.
-    e2e_n: usize,
-    e2e_m: usize,
-    e2e_k: usize,
-    e2e_eps: f64,
-    /// Timing repetitions (best-of).
-    reps: usize,
-}
-
-impl Workload {
-    fn new(smoke: bool) -> Self {
-        if smoke {
-            Self {
-                sel_n: 5_000,
-                sel_sets: 40_000,
-                sel_k: 16,
-                smp_n: 5_000,
-                smp_m: 30_000,
-                smp_count: 8_000,
-                e2e_n: 600,
-                e2e_m: 3_600,
-                e2e_k: 4,
-                e2e_eps: 0.3,
-                reps: 2,
-            }
-        } else {
-            Self {
-                sel_n: 20_000,
-                sel_sets: 400_000,
-                sel_k: 50,
-                smp_n: 20_000,
-                smp_m: 120_000,
-                smp_count: 50_000,
-                e2e_n: 2_000,
-                e2e_m: 12_000,
-                e2e_k: 8,
-                e2e_eps: 0.2,
-                reps: 3,
-            }
-        }
-    }
-}
-
-/// FNV-1a 64-bit — a tiny dependency-free hash for the `--digest` output.
-/// Not cryptographic; it only needs to make accidental output divergence
-/// between two runs overwhelmingly visible.
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-    fn byte(&mut self, b: u8) {
-        self.0 ^= b as u64;
-        self.0 = self.0.wrapping_mul(0x100_0000_01b3);
-    }
-    fn u32(&mut self, v: u32) {
-        v.to_le_bytes().into_iter().for_each(|b| self.byte(b));
-    }
-    fn hex(&self) -> String {
-        format!("{:016x}", self.0)
-    }
-}
-
-/// Best-of-`reps` wall time of `f`, in milliseconds.
-fn time_ms(reps: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..reps {
-        let t = Instant::now();
-        f();
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    best
-}
-
-/// A store shaped like a reproduce-scale sampling result: heavy-tailed set
-/// lengths, ties everywhere.
-fn random_store(n: usize, sets: usize, seed: u64) -> PlainRrrStore {
-    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-    let mut store = PlainRrrStore::new(n);
-    for _ in 0..sets {
-        let len = rng.gen_range(1..16);
-        let mut set: Vec<u32> = (0..len).map(|_| rng.gen_range(0..n as u32)).collect();
-        set.sort_unstable();
-        set.dedup();
-        store.append_set(&set);
-    }
-    store
-}
-
-fn bench_entry(wall_ms: f64, detail: &[(&str, Value)]) -> Value {
-    let mut m = Map::new();
-    m.insert("wall_ms".to_string(), Value::from(wall_ms));
-    for (k, v) in detail {
-        m.insert((*k).to_string(), v.clone());
-    }
-    Value::Object(m)
-}
-
-fn run_benches(
-    w: &Workload,
-    seed: u64,
-    overlap: bool,
-    metrics: &MetricsSink,
-    digests: &mut Map,
-) -> Map {
-    let mut benches = Map::new();
-    // Metrics-only telemetry: the trace recorder stays disabled (no event
-    // buffering on the hot paths), but an attached sink still collects the
-    // simulated hardware counters of every launch and transfer.
-    let make_device = |spec: DeviceSpec| {
-        Device::with_run_trace(spec, RunTrace::disabled().with_metrics(metrics.clone()))
-            .with_copy_overlap(overlap)
-    };
-
-    // Sampler: one big batch on a scale-free graph.
-    let g = generators::rmat(
-        w.smp_n,
-        w.smp_m,
-        generators::RmatParams::GRAPH500,
-        WeightModel::WeightedCascade,
-        seed,
-    );
-    let dg = PlainDeviceGraph::new(&g);
-    let device = make_device(DeviceSpec::rtx_a6000());
-    let mut sampled_sets = 0usize;
-    let mut last_batch = None;
-    let smp_ms = time_ms(w.reps, || {
-        let batch = sample_batch(
-            &device,
-            &dg,
-            DiffusionModel::IndependentCascade,
-            seed,
-            0,
-            w.smp_count,
-            true,
-        )
-        .expect("no fault plan");
-        sampled_sets = batch.counters.sampled;
-        std::hint::black_box(&batch.stats);
-        last_batch = Some(batch);
-    });
-    let batch = last_batch.expect("reps >= 1");
-    let mut sets_hash = Fnv::new();
-    for slot in batch.sets.iter() {
-        match slot {
-            Some(set) => {
-                sets_hash.byte(1);
-                set.iter().for_each(|&v| sets_hash.u32(v));
-            }
-            None => sets_hash.byte(0),
-        }
-    }
-    let mut cov_hash = Fnv::new();
-    batch.coverage.iter().for_each(|&c| cov_hash.u32(c));
-    let mut smp_digest = Map::new();
-    smp_digest.insert("sets_fnv64".to_string(), Value::from(sets_hash.hex()));
-    smp_digest.insert("coverage_fnv64".to_string(), Value::from(cov_hash.hex()));
-    smp_digest.insert(
-        "sampled".to_string(),
-        Value::from(batch.counters.sampled as u64),
-    );
-    smp_digest.insert(
-        "singletons".to_string(),
-        Value::from(batch.counters.singletons as u64),
-    );
-    smp_digest.insert(
-        "discarded".to_string(),
-        Value::from(batch.counters.discarded as u64),
-    );
-    smp_digest.insert(
-        "total_cycles".to_string(),
-        Value::from(batch.stats.total_cycles),
-    );
-    smp_digest.insert(
-        "max_block_cycles".to_string(),
-        Value::from(batch.stats.max_block_cycles),
-    );
-    smp_digest.insert(
-        "num_blocks".to_string(),
-        Value::from(batch.stats.num_blocks as u64),
-    );
-    digests.insert("sampler".to_string(), Value::Object(smp_digest));
-    drop(batch);
-    benches.insert(
-        "sampler".to_string(),
-        bench_entry(
-            smp_ms,
-            &[
-                ("graph_n", Value::from(w.smp_n as u64)),
-                ("graph_m", Value::from(w.smp_m as u64)),
-                ("sets", Value::from(sampled_sets as u64)),
-            ],
-        ),
-    );
-    println!("sampler        {smp_ms:>10.2} ms   ({sampled_sets} sets)");
-
-    // Selection at reproduce-scale set counts.
-    let store = random_store(w.sel_n, w.sel_sets, seed ^ 0x5e1ec7);
-    let mut covered = 0usize;
-    let mut sel_seeds = Vec::new();
-    let sel_ms = time_ms(w.reps, || {
-        let sel = select_seeds(&store, w.sel_k);
-        covered = sel.covered_sets;
-        std::hint::black_box(&sel);
-        sel_seeds = sel.seeds;
-    });
-    let mut sel_digest = Map::new();
-    sel_digest.insert(
-        "seeds".to_string(),
-        Value::from(sel_seeds.iter().map(|&v| v as u64).collect::<Vec<_>>()),
-    );
-    sel_digest.insert("covered_sets".to_string(), Value::from(covered as u64));
-    digests.insert("selection".to_string(), Value::Object(sel_digest));
-    benches.insert(
-        "selection".to_string(),
-        bench_entry(
-            sel_ms,
-            &[
-                ("n", Value::from(w.sel_n as u64)),
-                ("sets", Value::from(w.sel_sets as u64)),
-                ("k", Value::from(w.sel_k as u64)),
-                ("covered_sets", Value::from(covered as u64)),
-            ],
-        ),
-    );
-    println!(
-        "selection      {sel_ms:>10.2} ms   ({} sets, k={}, covered={covered})",
-        w.sel_sets, w.sel_k
-    );
-
-    // The pre-PR full-rescan greedy, kept as the differential-test oracle;
-    // benchmarked so the indexed path's speedup is measurable in one run.
-    let mut ref_covered = 0usize;
-    let ref_ms = time_ms(w.reps, || {
-        let sel = select_seeds_reference(&store, w.sel_k);
-        ref_covered = sel.covered_sets;
-        std::hint::black_box(&sel);
-    });
-    assert_eq!(ref_covered, covered, "reference and indexed paths agree");
-    benches.insert(
-        "selection_reference".to_string(),
-        bench_entry(
-            ref_ms,
-            &[
-                ("n", Value::from(w.sel_n as u64)),
-                ("sets", Value::from(w.sel_sets as u64)),
-                ("k", Value::from(w.sel_k as u64)),
-                ("covered_sets", Value::from(ref_covered as u64)),
-            ],
-        ),
-    );
-    println!(
-        "sel_reference  {ref_ms:>10.2} ms   ({} sets, k={}, covered={ref_covered})",
-        w.sel_sets, w.sel_k
-    );
-
-    // End-to-end run_imm on the simulated device.
-    let eg = generators::rmat(
-        w.e2e_n,
-        w.e2e_m,
-        generators::RmatParams::GRAPH500,
-        WeightModel::WeightedCascade,
-        seed ^ 0xe2e,
-    );
-    let cfg = ImmConfig::paper_default()
-        .with_k(w.e2e_k)
-        .with_epsilon(w.e2e_eps)
-        .with_seed(seed);
-    let mut num_sets = 0usize;
-    let mut e2e_seeds = Vec::new();
-    let e2e_ms = time_ms(w.reps, || {
-        let device = make_device(DeviceSpec::rtx_a6000_with_mem(512 << 20));
-        let mut engine =
-            EimEngine::new(&eg, cfg, device, ScanStrategy::ThreadPerSet).expect("engine fits");
-        let r = run_imm(&mut engine, &cfg).expect("no faults scheduled");
-        num_sets = r.num_sets;
-        std::hint::black_box(&r.seeds);
-        e2e_seeds = r.seeds;
-    });
-    let mut e2e_digest = Map::new();
-    e2e_digest.insert(
-        "seeds".to_string(),
-        Value::from(e2e_seeds.iter().map(|&v| v as u64).collect::<Vec<_>>()),
-    );
-    e2e_digest.insert("rrr_sets".to_string(), Value::from(num_sets as u64));
-    digests.insert("end_to_end".to_string(), Value::Object(e2e_digest));
-    benches.insert(
-        "end_to_end".to_string(),
-        bench_entry(
-            e2e_ms,
-            &[
-                ("graph_n", Value::from(w.e2e_n as u64)),
-                ("k", Value::from(w.e2e_k as u64)),
-                ("eps", Value::from(w.e2e_eps)),
-                ("rrr_sets", Value::from(num_sets as u64)),
-            ],
-        ),
-    );
-    println!("end_to_end     {e2e_ms:>10.2} ms   ({num_sets} sets)");
-
-    benches
-}
-
 /// Draws one randomized-but-deterministic fault spec mixing every
 /// injection class. Probabilities are kept low enough that most plans
 /// leave survivors, high enough that the soak regularly exercises
@@ -903,121 +509,15 @@ fn run_chaos(args: ChaosArgs) -> ! {
 
     std::process::exit(if failures == 0 { 0 } else { 1 });
 }
-
 fn main() {
     let cmd = std::env::args().nth(1).unwrap_or_default();
     match cmd.as_str() {
         "--help" | "-h" => usage_and_exit(0),
-        "perf" => {}
         "chaos" => run_chaos(parse_chaos_args()),
         "updates" => run_updates(parse_updates_args()),
         other => {
             eprintln!("unknown subcommand {other:?}");
             usage_and_exit(1);
         }
-    }
-    let args = parse_args();
-    let w = Workload::new(args.smoke);
-    println!(
-        "eim-bench perf — mode: {}, seed {}",
-        if args.smoke { "smoke" } else { "full" },
-        args.seed
-    );
-    let registry = MetricsRegistry::new();
-    let sink = if args.metrics.is_some() {
-        registry.sink().with_engine("bench")
-    } else {
-        MetricsSink::disabled()
-    };
-    let mut digests = Map::new();
-    let benches = run_benches(&w, args.seed, !args.no_overlap, &sink, &mut digests);
-
-    let mut root = Map::new();
-    root.insert(
-        "schema".to_string(),
-        Value::from("eim-bench-perf-v2".to_string()),
-    );
-    root.insert("provenance".to_string(), provenance(None, Some(args.seed)));
-    root.insert(
-        "mode".to_string(),
-        Value::from(if args.smoke { "smoke" } else { "full" }),
-    );
-    root.insert("seed".to_string(), Value::from(args.seed));
-    root.insert("copy_overlap".to_string(), Value::from(!args.no_overlap));
-    if let Some(path) = &args.baseline {
-        let text = std::fs::read_to_string(path)
-            .unwrap_or_else(|e| panic!("cannot read baseline {}: {e}", path.display()));
-        let base: Value = serde_json::from_str(&text).expect("baseline is JSON");
-        let base_benches = base["benches"]
-            .as_object()
-            .cloned()
-            .expect("baseline has benches");
-        let mut speedup = Map::new();
-        for (name, entry) in benches.iter() {
-            let (Some(after), Some(before)) = (
-                entry["wall_ms"].as_f64(),
-                base_benches
-                    .get(name.as_str())
-                    .and_then(|b| b["wall_ms"].as_f64()),
-            ) else {
-                continue;
-            };
-            let s = before / after;
-            speedup.insert(name.clone(), Value::from(s));
-            println!("speedup        {s:>10.2} x    ({name}: {before:.2} -> {after:.2} ms)");
-        }
-        root.insert("before".to_string(), Value::Object(base_benches));
-        // The measured post-change numbers, mirrored under an explicit key
-        // so before/after reads don't depend on knowing that `benches` is
-        // the "after" side of the comparison.
-        root.insert("after".to_string(), Value::Object(benches.clone()));
-        root.insert("speedup".to_string(), Value::Object(speedup));
-    }
-    root.insert("benches".to_string(), Value::Object(benches));
-
-    if let Some(path) = &args.metrics {
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).expect("create output dir");
-            }
-        }
-        write_metrics_file(&registry, path).expect("write metrics");
-        println!("wrote {}", path.display());
-    }
-
-    if let Some(path) = &args.digest {
-        // Deterministic by construction: only simulated quantities and
-        // output hashes, no wall times. Two runs at the same seed must
-        // write byte-identical files (CI compares them with `cmp`).
-        let mut d = Map::new();
-        d.insert(
-            "schema".to_string(),
-            Value::from("eim-bench-digest-v1".to_string()),
-        );
-        d.insert(
-            "mode".to_string(),
-            Value::from(if args.smoke { "smoke" } else { "full" }),
-        );
-        d.insert("seed".to_string(), Value::from(args.seed));
-        d.insert("digests".to_string(), Value::Object(digests));
-        let text = serde_json::to_string_pretty(&Value::Object(d)).expect("serialize");
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).expect("create output dir");
-            }
-        }
-        std::fs::write(path, text).expect("write digest");
-        println!("wrote {}", path.display());
-    }
-
-    if let Some(path) = &args.json {
-        let text = serde_json::to_string_pretty(&Value::Object(root)).expect("serialize");
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                std::fs::create_dir_all(parent).expect("create output dir");
-            }
-        }
-        std::fs::write(path, text).expect("write json");
-        println!("wrote {}", path.display());
     }
 }

@@ -1,12 +1,10 @@
 //! Growable packed buffer: sequential append at a fixed bit width.
 //!
-//! [`crate::PackedArray`] is immutable and [`crate::AtomicPackedArray`] has a
-//! fixed capacity; IMM's estimation phase instead *grows* the RRR array
-//! round by round. `PackedBuf` supports that: single-threaded `push` with the
-//! same bit layout, freezable into a [`crate::PackedArray`].
+//! [`crate::PackedArray`] is immutable; IMM's estimation phase instead
+//! *grows* the RRR array round by round. `PackedBuf` supports that:
+//! single-threaded `push` with the same bit layout.
 
 use crate::nbits::mask;
-use crate::PackedArray;
 
 /// An appendable bit-packed vector with a fixed width per element.
 #[derive(Clone, Debug, PartialEq)]
@@ -100,7 +98,7 @@ impl PackedBuf {
     /// Appends elements `start..end`, decoded as `u32`, to `out`.
     ///
     /// Sequential decode with a rolling bit cursor, like
-    /// [`PackedArray::extend_decode_u32`]: a straddling element's high part
+    /// [`crate::PackedArray::extend_decode_u32`]: a straddling element's high part
     /// is shifted in without a branch (the double shift yields 0 when the
     /// element ends in its first word), where [`PackedBuf::get`] branches
     /// on every element. Values wider than 32 bits are truncated; callers
@@ -142,7 +140,7 @@ impl PackedBuf {
         let nbits = self.nbits as usize;
         let bits = (end - start) * nbits;
         let (from, to) = (start * nbits, self.len * nbits);
-        // Bits past `len` are zero (see `truncate`), so the copy ORs in.
+        // Bits past `len` are zero, so the copy ORs in.
         self.words.resize((to + bits).div_ceil(64), 0);
         let mut done = 0;
         while done < bits {
@@ -164,34 +162,10 @@ impl PackedBuf {
         self.len += end - start;
     }
 
-    /// Shortens the buffer to `len` elements, discarding the tail. The
-    /// partial word past the new end is scrubbed so subsequent pushes OR
-    /// into clean bits. No-op when `len >= self.len()`.
-    pub fn truncate(&mut self, len: usize) {
-        if len >= self.len {
-            return;
-        }
-        let bit = len * self.nbits as usize;
-        let word = bit >> 6;
-        let off = (bit & 63) as u32;
-        self.words.truncate(if off == 0 { word } else { word + 1 });
-        if off != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= mask(off);
-            }
-        }
-        self.len = len;
-    }
-
     /// Heap bytes of the packed words.
     #[inline]
     pub fn bytes(&self) -> usize {
         self.words.len() * std::mem::size_of::<u64>()
-    }
-
-    /// Freezes into an immutable array.
-    pub fn freeze(self) -> PackedArray {
-        PackedArray::from_raw(self.words, self.len, self.nbits)
     }
 }
 
@@ -211,18 +185,6 @@ mod tests {
             (0..5).map(|i| b.get(i)).collect::<Vec<_>>(),
             vec![5, 123, 99, 43, 7]
         );
-    }
-
-    #[test]
-    fn freeze_matches_packed_array() {
-        let vals: Vec<u64> = (0..100).map(|i| i * 37 % 512).collect();
-        let mut b = PackedBuf::new(9);
-        for &v in &vals {
-            b.push(v);
-        }
-        let frozen = b.freeze();
-        assert_eq!(frozen.decode(), vals);
-        assert_eq!(frozen, PackedArray::from_values_with_bits(&vals, 9));
     }
 
     #[test]
@@ -247,35 +209,14 @@ mod tests {
         let b = PackedBuf::new(8);
         assert!(b.is_empty());
         assert_eq!(b.bytes(), 0);
-        assert_eq!(b.freeze().len(), 0);
-    }
-
-    #[test]
-    fn truncate_then_push_matches_fresh_build() {
-        for nbits in [7u32, 20, 33, 64] {
-            let vals: Vec<u64> = (0..60).map(|i| (i * 0x9e37u64) & mask(nbits)).collect();
-            let mut b = PackedBuf::new(nbits);
-            for &v in &vals {
-                b.push(v);
-            }
-            b.truncate(23);
-            for &v in &vals[23..40] {
-                b.push(v);
-            }
-            let mut fresh = PackedBuf::new(nbits);
-            for &v in &vals[..40] {
-                fresh.push(v);
-            }
-            assert_eq!(b, fresh, "nbits={nbits}");
-        }
     }
 
     proptest! {
         /// At every width from 1 to 32, the rolling decode of any range
         /// equals per-index `get`s, and the bulk append of any range of
         /// another buffer equals pushing its elements one by one — onto a
-        /// buffer that was truncated first, so the copy lands at every bit
-        /// phase and its runs straddle word boundaries on both sides.
+        /// buffer holding a prefix of any length, so the copy lands at every
+        /// bit phase and its runs straddle word boundaries on both sides.
         #[test]
         fn rolling_decode_and_bulk_append_match_get_and_push(
             raw in prop::collection::vec(any::<u64>(), 0..300),
@@ -300,10 +241,9 @@ mod tests {
                 prop_assert_eq!(&out[2..], &want[..], "nbits {}", nbits);
 
                 let mut bulk = PackedBuf::new(nbits);
-                for &v in &prefix_raw {
+                for &v in &prefix_raw[..cut % (prefix_raw.len() + 1)] {
                     bulk.push(v & mask(nbits));
                 }
-                bulk.truncate(cut % (prefix_raw.len() + 1));
                 let mut pushed = bulk.clone();
                 bulk.extend_from_buf(&src, start, end);
                 for i in start..end {
@@ -328,7 +268,6 @@ mod tests {
             for (i, &v) in vals.iter().enumerate() {
                 prop_assert_eq!(b.get(i), v);
             }
-            prop_assert_eq!(b.freeze().decode(), vals);
         }
     }
 }

@@ -4,8 +4,8 @@
 //! offsets, in-neighbors, edge weights — with log encoding applied. Offsets
 //! pack to `ceil(log2 m)` bits, neighbor ids to `ceil(log2 n)` bits. Weights
 //! under the paper's default assignment (`p_uv = 1 / d^-_v`) are a function
-//! of the row length, so [`WeightStorage::Derived`] stores none at all;
-//! [`WeightStorage::Plain`] keeps the raw `f32`s for arbitrary weights.
+//! of the row length, so `WeightStorage::Derived` stores none at all;
+//! `WeightStorage::Plain` keeps the raw `f32`s for arbitrary weights.
 
 use eim_graph::{Adjacency, Graph, VertexId, Weight};
 
@@ -13,7 +13,7 @@ use crate::{bits_for, MemoryReport, PackedArray};
 
 /// How edge weights are represented alongside the packed structure.
 #[derive(Clone, Debug, PartialEq)]
-pub enum WeightStorage {
+enum WeightStorage {
     /// `p_uv = 1 / d^-_v`, recomputed from the offsets on access; zero bytes.
     /// Exactly correct for the paper's weighted-cascade / LT assignment.
     Derived,
@@ -129,14 +129,6 @@ impl PackedCsc {
         }
     }
 
-    /// Decodes a full in-neighbor row.
-    pub fn in_neighbors(&self, v: VertexId) -> Vec<VertexId> {
-        let (start, end) = self.row_bounds(v);
-        (start..end)
-            .map(|i| self.neighbors.get(i) as VertexId)
-            .collect()
-    }
-
     /// Bits used per offset entry.
     pub fn offset_bits(&self) -> u32 {
         self.offsets.bits_per_value()
@@ -177,6 +169,13 @@ mod tests {
     use super::*;
     use eim_graph::{generators, GraphBuilder, WeightModel};
 
+    fn row(p: &PackedCsc, v: VertexId) -> Vec<VertexId> {
+        let (start, end) = p.row_bounds(v);
+        let mut out = Vec::new();
+        p.decode_neighbors_into(start, end, &mut out);
+        out
+    }
+
     fn small() -> Graph {
         GraphBuilder::new(5)
             .edges([(0, 1), (2, 1), (3, 1), (1, 4), (0, 4)])
@@ -190,7 +189,7 @@ mod tests {
         assert_eq!(p.num_vertices(), 5);
         assert_eq!(p.num_edges(), 5);
         for v in 0..5u32 {
-            assert_eq!(p.in_neighbors(v), g.in_neighbors(v));
+            assert_eq!(row(&p, v), g.in_neighbors(v));
             assert_eq!(p.in_degree(v), g.in_degree(v));
         }
     }
@@ -303,7 +302,7 @@ mod tests {
             .build(WeightModel::WeightedCascade);
         let p = PackedCsc::from_graph(&g);
         assert_eq!(p.in_degree(3), 0);
-        assert!(p.in_neighbors(3).is_empty());
+        assert!(row(&p, 3).is_empty());
     }
 
     #[test]

@@ -80,19 +80,6 @@ impl PackedArray {
         }
     }
 
-    /// Wraps raw parts (used by [`crate::AtomicPackedArray::into_packed`]).
-    /// Appends the decoder padding word; `words` must hold payload only.
-    pub(crate) fn from_raw(mut words: Vec<u64>, len: usize, nbits: u32) -> Self {
-        let data_words = words.len();
-        words.push(0);
-        Self {
-            words,
-            data_words,
-            len,
-            nbits,
-        }
-    }
-
     /// Element count.
     #[inline]
     pub fn len(&self) -> usize {
@@ -128,11 +115,6 @@ impl PackedArray {
         let lo = self.words[word] >> off;
         let hi = (self.words[word + 1] << 1) << (63 - off);
         (lo | hi) & mask(self.nbits)
-    }
-
-    /// Decoding iterator over all elements.
-    pub fn iter(&self) -> impl Iterator<Item = u64> + '_ {
-        (0..self.len).map(move |i| self.get(i))
     }
 
     /// Appends elements `start..end`, decoded as `u32`, to `out`.
@@ -175,22 +157,11 @@ impl PackedArray {
         }));
     }
 
-    /// Decodes the whole array into a fresh `Vec`.
-    pub fn decode(&self) -> Vec<u64> {
-        self.iter().collect()
-    }
-
     /// Heap bytes of the packed representation — the numerator of every
     /// memory-saving figure in the paper.
     #[inline]
     pub fn bytes(&self) -> usize {
         self.data_words * std::mem::size_of::<u64>()
-    }
-
-    /// Bytes the same data occupies unpacked at `unpacked_width` bytes per
-    /// element (4 for vertex ids, 8 for offsets).
-    pub fn plain_bytes(&self, unpacked_width: usize) -> usize {
-        self.len * unpacked_width
     }
 }
 
@@ -199,6 +170,10 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
+    fn decode(a: &PackedArray) -> Vec<u64> {
+        (0..a.len()).map(|i| a.get(i)).collect()
+    }
+
     #[test]
     fn figure1_example() {
         // 5 values, 7 bits each = 35 bits -> one 64-bit word (the paper's
@@ -206,10 +181,9 @@ mod tests {
         let a = PackedArray::from_values(&[5, 123, 99, 43, 7]);
         assert_eq!(a.bits_per_value(), 7);
         assert_eq!(a.bytes(), 8);
-        assert_eq!(a.decode(), vec![5, 123, 99, 43, 7]);
         // Plain u32 storage: 20 bytes. Packed: 8. That is the 160 -> 64 bit
         // reduction of Figure 1.
-        assert_eq!(a.plain_bytes(4), 20);
+        assert_eq!(decode(&a), vec![5, 123, 99, 43, 7]);
     }
 
     #[test]
@@ -217,7 +191,7 @@ mod tests {
         // 7 bits x 10 = 70 bits: element 9 spans words 0 and 1.
         let vals: Vec<u64> = (0..10).map(|i| (i * 13) % 128).collect();
         let a = PackedArray::from_values_with_bits(&vals, 7);
-        assert_eq!(a.decode(), vals);
+        assert_eq!(decode(&a), vals);
     }
 
     #[test]
@@ -226,14 +200,14 @@ mod tests {
         assert_eq!(a.len(), 0);
         assert!(a.is_empty());
         assert_eq!(a.bytes(), 0);
-        assert_eq!(a.decode(), Vec::<u64>::new());
+        assert_eq!(decode(&a), Vec::<u64>::new());
     }
 
     #[test]
     fn all_zeros_still_addressable() {
         let a = PackedArray::from_values(&[0, 0, 0]);
         assert_eq!(a.bits_per_value(), 1);
-        assert_eq!(a.decode(), vec![0, 0, 0]);
+        assert_eq!(decode(&a), vec![0, 0, 0]);
     }
 
     #[test]
@@ -241,7 +215,7 @@ mod tests {
         let vals = [u64::MAX, 0, u64::MAX / 3];
         let a = PackedArray::from_values(&vals);
         assert_eq!(a.bits_per_value(), 64);
-        assert_eq!(a.decode(), vals);
+        assert_eq!(decode(&a), vals);
     }
 
     #[test]
@@ -250,7 +224,7 @@ mod tests {
         let vals: Vec<u64> = (0..50).map(|i| (1u64 << 32) + i * 7).collect();
         let a = PackedArray::from_values(&vals);
         assert_eq!(a.bits_per_value(), 33);
-        assert_eq!(a.decode(), vals);
+        assert_eq!(decode(&a), vals);
     }
 
     #[test]
@@ -332,7 +306,7 @@ mod tests {
         #[test]
         fn roundtrip_any_values(vals in prop::collection::vec(any::<u64>(), 0..200)) {
             let a = PackedArray::from_values(&vals);
-            prop_assert_eq!(a.decode(), vals);
+            prop_assert_eq!(decode(&a), vals);
         }
 
         #[test]
@@ -342,21 +316,13 @@ mod tests {
         ) {
             // Any width wide enough must round-trip identically.
             let a = PackedArray::from_values_with_bits(&vals, extra);
-            prop_assert_eq!(a.decode(), vals);
+            prop_assert_eq!(decode(&a), vals);
         }
 
         #[test]
         fn packed_never_larger_than_plain_u64(vals in prop::collection::vec(any::<u64>(), 1..200)) {
             let a = PackedArray::from_values(&vals);
             prop_assert!(a.bytes() <= vals.len() * 8 + 8);
-        }
-
-        #[test]
-        fn random_access_matches_iteration(vals in prop::collection::vec(0u64..1_000_000, 1..100)) {
-            let a = PackedArray::from_values(&vals);
-            for (i, v) in a.iter().enumerate() {
-                prop_assert_eq!(a.get(i), v);
-            }
         }
 
         #[test]

@@ -52,13 +52,17 @@ pub enum EngineError {
     },
     /// A resume checkpoint does not belong to this run (different config,
     /// graph, engine, or device count), the replayed store diverged from
-    /// the digest the checkpoint recorded, or the estimation iteration it
-    /// names is not the one that follows its sample count.
+    /// the digest or slot count the checkpoint recorded, the estimation
+    /// iteration it names is not the one that follows its sample count, or
+    /// the lower bound it records asks for more sets than it counts.
     CheckpointMismatch {
-        /// The fingerprint, digest or next estimation iteration this run
-        /// expected (0 when no iteration matches the sample count).
+        /// The fingerprint, digest, slot count or next estimation iteration
+        /// this run expected (0 when no iteration matches the sample count),
+        /// or the sample count a lower bound's θ may not exceed.
         expected: u64,
-        /// The fingerprint, digest or next estimation iteration found.
+        /// The fingerprint, digest, slot count or next estimation iteration
+        /// found, or the θ the recorded lower bound asks for (0 when none is
+        /// recorded).
         found: u64,
     },
     /// A checkpoint could not be persisted to disk.
@@ -463,6 +467,8 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
     let last_iteration = max_estimation_iterations(n);
     // Estimation iteration `i` samples up to θ_i = λ' / (n / 2^i).
     let theta_at = |i: usize| (lp / (n_f / 2f64.powi(i as i32))).ceil().max(1.0) as usize;
+    // The final sample count for a coverage lower bound: θ = λ* / LB.
+    let theta_for = |lower_bound: f64| (ls / lower_bound).ceil().max(1.0) as usize;
 
     let mut t0 = engine.elapsed_us();
     let mut t1 = t0;
@@ -480,20 +486,40 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
                 found: cp.fingerprint,
             });
         }
-        if let CheckpointPhase::Estimation { next_iteration } = cp.phase {
-            // Iteration `i` checkpoints after sampling θ_i sets and names
-            // `i + 1`. Any other pairing would restart the martingale at an
-            // iteration the store does not match; a wrong one still passes
-            // the store digest, because the store itself is unchanged.
-            let next = next_iteration as usize;
-            if !(2..=last_iteration + 1).contains(&next) || theta_at(next - 1) != cp.logical_sets {
-                let expected = (1..=last_iteration)
-                    .find(|&i| theta_at(i) == cp.logical_sets)
-                    .map_or(0, |i| i as u64 + 1);
-                return Err(EngineError::CheckpointMismatch {
-                    expected,
-                    found: u64::from(next_iteration),
-                });
+        match cp.phase {
+            CheckpointPhase::Estimation { next_iteration } => {
+                // Iteration `i` checkpoints after sampling θ_i sets and names
+                // `i + 1`. Any other pairing would restart the martingale at
+                // an iteration the store does not match; a wrong one still
+                // passes the store digest, because the store is unchanged.
+                let next = next_iteration as usize;
+                if !(2..=last_iteration + 1).contains(&next)
+                    || theta_at(next - 1) != cp.logical_sets
+                {
+                    let expected = (1..=last_iteration)
+                        .find(|&i| theta_at(i) == cp.logical_sets)
+                        .map_or(0, |i| i as u64 + 1);
+                    return Err(EngineError::CheckpointMismatch {
+                        expected,
+                        found: u64::from(next_iteration),
+                    });
+                }
+            }
+            CheckpointPhase::Sampled {
+                estimation_sets, ..
+            } => {
+                // Written after the final extension to θ = λ* / LB, so the
+                // count already covers θ. A lower bound asking for more sets
+                // (or none recorded) does not belong to this count, and
+                // resuming would sample up to its θ before any digest check.
+                let extended = estimation_sets > 0 || cp.logical_sets == 0;
+                let theta = cp.lower_bound_bits.map(|b| theta_for(f64::from_bits(b)));
+                if extended && theta.is_none_or(|t| t > cp.logical_sets) {
+                    return Err(EngineError::CheckpointMismatch {
+                        expected: cp.logical_sets as u64,
+                        found: theta.map_or(0, |t| t as u64),
+                    });
+                }
             }
         }
         report = cp.report;
@@ -592,7 +618,7 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
     }
     trace.record_phase("estimation", t0, t1 - t0);
 
-    let theta = (ls / lower_bound).ceil().max(1.0) as usize;
+    let theta = theta_for(lower_bound);
     // When every estimation sample was eliminated (degenerate input),
     // further sampling cannot add coverage, so skip the final extension.
     // The count is the selection's, not the store's: a streaming engine's

@@ -828,6 +828,15 @@ pub fn run_stream<R: Resampler>(
                 found: digest,
             });
         }
+        // The slot count is read back too, so no field the checkpoint
+        // records can change without the resume noticing.
+        let slots = engine.slots() as u64;
+        if slots != cp.slots {
+            return Err(EngineError::CheckpointMismatch {
+                expected: slots,
+                found: cp.slots,
+            });
+        }
         start = cp.delta_cursor as usize;
     } else {
         engine.replay()?;

@@ -6,7 +6,7 @@
 //! bit-identical simulated clock. The guarantee must hold across store
 //! layouts (plain and packed), host thread schedules, and device losses.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::Command;
 
 use eim::core::EimEngine;
@@ -14,9 +14,10 @@ use eim::gpusim::{DeviceSpec, FaultSpec, RunTrace};
 use eim::graph::{generators, Graph, WeightModel};
 use eim::imm::{
     run_fingerprint, run_imm_checkpointed, run_imm_recovering, run_stream, CheckpointPhase,
-    Checkpointing, EngineError, HostResampler, ImmConfig, ImmEngine as _, RecoveryPolicy,
-    RunCheckpoint, StreamCheckpoint, StreamCheckpointing, StreamingImmEngine,
+    Checkpointing, EngineError, HostResampler, ImmConfig, ImmEngine as _, ImmResult,
+    RecoveryPolicy, RunCheckpoint, StreamCheckpoint, StreamCheckpointing, StreamingImmEngine,
 };
+use proptest::prelude::*;
 
 fn graph() -> Graph {
     generators::rmat(
@@ -564,6 +565,307 @@ fn resuming_from_a_malformed_stream_checkpoint_is_a_checkpoint_io_error() {
     .unwrap_err();
     assert!(matches!(err, EngineError::CheckpointIo), "{err}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+// ---- hostile checkpoint bytes: a typed error or the clean answer ----
+
+/// A real cold run's checkpoints, one per phase, and its clean seeds.
+struct ColdFixture {
+    graph: Graph,
+    clean: Vec<u32>,
+    estimation: Vec<u8>,
+    sampled: Vec<u8>,
+}
+
+fn cold_fixture() -> &'static ColdFixture {
+    static FIXTURE: std::sync::OnceLock<ColdFixture> = std::sync::OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let graph = graph();
+        let c = config(true);
+        let fp = run_fingerprint(&c, graph.num_vertices(), "multigpu", 4);
+        let policy = RecoveryPolicy::retry();
+        let clean = run_imm_recovering(&mut engine(&graph, c), &c, &policy, &RunTrace::disabled())
+            .unwrap()
+            .seeds;
+        let dir = temp_dir("hostile-cold-source");
+        let checkpoint_after = |kill_after: Option<u32>| {
+            let _ = run_imm_checkpointed(
+                &mut engine(&graph, c),
+                &c,
+                &policy,
+                &RunTrace::disabled(),
+                &Checkpointing {
+                    dir: Some(dir.clone()),
+                    resume: None,
+                    kill_after,
+                    fingerprint: fp,
+                },
+            );
+            std::fs::read(dir.join("eim-checkpoint.json")).unwrap()
+        };
+        let estimation = checkpoint_after(Some(1));
+        let sampled = checkpoint_after(None);
+        let _ = std::fs::remove_dir_all(&dir);
+        ColdFixture {
+            graph,
+            clean,
+            estimation,
+            sampled,
+        }
+    })
+}
+
+/// A real streaming run's checkpoint after one of three batches, and the
+/// clean run's final seeds.
+struct StreamFixture {
+    graph: Graph,
+    deltas: Vec<eim::graph::GraphDelta>,
+    clean: Vec<u32>,
+    checkpoint: Vec<u8>,
+}
+
+fn stream_engine(g: &Graph) -> StreamingImmEngine<HostResampler> {
+    let c = config(false).with_epsilon(0.3);
+    StreamingImmEngine::new(
+        g.clone(),
+        c,
+        WeightModel::WeightedCascade,
+        7,
+        HostResampler::new(c.model, c.seed),
+    )
+}
+
+fn stream_fixture() -> &'static StreamFixture {
+    static FIXTURE: std::sync::OnceLock<StreamFixture> = std::sync::OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let graph = graph();
+        let deltas = generators::update_stream(
+            &graph,
+            &generators::UpdateStreamSpec {
+                batches: 3,
+                edges_per_batch: 10,
+                insert_fraction: 0.5,
+                seed: 41,
+            },
+        );
+        let clean = run_stream(
+            &mut stream_engine(&graph),
+            &deltas,
+            &StreamCheckpointing::disabled(),
+        )
+        .unwrap();
+        let dir = temp_dir("hostile-stream-source");
+        let ckpt = StreamCheckpointing {
+            dir: Some(dir.clone()),
+            resume: false,
+            kill_after: Some(2),
+        };
+        run_stream(&mut stream_engine(&graph), &deltas, &ckpt).unwrap_err();
+        let checkpoint = std::fs::read(dir.join("eim-stream-checkpoint.json")).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        StreamFixture {
+            graph,
+            deltas,
+            clean: clean.last().unwrap().result.seeds.clone(),
+            checkpoint,
+        }
+    })
+}
+
+/// What a corrupted checkpoint may lead to: the resume returns a typed
+/// checkpoint error, or it reaches the clean seeds.
+fn expect_typed_or_clean<T>(
+    resumed: Result<T, EngineError>,
+    seeds: impl FnOnce(T) -> Vec<u32>,
+    clean: &[u32],
+) {
+    match resumed {
+        Ok(r) => assert_eq!(seeds(r), clean, "resumed to other seeds"),
+        Err(EngineError::CheckpointMismatch { .. } | EngineError::CheckpointIo) => {}
+        Err(other) => panic!("untyped resume failure: {other}"),
+    }
+}
+
+/// Resumes the cold fixture's run from `cp`, checkpointing into `dir`.
+fn resume_cold_from(cp: RunCheckpoint, dir: &Path) -> Result<ImmResult, EngineError> {
+    let f = cold_fixture();
+    let c = config(true);
+    run_imm_checkpointed(
+        &mut engine(&f.graph, c),
+        &c,
+        &RecoveryPolicy::retry(),
+        &RunTrace::disabled(),
+        &Checkpointing {
+            dir: Some(dir.to_path_buf()),
+            resume: Some(cp),
+            kill_after: None,
+            fingerprint: run_fingerprint(&c, f.graph.num_vertices(), "multigpu", 4),
+        },
+    )
+}
+
+/// Loads the cold checkpoint in `dir` and, if it loads, resumes from it.
+fn resume_cold(dir: &Path) {
+    if let Ok(cp) = RunCheckpoint::load(dir) {
+        let resumed = resume_cold_from(cp, dir);
+        expect_typed_or_clean(resumed, |r| r.seeds, &cold_fixture().clean);
+    }
+}
+
+/// Loads the stream checkpoint in `dir` and, if it loads, resumes from it.
+fn resume_stream(dir: &Path) {
+    if StreamCheckpoint::load(dir).is_err() {
+        return;
+    }
+    let f = stream_fixture();
+    let mut e = stream_engine(&f.graph);
+    let ckpt = StreamCheckpointing {
+        dir: Some(dir.to_path_buf()),
+        resume: true,
+        kill_after: None,
+    };
+    let resumed = run_stream(&mut e, &f.deltas, &ckpt);
+    // A resume at the end of the stream applies no batch; its seeds are
+    // then those of the engine's current state.
+    let seeds = |reports: Vec<eim::imm::UpdateReport>| match reports.last() {
+        Some(r) => r.result.seeds.clone(),
+        None => e.replay().unwrap().seeds,
+    };
+    expect_typed_or_clean(resumed, seeds, &f.clean);
+}
+
+/// A real checkpoint: its name, its file name, its bytes, and how to
+/// resume from it.
+type RealCheckpoint = (&'static str, &'static str, &'static [u8], fn(&Path));
+
+fn real_checkpoints() -> [RealCheckpoint; 3] {
+    let (cold, stream) = (cold_fixture(), stream_fixture());
+    [
+        (
+            "estimation",
+            "eim-checkpoint.json",
+            &cold.estimation,
+            resume_cold,
+        ),
+        ("sampled", "eim-checkpoint.json", &cold.sampled, resume_cold),
+        (
+            "stream",
+            "eim-stream-checkpoint.json",
+            &stream.checkpoint,
+            resume_stream,
+        ),
+    ]
+}
+
+/// Writes `bytes` as checkpoint `file` of a fresh directory and resumes
+/// from it, naming the checkpoint and the corruption if that panics.
+fn resume_corrupted(tag: &str, file: &str, what: &str, bytes: &[u8], resume: fn(&Path)) {
+    let dir = temp_dir(&format!("hostile-{tag}"));
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join(file), bytes).unwrap();
+    let outcome = std::panic::catch_unwind(|| resume(&dir));
+    let _ = std::fs::remove_dir_all(&dir);
+    if let Err(panic) = outcome {
+        let msg = panic
+            .downcast_ref::<String>()
+            .cloned()
+            .or_else(|| panic.downcast_ref::<&str>().map(|m| m.to_string()))
+            .unwrap_or_default();
+        panic!("{tag}, {what}: {msg}\n{}", String::from_utf8_lossy(bytes));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A real checkpoint (cold, of either phase, or streaming), cut short
+    /// or with one bit flipped, is rejected by `load`, rejected by the
+    /// resume with a typed error, or resumes to the clean seeds. It never
+    /// panics.
+    #[test]
+    fn corrupted_checkpoint_is_rejected_or_resumes_clean(
+        cut in any::<usize>(),
+        pos in any::<usize>(),
+        bit in 0u8..8,
+    ) {
+        for (tag, file, body, resume) in real_checkpoints() {
+            let cut = cut % body.len();
+            resume_corrupted(tag, file, &format!("cut at {cut}"), &body[..cut], resume);
+            let pos = pos % body.len();
+            let mut flipped = body.to_vec();
+            flipped[pos] ^= 1 << bit;
+            let what = format!("bit {bit} of byte {pos} flipped");
+            resume_corrupted(tag, file, &what, &flipped, resume);
+        }
+    }
+}
+
+/// A sampled-phase checkpoint records the lower bound its θ came from. A
+/// bound that asks for more sets than the checkpoint counts (a smaller
+/// one, or none) is refused before any sampling: resuming from it would
+/// sample up to the larger θ and select other seeds.
+#[test]
+fn resume_with_a_lower_bound_asking_for_more_sets_is_a_checkpoint_mismatch() {
+    let f = cold_fixture();
+    let dir = temp_dir("sampled-bound");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("eim-checkpoint.json"), &f.sampled).unwrap();
+    let cp = RunCheckpoint::load(&dir).unwrap();
+    assert!(matches!(cp.phase, CheckpointPhase::Sampled { .. }));
+    let lb = f64::from_bits(cp.lower_bound_bits.unwrap());
+    for forged in [Some(lb * 0.9), Some(f64::MIN_POSITIVE), Some(0.0), None] {
+        let bad = RunCheckpoint {
+            lower_bound_bits: forged.map(f64::to_bits),
+            ..cp.clone()
+        };
+        let err = resume_cold_from(bad, &dir).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EngineError::CheckpointMismatch { expected, .. } if expected == cp.logical_sets as u64
+            ),
+            "lower bound {forged:?}: {err}"
+        );
+    }
+    let resumed = resume_cold_from(cp, &dir).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(resumed.seeds, f.clean);
+}
+
+/// A stream checkpoint's slot count is read back on resume: one that the
+/// replay does not reach is refused, not ignored.
+#[test]
+fn stream_resume_with_another_slot_count_is_a_checkpoint_mismatch() {
+    let f = stream_fixture();
+    let dir = temp_dir("stream-slots");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("eim-stream-checkpoint.json"), &f.checkpoint).unwrap();
+    let cp = StreamCheckpoint::load(&dir).unwrap();
+    let ckpt = StreamCheckpointing {
+        dir: Some(dir.clone()),
+        resume: true,
+        kill_after: None,
+    };
+    for forged in [cp.slots - 1, cp.slots + 1] {
+        StreamCheckpoint {
+            slots: forged,
+            ..cp
+        }
+        .save(&dir)
+        .unwrap();
+        let err = run_stream(&mut stream_engine(&f.graph), &f.deltas, &ckpt).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EngineError::CheckpointMismatch { expected, found } if expected == cp.slots && found == forged
+            ),
+            "slots {forged}: {err}"
+        );
+    }
+    cp.save(&dir).unwrap();
+    let resumed = run_stream(&mut stream_engine(&f.graph), &f.deltas, &ckpt).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(resumed.last().unwrap().result.seeds, f.clean);
 }
 
 // ---- the same contract through the binary ----
