@@ -685,6 +685,16 @@ impl ImmEngine for EimEngine<'_> {
         // Restore runs on a freshly built engine: every original device is
         // still present, so the manifest must describe the same topology.
         m.check(self.pool.len())?;
+        // The allocation backs the replayed store, so it holds at least the
+        // store's device-resident bytes: a smaller one was never written by
+        // a run that reached this store.
+        let resident = self.resident_store_bytes();
+        if m.store_alloc_bytes < resident {
+            return Err(EngineError::CheckpointMismatch {
+                expected: resident as u64,
+                found: m.store_alloc_bytes as u64,
+            });
+        }
         // The replay already sampled everything and waited out some
         // uploads; settle the rest so the pinned clocks below are final.
         self.pool.iter_mut().for_each(Member::settle_upload);

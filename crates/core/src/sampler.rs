@@ -19,11 +19,17 @@
 //! place on that arena segment, the visited-bitmap reset is folded into the
 //! same epilogue walk, and the per-vertex coverage histogram `C` is updated
 //! in flight (the publish step's scattered atomics). Frontier expansion is
-//! vectorized: each dequeued vertex's CSC neighbor slice is scanned in
-//! chunks against raw RNG keystream words ([`rand_chacha::ChaCha8Rng`]'s
-//! SIMD block refill) using precomputed integer acceptance thresholds
+//! vectorized: each dequeued vertex's CSC neighbor slice is scanned against
+//! raw RNG keystream words ([`rand_chacha::ChaCha8Rng`]'s SIMD block
+//! refill) using precomputed integer acceptance thresholds
 //! ([`crate::device_graph::weight_threshold`]) — bit-identical to the
-//! per-edge float draw of the reference path.
+//! per-edge float draw of the reference path. The scan compares
+//! `ACCEPT_CHUNK` words to their thresholds at once and visits neighbors
+//! and `M` only in a chunk that accepts an edge, in ascending order, so
+//! acceptances, enqueue order and charges are those of the per-edge loop.
+//! At each dequeue the rest of the queue goes to
+//! [`DeviceGraph::prefetch_queued`], which prefetches the rows the next
+//! dequeues will read.
 //!
 //! Under LT a block keeps `LT_LANES` walks in flight and steps them
 //! round-robin, the host analogue of the resident warps that hide a GPU's
@@ -66,6 +72,11 @@ use crate::device_graph::{DeviceGraph, EdgeScratch};
 
 /// LT walks a block keeps in flight. Sixteen measured no faster than eight.
 const LT_LANES: usize = 8;
+
+/// Keystream words the fused IC scan tests for acceptance at once. With the
+/// AVX-512VL refill and the row prefetch in place, eight measured faster
+/// than sixteen or thirty-two.
+const ACCEPT_CHUNK: usize = 8;
 
 /// The visited-mask bit of single-walk traversals: every IC sample and
 /// every reference-path sample.
@@ -761,10 +772,18 @@ fn reference_sample_one<G: DeviceGraph>(
 }
 
 /// Vectorized warp-wide probabilistic BFS (IC), fused variant: every
-/// dequeued vertex's CSC neighbor slice is scanned in chunks sized by the
+/// dequeued vertex's CSC neighbor slice is scanned in windows sized by the
 /// RNG's buffered keystream, comparing raw 24-bit draws against the
 /// precomputed integer thresholds — decision-identical to the float path
 /// of [`ic_traverse`], word for word.
+///
+/// Each window is tested [`ACCEPT_CHUNK`] words at a time: one OR-reduced
+/// compare per chunk, which LLVM vectorizes, and only a chunk with an
+/// accepted edge reads its neighbors and `M`, edge by edge in ascending
+/// order with the same charges. The window's tail runs the same per-edge
+/// loop. Before a vertex is expanded, [`DeviceGraph::prefetch_queued`]
+/// gets the queue behind it, so rows a few dequeues ahead are on their way
+/// to the cache.
 fn ic_traverse_fused<G: DeviceGraph>(
     ctx: &mut BlockCtx,
     graph: &G,
@@ -779,6 +798,7 @@ fn ic_traverse_fused<G: DeviceGraph>(
     while head < data.len() {
         let u = data[head];
         head += 1;
+        graph.prefetch_queued(&data[head..]);
         ctx.charge(Op::GlobalAccess, 1); // Q.front() + head bump
         let (nbrs, thresholds) = graph.in_edges(u, &mut scratch.edges);
         let d = nbrs.len();
@@ -787,19 +807,34 @@ fn ic_traverse_fused<G: DeviceGraph>(
         while i < d {
             let words = rng.peek_words();
             let take = (d - i).min(words.len());
-            for k in 0..take {
-                // One keystream word per edge: accept iff the 24-bit draw
-                // clears the threshold (exactly `r <= p` in float form).
-                if words[k] >> 8 <= thresholds[i + k] {
-                    let v = nbrs[i + k];
-                    if scratch.visited[v as usize] == 0 {
+            let (words, ts, vs) = (&words[..take], &thresholds[i..i + take], &nbrs[i..i + take]);
+            let mut visit = |w: &[u32], t: &[u32], v: &[VertexId]| {
+                for ((&w, &t), &v) in w.iter().zip(t).zip(v) {
+                    // One keystream word per edge: accept iff the 24-bit
+                    // draw clears the threshold (exactly `r <= p` in float
+                    // form).
+                    if w >> 8 <= t && scratch.visited[v as usize] == 0 {
                         // Mark in M, then atomically enqueue (§3.2).
                         scratch.visited[v as usize] = SOLO;
                         data.push(v);
                         ctx.charge(Op::AtomicGlobal, 2); // enqueue slot + tail bump
                     }
                 }
+            };
+            let (wc, w_rem) = words.as_chunks::<ACCEPT_CHUNK>();
+            let (tc, t_rem) = ts.as_chunks::<ACCEPT_CHUNK>();
+            let (vc, v_rem) = vs.as_chunks::<ACCEPT_CHUNK>();
+            for ((w, t), v) in wc.iter().zip(tc).zip(vc) {
+                // Most chunks accept nothing: one vector compare rules a
+                // whole chunk out before any neighbor or `M` is read.
+                if w.iter()
+                    .zip(t)
+                    .fold(false, |any, (&w, &t)| any | (w >> 8 <= t))
+                {
+                    visit(w, t, v);
+                }
             }
+            visit(w_rem, t_rem, v_rem);
             rng.consume(take);
             i += take;
         }
@@ -944,7 +979,7 @@ fn charge_publish(ctx: &mut BlockCtx, len: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::device_graph::{PackedDeviceGraph, PlainDeviceGraph};
+    use crate::device_graph::{weight_threshold, PackedDeviceGraph, PlainDeviceGraph};
     use eim_bitpack::PackedCsc;
     use eim_gpusim::DeviceSpec;
     use eim_graph::{generators, Graph, WeightModel};
@@ -1227,6 +1262,7 @@ mod tests {
 
     fn assert_batches_identical(a: &SampleBatch, b: &SampleBatch, what: &str) {
         assert_eq!(a.sets, b.sets, "{what}: FlatSampleSets bytes differ");
+        assert_eq!(a.sources, b.sources, "{what}: sources differ");
         assert_eq!(a.counters, b.counters, "{what}: counters differ");
         assert_eq!(a.coverage, b.coverage, "{what}: coverage differs");
     }
@@ -1275,21 +1311,105 @@ mod tests {
             DiffusionModel::IndependentCascade,
             DiffusionModel::LinearThreshold,
         ] {
-            for elim in [false, true] {
-                for (seed, start, count) in [(3u64, 0u64, 120usize), (91, 57, 64), (7, 5, 1)] {
-                    let what = format!("{name}/{model:?}/elim={elim}/seed={seed}");
-                    let fused = sample_batch(d, dg, model, seed, start, count, elim).unwrap();
-                    let reference =
-                        sample_batch_reference(d, dg, model, seed, start, count, elim).unwrap();
-                    assert_batches_identical(&fused, &reference, &what);
-                    assert_eq!(
-                        fused.stats.total_cycles + copy_sweep_cycles(d, &reference),
-                        reference.stats.total_cycles,
-                        "{what}: cycles differ"
-                    );
-                }
+            assert_runs_match_reference(
+                d,
+                dg,
+                model,
+                &[(3, 0, 120), (91, 57, 64), (7, 5, 1)],
+                name,
+            );
+        }
+    }
+
+    /// [`assert_fused_matches_reference`] for one model over `(seed, start,
+    /// count)` batches, elimination off and on. Returns the fused batches'
+    /// launch stats in run order.
+    fn assert_runs_match_reference<G: DeviceGraph>(
+        d: &Device,
+        dg: &G,
+        model: DiffusionModel,
+        runs: &[(u64, u64, usize)],
+        name: &str,
+    ) -> Vec<LaunchStats> {
+        let mut stats = Vec::new();
+        for elim in [false, true] {
+            for &(seed, start, count) in runs {
+                let what = format!("{name}/{model:?}/elim={elim}/seed={seed}");
+                let fused = sample_batch(d, dg, model, seed, start, count, elim).unwrap();
+                let reference =
+                    sample_batch_reference(d, dg, model, seed, start, count, elim).unwrap();
+                assert_batches_identical(&fused, &reference, &what);
+                // The Q→R copy sweep costs cycles but counts no operation.
+                assert_eq!(fused.stats.ops, reference.stats.ops, "{what}: ops differ");
+                assert_eq!(
+                    fused.stats.total_cycles + copy_sweep_cycles(d, &reference),
+                    reference.stats.total_cycles,
+                    "{what}: cycles differ"
+                );
+                stats.push(fused.stats);
             }
         }
+        stats
+    }
+
+    /// A graph whose in-degrees cycle through the values around the fused IC
+    /// scan's 8-word chunks and the RNG's 128-word refills, and whose
+    /// weights mix 0.0 (threshold 0) and 1.0 (threshold 2^24) into small
+    /// ordinary ones. Acceptances stay sparse, so a set depends on nearly
+    /// every accepted edge.
+    fn chunk_edge_graph() -> Graph {
+        use eim_graph::Adjacency;
+        use rand::SeedableRng;
+        const DEGREES: [usize; 17] = [
+            0, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 127, 128, 129, 255, 256, 257,
+        ];
+        let n = 700u32;
+        let mut rng = ChaCha8Rng::seed_from_u64(23);
+        let mut pool: Vec<VertexId> = (0..n).collect();
+        let rows = (0..n)
+            .map(|v| {
+                let d = DEGREES[v as usize % DEGREES.len()];
+                // A partial shuffle draws `d` distinct in-neighbors.
+                for i in 0..d {
+                    pool.swap(i, rng.gen_range(i..n as usize));
+                }
+                let mut nbrs = pool[..d].to_vec();
+                nbrs.sort_unstable();
+                let weights = (0..d)
+                    .map(|_| match rng.gen_range(0..256) {
+                        0..=1 => 1.0,
+                        2..=33 => 0.0,
+                        _ => 0.3 / d as f32,
+                    })
+                    .collect();
+                (nbrs, weights)
+            })
+            .collect();
+        Graph::from_csc(Adjacency::from_rows(rows))
+    }
+
+    /// The chunked IC scan against the per-edge reference on rows that end
+    /// on, just before and just after chunk and refill edges, on both views
+    /// with elimination off and on; the views also agree on every launch
+    /// stat.
+    #[test]
+    fn fused_ic_scan_matches_reference_at_chunk_edges() {
+        let g = chunk_edge_graph();
+        let w = g.csc().weights();
+        assert!(w.contains(&0.0) && w.contains(&1.0));
+        assert_eq!((weight_threshold(0.0), weight_threshold(1.0)), (0, 1 << 24));
+        let d = device();
+        let ic = DiffusionModel::IndependentCascade;
+        let runs = [(3u64, 0u64, 400usize), (91, 1_000, 257), (7, 5, 1)];
+        let plain = assert_runs_match_reference(&d, &PlainDeviceGraph::new(&g), ic, &runs, "plain");
+        let packed = assert_runs_match_reference(
+            &d,
+            &PackedDeviceGraph::from_graph(&g),
+            ic,
+            &runs,
+            "packed",
+        );
+        assert_eq!(plain, packed, "plain vs packed launch stats");
     }
 
     #[test]

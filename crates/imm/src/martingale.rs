@@ -486,6 +486,16 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
                 found: cp.fingerprint,
             });
         }
+        // Every eviction the report counts left its device marked in the
+        // manifest, and nothing else does. The report's other counters
+        // (retries, spills) leave no trace to check them against.
+        let evicted = cp.manifest.devices.iter().filter(|d| d.evicted).count() as u64;
+        if u64::from(cp.report.devices_evicted) != evicted {
+            return Err(EngineError::CheckpointMismatch {
+                expected: evicted,
+                found: u64::from(cp.report.devices_evicted),
+            });
+        }
         match cp.phase {
             CheckpointPhase::Estimation { next_iteration } => {
                 // Iteration `i` checkpoints after sampling θ_i sets and names

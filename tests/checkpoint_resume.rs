@@ -832,6 +832,52 @@ fn resume_with_a_lower_bound_asking_for_more_sets_is_a_checkpoint_mismatch() {
     assert_eq!(resumed.seeds, f.clean);
 }
 
+/// A cold checkpoint's store allocation and eviction count are checked
+/// against what the resume rebuilds: an allocation smaller than the
+/// replayed store's device-resident bytes, or a report counting evictions
+/// the manifest does not mark, is refused; the checkpoint as written still
+/// resumes to the clean run.
+#[test]
+fn resume_with_a_forged_store_allocation_or_eviction_count_is_a_checkpoint_mismatch() {
+    let f = cold_fixture();
+    let dir = temp_dir("forged-manifest");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("eim-checkpoint.json"), &f.sampled).unwrap();
+    let cp = RunCheckpoint::load(&dir).unwrap();
+    assert!(cp.manifest.devices.iter().all(|d| !d.evicted));
+    assert_eq!(cp.report.devices_evicted, 0);
+    // No spill ran, so the replayed store is resident in full.
+    let resident = cp.manifest.devices[0].partition_bytes as u64;
+    assert!(resident > 0 && cp.manifest.store_alloc_bytes as u64 >= resident);
+    for forged in [resident - 1, resident / 2, 0] {
+        let mut bad = cp.clone();
+        bad.manifest.store_alloc_bytes = forged as usize;
+        let err = resume_cold_from(bad, &dir).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EngineError::CheckpointMismatch { expected, found } if expected == resident && found == forged
+            ),
+            "store_alloc_bytes {forged}: {err}"
+        );
+    }
+    for forged in [1u32, 3] {
+        let mut bad = cp.clone();
+        bad.report.devices_evicted = forged;
+        let err = resume_cold_from(bad, &dir).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                EngineError::CheckpointMismatch { expected: 0, found } if found == u64::from(forged)
+            ),
+            "devices_evicted {forged}: {err}"
+        );
+    }
+    let resumed = resume_cold_from(cp, &dir).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(resumed.seeds, f.clean);
+}
+
 /// A stream checkpoint's slot count is read back on resume: one that the
 /// replay does not reach is refused, not ignored.
 #[test]
