@@ -587,16 +587,6 @@ impl AnyRrrStore {
             AnyRrrStore::Packed(s) => s.patch_sets(ids, elements, lens),
         }
     }
-
-    /// Appends set `i`'s members to `out`: a slice copy, or one rolling
-    /// decode of the packed range.
-    pub(crate) fn extend_set(&self, i: usize, out: &mut Vec<VertexId>) {
-        let (s, e) = self.set_bounds(i);
-        match self {
-            AnyRrrStore::Plain(p) => out.extend_from_slice(&p.r[s..e]),
-            AnyRrrStore::Packed(p) => p.r.extend_decode_u32(s, e, out),
-        }
-    }
 }
 
 impl RrrSets for AnyRrrStore {

@@ -1,16 +1,17 @@
 //! Greedy max-coverage seed selection (§3.5, Algorithm 3).
 //!
 //! One greedy core, [`greedy_cover`], serves every engine. It is CELF lazy
-//! greedy over a [`CoverIndex`] (vertex → ids of the sets containing it):
-//! a heap holds one `(gain bound, vertex)` entry per vertex, a stale entry
-//! is recounted against the current coverage when it reaches the top, and
-//! a current one is picked and marks its sets covered. By submodularity a
-//! bound never understates a gain, so each pick recounts only the few
-//! vertices whose bound still competes. The core reports each set's
-//! covering round; coverage, per-pick gains and the device cost accounting
-//! are all read off that array. Two indexes feed it: an [`InvertedIndex`]
-//! built from a store ([`greedy_cover_store`]), and the streaming engine's
-//! postings prefix.
+//! greedy over an [`InvertedIndex`] (vertex → ascending ids of the sets
+//! containing it), restricted to the sets below a cutoff: a heap holds one
+//! `(gain bound, vertex)` entry per vertex, a stale entry is recounted
+//! against the current coverage when it reaches the top, and a current one
+//! is picked and marks its sets covered. By submodularity a bound never
+//! understates a gain, so each pick recounts only the few vertices whose
+//! bound still competes. The core reports each set's covering round;
+//! coverage, per-pick gains and the device cost accounting are all read off
+//! that array. Cold engines index their whole store
+//! ([`greedy_cover_store`]); the streaming engine keeps the index of its
+//! slot-indexed store and selects over the slots below its cutoff.
 //!
 //! [`select_seeds_reference`] is the direct Algorithm 3 transcription:
 //! repeat `k` times, take the vertex appearing in the most *uncovered* RRR
@@ -54,19 +55,6 @@ impl Selection {
     }
 }
 
-/// The sets the greedy core can cover, seen from the vertices: for every
-/// vertex, the ids of the sets containing it.
-pub(crate) trait CoverIndex {
-    /// Candidate seeds are `0..num_vertices()`.
-    fn num_vertices(&self) -> usize;
-    /// One past the largest set id.
-    fn id_bound(&self) -> usize;
-    /// How many sets contain `v`: its gain before any pick.
-    fn degree(&self, v: usize) -> u32;
-    /// Calls `f` with the id of every set containing `v`.
-    fn for_each_set(&self, v: usize, f: impl FnMut(u32));
-}
-
 /// CSR inverted index over an RRR store: for every vertex, the ids of the
 /// sets containing it — the transpose of the store's `R`/`O` layout. The
 /// per-vertex run starts are the exclusive prefix sum of the store's count
@@ -108,24 +96,27 @@ impl InvertedIndex {
             num_sets,
         }
     }
-}
 
-impl CoverIndex for InvertedIndex {
-    fn num_vertices(&self) -> usize {
+    /// Candidate seeds are `0..num_vertices()`.
+    pub(crate) fn num_vertices(&self) -> usize {
         self.starts.len() - 1
     }
 
-    fn id_bound(&self) -> usize {
-        self.num_sets
+    /// Ids of the sets containing `v`, ascending.
+    pub(crate) fn sets_of(&self, v: usize) -> &[u32] {
+        &self.postings[self.starts[v]..self.starts[v + 1]]
     }
 
-    fn degree(&self, v: usize) -> u32 {
-        (self.starts[v + 1] - self.starts[v]) as u32
-    }
-
-    fn for_each_set(&self, v: usize, mut f: impl FnMut(u32)) {
-        let run = &self.postings[self.starts[v]..self.starts[v + 1]];
-        run.iter().for_each(|&i| f(i));
+    /// Ids below `cutoff` of the sets containing `v`. A run that ends below
+    /// the cutoff is taken whole, without a search.
+    fn sets_below(&self, v: usize, cutoff: usize) -> &[u32] {
+        let run = self.sets_of(v);
+        match run.last() {
+            Some(&last) if last as usize >= cutoff => {
+                &run[..run.partition_point(|&i| (i as usize) < cutoff)]
+            }
+            _ => run,
+        }
     }
 }
 
@@ -162,22 +153,24 @@ impl Greedy {
     }
 }
 
-/// Greedy max-coverage over `index`, picking up to `k` seeds: fewer only
-/// when every vertex is picked. Ties break toward the smallest vertex id,
-/// making the result deterministic.
-pub(crate) fn greedy_cover<I: CoverIndex + ?Sized>(index: &I, k: usize) -> Greedy {
+/// Greedy max-coverage over the sets of `index` below `cutoff`, picking up
+/// to `k` seeds: fewer only when every vertex is picked. Ties break toward
+/// the smallest vertex id, making the result deterministic.
+pub(crate) fn greedy_cover(index: &InvertedIndex, cutoff: usize, k: usize) -> Greedy {
     let n = index.num_vertices();
+    assert!(cutoff <= index.num_sets, "cutoff past the indexed sets");
     assert!(
-        index.id_bound() <= NEVER as usize && k < NEVER as usize,
+        cutoff <= NEVER as usize && k < NEVER as usize,
         "set ids and rounds must fit in u32"
     );
-    let mut cover = vec![NEVER; index.id_bound()];
+    let mut cover = vec![NEVER; cutoff];
     // Heap of (gain upper bound, Reverse(vertex), round validated). Exactly
     // one entry per vertex at all times, so the `(gain desc, id asc)` order
     // reproduces the reference tie-break: an equal-gain smaller-id entry —
     // stale or not — always pops before a larger-id one can be selected.
     let mut heap: BinaryHeap<(u32, Reverse<u32>, u32)> = (0..n)
-        .map(|v| (index.degree(v), Reverse(v as u32), 0u32))
+        .map(|v| (index.sets_below(v, cutoff).len() as u32, v))
+        .map(|(gain, v)| (gain, Reverse(v as u32), 0u32))
         .collect();
     let mut seeds: Vec<VertexId> = Vec::with_capacity(k.min(n));
     while seeds.len() < k {
@@ -185,22 +178,22 @@ pub(crate) fn greedy_cover<I: CoverIndex + ?Sized>(index: &I, k: usize) -> Greed
             break;
         };
         let round = seeds.len() as u32;
+        let sets = index.sets_below(v as usize, cutoff);
         if validated == round {
             // The bound is current: pick the vertex, cover its sets.
             let mut gain = 0u32;
-            index.for_each_set(v as usize, |i| {
+            for &i in sets {
                 let c = &mut cover[i as usize];
                 if *c == NEVER {
                     *c = round;
                     gain += 1;
                 }
-            });
+            }
             debug_assert_eq!(gain, bound, "validated gain was not exact");
             seeds.push(v);
         } else {
-            let mut fresh = 0u32;
-            index.for_each_set(v as usize, |i| fresh += (cover[i as usize] == NEVER) as u32);
-            heap.push((fresh, Reverse(v), round));
+            let fresh = sets.iter().filter(|&&i| cover[i as usize] == NEVER).count();
+            heap.push((fresh as u32, Reverse(v), round));
         }
     }
     Greedy { seeds, cover }
@@ -209,7 +202,7 @@ pub(crate) fn greedy_cover<I: CoverIndex + ?Sized>(index: &I, k: usize) -> Greed
 /// The greedy core over every set in `store`: up to `k` seeds and each
 /// set's covering round.
 pub fn greedy_cover_store<S: RrrSets + ?Sized>(store: &S, k: usize) -> Greedy {
-    greedy_cover(&InvertedIndex::build(store), k)
+    greedy_cover(&InvertedIndex::build(store), store.num_sets(), k)
 }
 
 /// Greedy max-coverage over `store`, choosing `k` seeds. Ties break toward

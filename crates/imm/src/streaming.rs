@@ -15,26 +15,29 @@
 //!
 //! [`StreamingImmEngine`] maintains, across a [`GraphDelta`] stream:
 //!
-//! * the RRR store (plain or packed) with slot = sample index,
-//!   patched in place via the backends' `patch_sets`;
-//! * a postings *invalidation index*: for every vertex, the sorted slot ids
-//!   whose footprint contains it. A delta batch maps to the exact set of
-//!   invalidated slots by a union over its changed heads;
-//! * the same index doubles as the selection inverted index, and the store's
-//!   per-vertex coverage histogram is patched in place — so the greedy
-//!   core behind [`crate::select_seeds`] selects over the postings prefix
-//!   below the cutoff without decoding a single stored set.
+//! * the RRR store (plain or packed) with slot = sample index, patched in
+//!   place via the backends' `patch_sets`; eliminated slots are stored
+//!   empty, so the store holds exactly the kept content;
+//! * the per-slot source of every sample;
+//! * one [`InvertedIndex`] of that store — the same index every cold engine
+//!   selects over — rebuilt whenever the store changes.
 //!
-//! The host cost of an update follows the data it touches. The redrawn
-//! slots are marked in a slot bitmap, and the vertices of their old
-//! footprints (decoded from the store) are marked touched. One counting
-//! sort groups the new footprints' `(vertex, slot)` pairs by vertex. Each
-//! touched postings list is rewritten once: a branch-free filter drops the
-//! stale slots in place, then that vertex's new slots are merged in (or
-//! appended, when they all sort after the list). The store takes the new
-//! contents as one element arena plus lengths; the packed store rebuilds
-//! its bit stream from the first patched set, copying each unpatched run
-//! with a word-level shifted copy and encoding only the patched sets.
+//! The index serves invalidation and selection alike. A footprint is its
+//! stored set plus, under source elimination, its source; so the slots a
+//! batch invalidates are the index runs of its changed heads plus the slots
+//! whose source is a changed head. The greedy core behind
+//! [`crate::select_seeds`] reads the index runs below the cutoff without
+//! decoding a single stored set.
+//!
+//! The host cost of an update is the redraw plus an index rebuild, a
+//! sequential pass over the store, after the patch and again whenever the
+//! replay extends the sample universe. Patching only the touched postings
+//! would save little: a batch of a few hundred edges already touches most
+//! of the postings entries, through the hubs every traversal crosses. The store
+//! takes the new contents as one element arena plus lengths; the packed
+//! store rebuilds its bit stream from the first patched set, copying each
+//! unpatched run with a word-level shifted copy and encoding only the
+//! patched sets.
 //!
 //! After patching, [`crate::run_imm`] drives the engine over the cutoff.
 //! The engine is an [`ImmEngine`] whose logical prefix is the cutoff:
@@ -59,7 +62,7 @@ use crate::checkpoint::{run_fingerprint, store_digest};
 use crate::config::ImmConfig;
 use crate::martingale::{run_imm, EngineError, ImmEngine};
 use crate::rrrstore::{AnyRrrStore, RrrSets, RrrStoreBuilder};
-use crate::selection::{greedy_cover, CoverIndex, Selection};
+use crate::selection::{greedy_cover, InvertedIndex, Selection};
 
 /// Draws RRR samples for explicit `(seed, index)` slots against the current
 /// graph. Implementations must return, per index, the source vertex and the
@@ -159,8 +162,9 @@ pub struct UpdateReport {
     /// Fresh slots appended because the run needed more samples than any
     /// earlier run had drawn.
     pub fresh_slots: usize,
-    /// Stored sets decoded while patching (old-footprint reads). Zero for
-    /// a no-op batch.
+    /// Stored sets the update's index rebuilds read: every materialized
+    /// slot, once per rebuild (after the patch, and after each extension of
+    /// the sample universe). Zero for a batch that redraws nothing.
     pub decoded_sets: usize,
     /// Logical slots materialized after the update (including fresh ones).
     pub slots: usize,
@@ -178,87 +182,6 @@ impl UpdateReport {
         } else {
             self.resampled_slots.len() as f64 / base as f64
         }
-    }
-}
-
-/// Entries `< cutoff` in an ascending slice — binary search, no decode.
-#[inline]
-fn below(sorted: &[u32], cutoff: usize) -> usize {
-    sorted.partition_point(|&s| (s as usize) < cutoff)
-}
-
-/// The postings below a cutoff, as the greedy core reads them. Under source
-/// elimination a slot's stored set leaves out its source, so each vertex's
-/// own source slots are skipped; that also skips every eliminated slot,
-/// whose footprint is its source alone.
-struct PostingsPrefix<'a> {
-    postings: &'a [Vec<u32>],
-    source_slots: &'a [Vec<u32>],
-    sources: &'a [VertexId],
-    cutoff: usize,
-    elim: bool,
-}
-
-impl CoverIndex for PostingsPrefix<'_> {
-    fn num_vertices(&self) -> usize {
-        self.postings.len()
-    }
-
-    fn id_bound(&self) -> usize {
-        self.cutoff
-    }
-
-    fn degree(&self, v: usize) -> u32 {
-        let mut g = below(&self.postings[v], self.cutoff);
-        if self.elim {
-            g -= below(&self.source_slots[v], self.cutoff);
-        }
-        g as u32
-    }
-
-    fn for_each_set(&self, v: usize, mut f: impl FnMut(u32)) {
-        let list = &self.postings[v];
-        for &i in &list[..below(list, self.cutoff)] {
-            if !(self.elim && self.sources[i as usize] as usize == v) {
-                f(i);
-            }
-        }
-    }
-}
-
-/// Rewrites one ascending slot list in place: drops every slot marked in
-/// the `stale` bitmap with a branch-free filter, then merges `inserted`
-/// (ascending, all stale, so disjoint from what is left). Inserts that all
-/// sort after the last kept slot are appended; otherwise a branch-free
-/// backward merge moves each kept slot at most once.
-fn refresh_list(list: &mut Vec<u32>, stale: &[u64], inserted: &[u32]) {
-    let mut kept = 0usize;
-    for r in 0..list.len() {
-        let slot = list[r];
-        list[kept] = slot;
-        kept += ((stale[(slot / 64) as usize] >> (slot % 64)) & 1 == 0) as usize;
-    }
-    list.truncate(kept);
-    match (list.last(), inserted.first()) {
-        (_, None) => {}
-        (Some(&last), Some(&first)) if first < last => {
-            let (mut i, mut j) = (kept, inserted.len());
-            list.resize(kept + j, 0);
-            // Fill from the back: each step moves the larger of the two
-            // tails' last entries to `k`. Once every kept slot is placed
-            // (`i == 0`), the remaining inserts go in order.
-            for k in (0..list.len()).rev() {
-                if j == 0 {
-                    break;
-                }
-                let (a, b) = (list[i.saturating_sub(1)], inserted[j - 1]);
-                let take_kept = (i > 0) & (a > b);
-                list[k] = if take_kept { a } else { b };
-                i -= take_kept as usize;
-                j -= !take_kept as usize;
-            }
-        }
-        _ => list.extend_from_slice(inserted),
     }
 }
 
@@ -284,17 +207,14 @@ pub struct StreamingImmEngine<R: Resampler> {
     weight_seed: u64,
     resampler: R,
     /// Slot `i` holds sample `i`'s *stored* content (post-elimination);
-    /// eliminated slots hold the empty set.
+    /// eliminated slots hold the empty set, and only they do.
     store: AnyRrrStore,
     /// Per-slot source vertex (sample `i`'s first RNG draw).
     sources: Vec<VertexId>,
-    /// Ascending slot ids discarded by source elimination.
-    discarded: Vec<u32>,
-    /// Per-vertex ascending slot ids whose footprint contains the vertex —
-    /// the invalidation index and warm selection index in one.
-    postings: Vec<Vec<u32>>,
-    /// Per-vertex ascending slot ids whose source is the vertex.
-    source_slots: Vec<Vec<u32>>,
+    /// Inverted index of `store`, rebuilt whenever the store changes.
+    index: InvertedIndex,
+    /// Stored sets read by every index rebuild so far.
+    indexed_sets: usize,
     /// Logical samples the driver counts: selection runs over the slots
     /// below it.
     cutoff: usize,
@@ -327,11 +247,10 @@ impl<R: Resampler> StreamingImmEngine<R> {
             weight_model,
             weight_seed,
             resampler,
+            index: InvertedIndex::build(&store),
             store,
             sources: Vec::new(),
-            discarded: Vec::new(),
-            postings: vec![Vec::new(); n],
-            source_slots: vec![Vec::new(); n],
+            indexed_sets: 0,
             cutoff: 0,
             selection: None,
             delta_cursor: 0,
@@ -399,15 +318,17 @@ impl<R: Resampler> StreamingImmEngine<R> {
         let before = out.len();
         if !self.config.source_elimination {
             out.extend_from_slice(footprint);
-        } else if !self.eliminated(footprint) {
+        } else if footprint.len() > 1 {
             out.extend(footprint.iter().copied().filter(|&v| v != source));
         }
         out.len() - before
     }
 
-    /// Whether a footprint is discarded by source elimination.
-    fn eliminated(&self, footprint: &[VertexId]) -> bool {
-        self.config.source_elimination && footprint.len() <= 1
+    /// Re-indexes the store after it changed, dropping the cached selection.
+    fn rebuild_index(&mut self) {
+        self.index = InvertedIndex::build(&self.store);
+        self.indexed_sets += self.store.num_sets();
+        self.selection = None;
     }
 
     /// Extends the sample universe to `target` logical slots with fresh
@@ -419,43 +340,40 @@ impl<R: Resampler> StreamingImmEngine<R> {
         }
         let indices: Vec<u64> = (have as u64..target as u64).collect();
         let drawn = self.resampler.sample(&self.graph, &indices)?;
-        self.selection = None;
         let mut stored = Vec::new();
-        for (offset, (source, footprint)) in drawn.into_iter().enumerate() {
-            // Fresh slots sit above every indexed one: each list appends.
-            let slot = (have + offset) as u32;
+        for (source, footprint) in drawn {
             self.sources.push(source);
             stored.clear();
             self.push_stored(source, &footprint, &mut stored);
             self.store.append_set(&stored);
-            for &v in &footprint {
-                self.postings[v as usize].push(slot);
-            }
-            self.source_slots[source as usize].push(slot);
-            if self.eliminated(&footprint) {
-                self.discarded.push(slot);
-            }
         }
+        self.rebuild_index();
         Ok(target - have)
     }
 
     /// Kept (non-eliminated) slots below `cutoff` — the set count a cold
-    /// engine's store would report at that logical prefix.
+    /// engine's store would report at that logical prefix. A kept set is
+    /// never empty: without elimination it holds its source, with it at
+    /// least one other visited vertex.
     fn kept_below(&self, cutoff: usize) -> usize {
-        cutoff - below(&self.discarded, cutoff)
+        (0..cutoff).filter(|&i| self.store.set_len(i) > 0).count()
     }
 
-    /// The postings below `cutoff`: the kept multiset of those slots, as an
-    /// index the greedy core reads. The core over it selects exactly as
-    /// [`crate::select_seeds`] on a cold store with the same content.
-    fn prefix(&self, cutoff: usize) -> PostingsPrefix<'_> {
-        PostingsPrefix {
-            postings: &self.postings,
-            source_slots: &self.source_slots,
-            sources: &self.sources,
-            cutoff,
-            elim: self.config.source_elimination,
+    /// Slots whose footprint holds one of `heads`, ascending: the index runs
+    /// of the heads, plus the slots whose source is a head, since a stored
+    /// set drops its source under elimination.
+    fn invalidated(&self, heads: &[VertexId]) -> Vec<u32> {
+        let mut is_head = vec![false; self.graph.num_vertices()];
+        let mut stale = vec![false; self.slots()];
+        for &head in heads {
+            is_head[head as usize] = true;
+            for &slot in self.index.sets_of(head as usize) {
+                stale[slot as usize] = true;
+            }
         }
+        (0..self.slots() as u32)
+            .filter(|&slot| stale[slot as usize] | is_head[self.sources[slot as usize] as usize])
+            .collect()
     }
 
     /// Runs [`run_imm`] over the maintained sample universe from a zero
@@ -479,9 +397,9 @@ impl<R: Resampler> StreamingImmEngine<R> {
         Ok(result)
     }
 
-    /// The slots a delta would invalidate, computed from the postings index
-    /// without touching the graph: the union of postings over the heads
-    /// whose in-row membership the batch actually changes (net effect, like
+    /// The slots a delta would invalidate, computed from the index without
+    /// touching the graph: the slots whose footprint holds a head whose
+    /// in-row membership the batch actually changes (net effect, like
     /// [`Graph::apply_delta`]). Sorted ascending.
     pub fn predict_invalidated(&self, delta: &GraphDelta) -> Vec<u32> {
         let mut heads: Vec<VertexId> = delta
@@ -492,8 +410,7 @@ impl<R: Resampler> StreamingImmEngine<R> {
             .collect();
         heads.sort_unstable();
         heads.dedup();
-        let mut out: Vec<u32> = Vec::new();
-        for &head in &heads {
+        heads.retain(|&head| {
             let old: Vec<VertexId> = self.graph.in_neighbors(head).to_vec();
             let mut new: Vec<VertexId> = old
                 .iter()
@@ -506,20 +423,17 @@ impl<R: Resampler> StreamingImmEngine<R> {
                 }
             }
             new.sort_unstable();
-            if new != old {
-                out.extend_from_slice(&self.postings[head as usize]);
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
-        out
+            new != old
+        });
+        self.invalidated(&heads)
     }
 
     /// Applies one update batch: mutates the graph, invalidates exactly the
     /// slots whose footprints crossed a changed in-row, redraws them,
-    /// patches the store/postings/histogram in place, and runs the
-    /// martingale driver again ([`Self::replay`]). A batch with no net structural effect is a no-op:
-    /// zero decodes, zero resamples, cached result returned.
+    /// patches the store and its histogram in place, re-indexes it, and
+    /// runs the martingale driver again ([`Self::replay`]). A batch with no
+    /// net structural effect is a no-op: zero resamples, zero index reads,
+    /// cached result returned.
     pub fn apply_update(&mut self, delta: &GraphDelta) -> Result<UpdateReport, EngineError> {
         let applied = self
             .graph
@@ -544,83 +458,23 @@ impl<R: Resampler> StreamingImmEngine<R> {
         self.resampler
             .graph_changed(&self.graph, &applied.changed_heads)?;
 
-        // Invalidate: union of postings over the changed heads.
-        let mut stale: Vec<u32> = Vec::new();
-        for &head in &applied.changed_heads {
-            stale.extend_from_slice(&self.postings[head as usize]);
-        }
-        stale.sort_unstable();
-        stale.dedup();
-
-        let mut decoded_sets = 0usize;
+        let stale = self.invalidated(&applied.changed_heads);
+        let indexed_before = self.indexed_sets;
         if !stale.is_empty() {
-            self.selection = None;
             let indices: Vec<u64> = stale.iter().map(|&s| s as u64).collect();
             let drawn = self.resampler.sample(&self.graph, &indices)?;
-            let n = self.graph.num_vertices();
-            // Every redrawn slot leaves every list of its old footprint, so
-            // those lists are the ones to filter.
-            let mut stale_bits = vec![0u64; self.slots().div_ceil(64)];
-            let mut touched = vec![false; n];
-            let mut old = Vec::new();
-            for &slot in &stale {
-                stale_bits[(slot / 64) as usize] |= 1 << (slot % 64);
-                old.clear();
-                self.store.extend_set(slot as usize, &mut old);
-                decoded_sets += 1;
-                for &v in &old {
-                    touched[v as usize] = true;
-                }
-                if self.config.source_elimination {
-                    touched[self.sources[slot as usize] as usize] = true;
-                }
-            }
-
-            // Group the new footprints' `(vertex, slot)` pairs by vertex
-            // with one counting sort; slots stay ascending within a vertex.
-            // Slot ids are `u32`, and so are the bucket offsets.
-            let pairs: usize = drawn.iter().map(|(_, footprint)| footprint.len()).sum();
-            assert!(pairs <= u32::MAX as usize, "a batch's pairs index with u32");
-            let mut starts = vec![0u32; n + 1];
-            for (_, footprint) in &drawn {
-                for &v in footprint {
-                    starts[v as usize + 1] += 1;
-                }
-            }
-            for v in 0..n {
-                starts[v + 1] += starts[v];
-            }
-            let mut fill = starts.clone();
-            let mut grouped = vec![0u32; starts[n] as usize];
             let ids: Vec<usize> = stale.iter().map(|&s| s as usize).collect();
             let mut elements: Vec<VertexId> = Vec::new();
             let mut lens: Vec<usize> = Vec::with_capacity(stale.len());
-            let mut eliminated: Vec<u32> = Vec::new();
             for (&slot, (source, footprint)) in stale.iter().zip(&drawn) {
                 debug_assert_eq!(
                     *source, self.sources[slot as usize],
                     "slot {slot}: source is a pure function of (seed, index)"
                 );
-                for &v in footprint {
-                    grouped[fill[v as usize] as usize] = slot;
-                    fill[v as usize] += 1;
-                }
-                if self.eliminated(footprint) {
-                    eliminated.push(slot);
-                }
                 lens.push(self.push_stored(*source, footprint, &mut elements));
             }
             self.store.patch_sets(&ids, &elements, &lens);
-
-            // Each touched list is rewritten once.
-            for (v, list) in self.postings.iter_mut().enumerate() {
-                let inserted = &grouped[starts[v] as usize..starts[v + 1] as usize];
-                if touched[v] || !inserted.is_empty() {
-                    refresh_list(list, &stale_bits, inserted);
-                }
-            }
-            // A redrawn slot is discarded iff its new footprint is.
-            refresh_list(&mut self.discarded, &stale_bits, &eliminated);
+            self.rebuild_index();
         }
 
         let before = self.slots();
@@ -630,7 +484,7 @@ impl<R: Resampler> StreamingImmEngine<R> {
             changed_heads: applied.changed_heads.len(),
             resampled_slots: stale,
             fresh_slots: self.slots() - before,
-            decoded_sets,
+            decoded_sets: self.indexed_sets - indexed_before,
             slots: self.slots(),
             result,
         })
@@ -658,7 +512,7 @@ impl<R: Resampler> ImmEngine for StreamingImmEngine<R> {
                 return selection.clone();
             }
         }
-        let greedy = greedy_cover(&self.prefix(self.cutoff), k);
+        let greedy = greedy_cover(&self.index, self.cutoff, k);
         let selection = Selection {
             covered_sets: greedy.covered_sets(),
             seeds: greedy.seeds,
@@ -880,7 +734,7 @@ mod tests {
     use super::*;
     use crate::engine::{CpuEngine, CpuParallelism};
     use crate::rrrstore::PlainRrrStore;
-    use crate::selection::{InvertedIndex, NEVER};
+    use crate::selection::{greedy_cover_store, NEVER};
     use eim_graph::generators;
 
     fn graph() -> Graph {
@@ -939,7 +793,7 @@ mod tests {
         // The extension below the cutoff must not lower it.
         assert_eq!((r.cutoff, r.theta), (785, 780));
         assert_eq!(s.logical_sets(), r.cutoff);
-        let fresh = greedy_cover(&s.prefix(r.cutoff), c.k);
+        let fresh = greedy_cover(&s.index, r.cutoff, c.k);
         let coverage = fresh.covered_sets() as f64 / s.kept_below(r.cutoff) as f64;
         assert_eq!(r.seeds, fresh.seeds);
         assert_eq!(r.num_sets, s.kept_below(r.cutoff));
@@ -996,9 +850,9 @@ mod tests {
 
     #[test]
     fn prefix_core_matches_an_index_of_the_kept_sets() {
-        // The core over the postings below a cutoff must pick, cover and
-        // gain exactly as over an inverted index of a cold store holding
-        // the kept sets below that cutoff, in slot order.
+        // The core over the engine's index below a cutoff must pick, cover
+        // and gain exactly as over the index of a cold store holding the
+        // kept sets below that cutoff, in slot order.
         let g = graph();
         let spec = generators::UpdateStreamSpec {
             batches: 3,
@@ -1022,23 +876,25 @@ mod tests {
                     s.apply_update(&deltas[b - 1]).unwrap();
                 }
                 let slots = s.slots();
+                // Kept slots from footprints redrawn on the current graph.
+                let indices: Vec<u64> = (0..slots as u64).collect();
+                let footprints = HostResampler::new(c.model, c.seed)
+                    .sample(s.graph(), &indices)
+                    .unwrap();
                 for cutoff in [0, 1, slots / 3, slots / 2 + 7, slots] {
                     let mut cold = PlainRrrStore::new(g.num_vertices());
                     let mut kept_slots = Vec::new();
-                    let mut members = Vec::new();
-                    for slot in 0..cutoff {
-                        if s.discarded.binary_search(&(slot as u32)).is_err() {
-                            members.clear();
-                            s.store.extend_set(slot, &mut members);
-                            cold.append_set(&members);
+                    for (slot, (_, footprint)) in footprints[..cutoff].iter().enumerate() {
+                        if !(elim && footprint.len() <= 1) {
+                            cold.append_set(&s.store.set_members(slot));
                             kept_slots.push(slot);
                         }
                     }
                     assert_eq!(kept_slots.len(), s.kept_below(cutoff));
                     for k in [1, 4, 12] {
                         let ctx = format!("elim={elim} batch {b} cutoff {cutoff} k {k}");
-                        let want = greedy_cover(&InvertedIndex::build(&cold), k);
-                        let got = greedy_cover(&s.prefix(cutoff), k);
+                        let want = greedy_cover_store(&cold, k);
+                        let got = greedy_cover(&s.index, cutoff, k);
                         assert_eq!(got.seeds, want.seeds, "{ctx}");
                         assert_eq!(got.gains(), want.gains(), "{ctx}");
                         let mut mapped = vec![NEVER; cutoff];
@@ -1050,34 +906,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn refresh_list_filters_stale_slots_then_merges_inserts() {
-        let mut stale = vec![0u64; 2];
-        for slot in [5u32, 9, 20, 64, 70] {
-            stale[(slot / 64) as usize] |= 1 << (slot % 64);
-        }
-        // Stale slots leave; a stale slot that is re-inserted comes back
-        // once, at its sorted place, among the merged inserts.
-        let mut list = vec![2, 5, 9, 14, 20, 64, 66];
-        refresh_list(&mut list, &stale, &[1, 9, 65, 70]);
-        assert_eq!(list, [1, 2, 9, 14, 65, 66, 70]);
-        // Inserts past the last kept slot append; here the old last entry,
-        // 20, is stale, filtered, and re-inserted.
-        let mut list = vec![1, 2, 14, 20];
-        refresh_list(&mut list, &stale, &[20, 64]);
-        assert_eq!(list, [1, 2, 14, 20, 64]);
-        // A list that empties, one that only gains, one left untouched.
-        let mut gone = vec![5, 20];
-        refresh_list(&mut gone, &stale, &[]);
-        assert!(gone.is_empty());
-        let mut fresh = Vec::new();
-        refresh_list(&mut fresh, &stale, &[9, 20]);
-        assert_eq!(fresh, [9, 20]);
-        let mut same = vec![1, 3, 127];
-        refresh_list(&mut same, &stale, &[]);
-        assert_eq!(same, [1, 3, 127]);
     }
 
     #[test]

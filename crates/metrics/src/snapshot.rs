@@ -83,7 +83,10 @@ impl FlatKernel {
 
     /// Warp divergence percentage (mirrors `KernelProfile`).
     pub fn divergence_pct(&self) -> f64 {
-        let total = self.hw.active_lane_cycles + self.hw.idle_lane_cycles;
+        let total = self
+            .hw
+            .active_lane_cycles
+            .saturating_add(self.hw.idle_lane_cycles);
         if total == 0 {
             0.0
         } else {
@@ -482,6 +485,15 @@ fn section<'v>(rec: &'v Value, name: &str) -> Option<&'v Map> {
     rec.get(name).and_then(Value::as_object)
 }
 
+/// Adds a stream delta to a cumulative field. The stream is untrusted
+/// input, so a sum past `u64::MAX` is an error, not a wrap or a panic.
+fn add(total: &mut u64, delta: u64, key: &str) -> Result<(), String> {
+    *total = total
+        .checked_add(delta)
+        .ok_or_else(|| format!("snapshot delta overflows u64 at {key:?}"))?;
+    Ok(())
+}
+
 impl SnapshotAccumulator {
     /// A fresh accumulator.
     pub fn new() -> Self {
@@ -489,7 +501,8 @@ impl SnapshotAccumulator {
     }
 
     /// Applies one JSONL line (header or delta record). Blank lines are
-    /// ignored; malformed lines are errors.
+    /// ignored; malformed lines, and deltas whose sum overflows `u64`, are
+    /// errors.
     pub fn push_line(&mut self, line: &str) -> Result<(), String> {
         let line = line.trim();
         if line.is_empty() {
@@ -509,7 +522,7 @@ impl SnapshotAccumulator {
         if let Some(counters) = section(&rec, "counters") {
             for (k, v) in counters.iter() {
                 let d = v.as_u64().ok_or("non-integer counter delta")?;
-                *self.flat.counters.entry(k.clone()).or_insert(0) += d;
+                add(self.flat.counters.entry(k.clone()).or_insert(0), d, k)?;
             }
         }
         if let Some(gauges) = section(&rec, "gauges") {
@@ -521,14 +534,18 @@ impl SnapshotAccumulator {
         if let Some(histograms) = section(&rec, "histograms") {
             for (k, v) in histograms.iter() {
                 let h = self.flat.histograms.entry(k.clone()).or_default();
-                h.count += v["count"].as_u64().ok_or("bad histogram count")?;
+                add(
+                    &mut h.count,
+                    v["count"].as_u64().ok_or("bad histogram count")?,
+                    k,
+                )?;
                 h.sum = v["sum"].as_f64().ok_or("bad histogram sum")?;
                 let buckets = v["buckets"].as_array().ok_or("bad histogram buckets")?;
                 if h.counts.len() < buckets.len() {
                     h.counts.resize(buckets.len(), 0);
                 }
-                for (i, b) in buckets.iter().enumerate() {
-                    h.counts[i] += b.as_u64().ok_or("bad bucket delta")?;
+                for (count, b) in h.counts.iter_mut().zip(buckets) {
+                    add(count, b.as_u64().ok_or("bad bucket delta")?, k)?;
                 }
             }
         }
@@ -538,22 +555,27 @@ impl SnapshotAccumulator {
                 p.engine = v["engine"].as_str().unwrap_or("").to_string();
                 p.device = v["device"].as_u64().unwrap_or(0) as u32;
                 p.kernel = v["kernel"].as_str().unwrap_or("").to_string();
-                p.launches += v["launches"].as_u64().unwrap_or(0);
-                p.blocks += v["blocks"].as_u64().unwrap_or(0);
-                p.cycles += v["cycles"].as_u64().unwrap_or(0);
                 p.max_block_cycles = v["max_block_cycles"].as_u64().unwrap_or(0);
                 p.sim_us = v["sim_us"].as_f64().unwrap_or(0.0);
-                p.hw.occ_busy_cycles += v["occ_busy_cycles"].as_u64().unwrap_or(0);
-                p.hw.occ_capacity_cycles += v["occ_capacity_cycles"].as_u64().unwrap_or(0);
-                p.hw.active_lane_cycles += v["active_lane_cycles"].as_u64().unwrap_or(0);
-                p.hw.idle_lane_cycles += v["idle_lane_cycles"].as_u64().unwrap_or(0);
-                p.hw.global_transactions += v["global_transactions"].as_u64().unwrap_or(0);
-                p.hw.global_bytes += v["global_bytes"].as_u64().unwrap_or(0);
-                p.hw.shared_transactions += v["shared_transactions"].as_u64().unwrap_or(0);
-                p.hw.atomics += v["atomics"].as_u64().unwrap_or(0);
-                p.hw.atomic_retries += v["atomic_retries"].as_u64().unwrap_or(0);
-                p.hw.shared_spill_bytes += v["shared_spill_bytes"].as_u64().unwrap_or(0);
-                p.hw.mallocs += v["mallocs"].as_u64().unwrap_or(0);
+                let hw = &mut p.hw;
+                for (field, total) in [
+                    ("launches", &mut p.launches),
+                    ("blocks", &mut p.blocks),
+                    ("cycles", &mut p.cycles),
+                    ("occ_busy_cycles", &mut hw.occ_busy_cycles),
+                    ("occ_capacity_cycles", &mut hw.occ_capacity_cycles),
+                    ("active_lane_cycles", &mut hw.active_lane_cycles),
+                    ("idle_lane_cycles", &mut hw.idle_lane_cycles),
+                    ("global_transactions", &mut hw.global_transactions),
+                    ("global_bytes", &mut hw.global_bytes),
+                    ("shared_transactions", &mut hw.shared_transactions),
+                    ("atomics", &mut hw.atomics),
+                    ("atomic_retries", &mut hw.atomic_retries),
+                    ("shared_spill_bytes", &mut hw.shared_spill_bytes),
+                    ("mallocs", &mut hw.mallocs),
+                ] {
+                    add(total, v[field].as_u64().unwrap_or(0), k)?;
+                }
             }
         }
         if rec.get("final").and_then(Value::as_bool) == Some(true) {

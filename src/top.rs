@@ -64,14 +64,14 @@ fn mib(bytes: u64) -> f64 {
     bytes as f64 / (1024.0 * 1024.0)
 }
 
-/// Sums every series of counter `name`, regardless of labels.
+/// Sums every series of counter `name`, regardless of labels. Sums over a
+/// replayed stream saturate rather than overflow.
 fn counter_sum(acc: &SnapshotAccumulator, name: &str) -> u64 {
     acc.flat
         .counters
         .iter()
         .filter(|(k, _)| parse_series(k).0 == name)
-        .map(|(_, &v)| v)
-        .sum()
+        .fold(0, |sum, (_, &v)| sum.saturating_add(v))
 }
 
 /// Sums counter `name` grouped by one label's value.
@@ -81,7 +81,8 @@ fn counter_by_label(acc: &SnapshotAccumulator, name: &str, label: &str) -> BTree
         let (n, labels) = parse_series(k);
         if n == name {
             let key = labels.get(label).copied().unwrap_or("-").to_string();
-            *out.entry(key).or_insert(0) += v;
+            let sum = out.entry(key).or_insert(0u64);
+            *sum = sum.saturating_add(v);
         }
     }
     out
@@ -207,10 +208,10 @@ pub fn render_frame(acc: &SnapshotAccumulator) -> String {
         if e.counts.len() < h.counts.len() {
             e.counts.resize(h.counts.len(), 0);
         }
-        for (i, &c) in h.counts.iter().enumerate() {
-            e.counts[i] += c;
+        for (sum, &c) in e.counts.iter_mut().zip(&h.counts) {
+            *sum = sum.saturating_add(c);
         }
-        e.count += h.count;
+        e.count = e.count.saturating_add(h.count);
         e.sum += h.sum;
     }
     let bytes_by_dir = counter_by_label(acc, "eim_transfer_bytes_total", "dir");

@@ -9,10 +9,13 @@ use std::process::Command;
 use std::sync::Arc;
 
 use eim::baselines::{CuRipplesEngine, HostSpec};
-use eim::core::EimBuilder;
+use eim::core::{EimBuilder, EimEngine};
 use eim::gpusim::{Device, DeviceSpec, FaultPlan, FaultSpec, RunTrace, TransferDirection};
 use eim::graph::{generators, Graph, WeightModel};
-use eim::imm::{run_imm_recovering, EngineError, ImmConfig, ImmEngine as _, RecoveryPolicy};
+use eim::imm::{
+    run_fingerprint, run_imm_checkpointed, run_imm_recovering, Checkpointing, EngineError,
+    ImmConfig, ImmEngine as _, RecoveryPolicy, RunCheckpoint,
+};
 use proptest::prelude::*;
 
 fn graph() -> Graph {
@@ -135,6 +138,100 @@ proptest! {
             }
             Err(e) => prop_assert!(false, "unexpected error kind: {e:?}"),
         }
+    }
+}
+
+/// A fresh checkpoint directory per proptest case.
+fn case_dir() -> std::path::PathBuf {
+    static CASE: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+    let case = CASE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("eim-fault-resume-{}-{case}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// A faulted run killed after one to three checkpoints and resumed under
+    /// the same fault plan either reaches the clean run's seeds or fails
+    /// with a typed error — resume inherits the fault contract above.
+    #[test]
+    fn killed_and_resumed_faulty_runs_converge_or_fail_typed(
+        fault_seed in any::<u64>(),
+        kernel_pct in 0u32..40,
+        transfer_pct in 0u32..25,
+        kill_after in 1u32..=3,
+    ) {
+        let g = generators::rmat(
+            200,
+            1_200,
+            generators::RmatParams::MILD,
+            WeightModel::WeightedCascade,
+            6,
+        );
+        let c = ImmConfig::paper_default()
+            .with_k(2)
+            .with_epsilon(0.25)
+            .with_seed(3);
+        let spec = FaultSpec::parse(&format!(
+            "seed={fault_seed},kernel=0.{kernel_pct:02},transfer=0.{transfer_pct:02}"
+        )).unwrap();
+        let fp = run_fingerprint(&c, g.num_vertices(), "multigpu", 4);
+        let run = |faults: Option<&FaultSpec>, ckpt: &Checkpointing| {
+            let mut e = EimEngine::with_telemetry(
+                &g,
+                c,
+                DeviceSpec::rtx_a6000_with_mem(256 << 20),
+                4,
+                &RunTrace::disabled(),
+                true,
+            )
+            .unwrap();
+            if let Some(faults) = faults {
+                e = e.with_faults(faults);
+            }
+            let policy = RecoveryPolicy::retry().with_max_retries(12);
+            run_imm_checkpointed(&mut e, &c, &policy, &RunTrace::disabled(), ckpt)
+        };
+        let clean = run(None, &Checkpointing::disabled()).expect("clean run");
+        let dir = case_dir();
+        let killed = run(Some(&spec), &Checkpointing {
+            dir: Some(dir.clone()),
+            resume: None,
+            kill_after: Some(kill_after),
+            fingerprint: fp,
+        });
+        match killed {
+            // The run finished before its `kill_after`-th checkpoint.
+            Ok(r) => {
+                prop_assert_eq!(&r.seeds, &clean.seeds);
+                prop_assert_eq!(r.num_sets, clean.num_sets);
+            }
+            Err(EngineError::Interrupted { checkpoints_written }) => {
+                prop_assert_eq!(checkpoints_written, kill_after);
+            }
+            Err(EngineError::RetriesExhausted { attempts, .. }) => prop_assert!(attempts > 0),
+            Err(e) => prop_assert!(false, "unexpected error kind before the kill: {e:?}"),
+        }
+        // Resume from whatever checkpoint the killed run left, if any.
+        if let Ok(cp) = RunCheckpoint::load(&dir) {
+            let resumed = run(Some(&spec), &Checkpointing {
+                dir: Some(dir.clone()),
+                resume: Some(cp),
+                kill_after: None,
+                fingerprint: fp,
+            });
+            match resumed {
+                Ok(r) => {
+                    prop_assert_eq!(&r.seeds, &clean.seeds);
+                    prop_assert_eq!(r.num_sets, clean.num_sets);
+                }
+                Err(EngineError::RetriesExhausted { attempts, .. }) => prop_assert!(attempts > 0),
+                Err(e) => prop_assert!(false, "unexpected error kind on resume: {e:?}"),
+            }
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -12,14 +12,20 @@
 //!   from them.
 //! * **Schedule invariance** — the stream is keyed to the simulated clock,
 //!   so the rayon thread count must not change a single byte of it.
+//!
+//! A replayed stream is untrusted input, so hostile streams — truncated,
+//! bit-flipped, or with deltas that overflow `u64` — must fold to `Ok` or a
+//! typed `Err` and render, never panic.
 
 use std::io::BufReader;
 use std::process::Command;
+use std::sync::OnceLock;
 
 use eim::core::{EimEngine, ScanStrategy};
 use eim::gpusim::{Device, DeviceSpec, MetricsRegistry, RunTrace, SnapshotAccumulator};
 use eim::imm::{run_imm_recovering, ImmEngine as _, RecoveryPolicy};
 use eim::prelude::*;
+use proptest::prelude::*;
 
 fn temp_dir() -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("eim_observability_tests");
@@ -248,4 +254,83 @@ fn rebuilt_state_equals_live_registry_snapshot() {
     let rebuilt = serde_json::to_string(&acc.cumulative_value()).unwrap();
     let live = serde_json::to_string(&registry.snapshot_value()).unwrap();
     assert_eq!(rebuilt, live, "rebuilt state diverged from the registry");
+}
+
+/// A real `--snapshot-stream` file, written once for the hostile-stream
+/// properties below.
+fn recorded_stream() -> &'static [u8] {
+    static STREAM: OnceLock<Vec<u8>> = OnceLock::new();
+    STREAM.get_or_init(|| run_cli_stream("hostile_base", &[]))
+}
+
+/// Folds `bytes` the way `eim top --replay` does, then renders and
+/// reconciles whatever state the fold reached. Only a panic fails.
+fn fold_and_render(bytes: &[u8]) -> Result<(), String> {
+    let mut acc = SnapshotAccumulator::new();
+    let folded = acc.push_reader(BufReader::new(bytes));
+    let _ = eim::top::render_frame(&acc);
+    let _ = acc.reconcile();
+    folded
+}
+
+/// Two records whose deltas for the same `section` key sum past
+/// `u64::MAX`; `body` renders one delta as that section's JSON.
+fn overflowing_stream(section: &str, body: impl Fn(u64) -> String) -> String {
+    let record = |seq: u64, delta: u64| {
+        format!(
+            r#"{{"seq":{seq},"ts_us":{seq},"phase":"sample","{section}":{{"k":{}}}}}"#,
+            body(delta)
+        )
+    };
+    format!("{}\n{}\n", record(0, u64::MAX), record(1, 1))
+}
+
+#[test]
+fn overflowing_snapshot_deltas_are_errors() {
+    let cases = [
+        overflowing_stream("counters", |d| d.to_string()),
+        overflowing_stream("histograms", |d| {
+            format!(r#"{{"count":{d},"sum":1.0,"buckets":[0]}}"#)
+        }),
+        overflowing_stream("histograms", |d| {
+            format!(r#"{{"count":0,"sum":1.0,"buckets":[{d}]}}"#)
+        }),
+        overflowing_stream("kernels", |d| format!(r#"{{"engine":"eim","cycles":{d}}}"#)),
+        overflowing_stream("kernels", |d| {
+            format!(r#"{{"engine":"eim","mallocs":{d}}}"#)
+        }),
+    ];
+    for stream in cases {
+        let err = fold_and_render(stream.as_bytes()).expect_err(&stream);
+        assert!(err.contains("overflows"), "{stream}: {err}");
+    }
+    // One delta at the limit is still a value, not an error.
+    let at_limit = overflowing_stream("counters", |d| d.to_string());
+    let first = at_limit.lines().next().unwrap();
+    fold_and_render(first.as_bytes()).expect("a single u64::MAX delta folds");
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A recorded stream cut at any byte folds to `Ok` or `Err`.
+    #[test]
+    fn truncated_snapshot_streams_never_panic(cut in 0.0f64..1.0) {
+        let bytes = recorded_stream();
+        let _ = fold_and_render(&bytes[..(bytes.len() as f64 * cut) as usize]);
+    }
+
+    /// A recorded stream with up to eight flipped bits folds to `Ok` or
+    /// `Err`.
+    #[test]
+    fn bit_flipped_snapshot_streams_never_panic(
+        flips in proptest::collection::vec((0.0f64..1.0, 0u8..8), 1..8),
+    ) {
+        let mut bytes = recorded_stream().to_vec();
+        for (at, bit) in flips {
+            let i = ((bytes.len() as f64 * at) as usize).min(bytes.len() - 1);
+            bytes[i] ^= 1 << bit;
+        }
+        let _ = fold_and_render(&bytes);
+    }
 }

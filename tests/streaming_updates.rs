@@ -14,7 +14,7 @@ use eim::diffusion::sample_rng;
 use eim::gpusim::{Device, DeviceSpec, FaultPlan, FaultSpec, RunTrace};
 use eim::graph::{generators, GraphDelta, VertexId};
 use eim::imm::{
-    run_imm, CpuEngine, CpuParallelism, HostResampler, ImmConfig, ImmEngine, RrrSets,
+    run_imm, CpuEngine, CpuParallelism, HostResampler, ImmConfig, ImmEngine, Resampler, RrrSets,
     StreamRunResult, StreamingImmEngine,
 };
 use eim::prelude::*;
@@ -352,6 +352,47 @@ fn hub_insert_never_over_invalidates() {
     assert_eq!(report.result.seeds, cold_cpu(&cold, c));
 }
 
+/// The `count` heads of largest in-degree, ties to the smaller id.
+fn top_heads(g: &Graph, count: usize) -> Vec<VertexId> {
+    let mut heads: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
+    heads.sort_by_key(|&v| (std::cmp::Reverse(g.in_degree(v)), v));
+    heads.truncate(count);
+    heads
+}
+
+/// An edge into `head` that is not there yet: a probe that changes the
+/// row without being applied.
+fn probe(g: &Graph, head: VertexId) -> (VertexId, VertexId) {
+    let n = g.num_vertices() as VertexId;
+    let u = (0..n)
+        .find(|&u| u != head && !g.in_neighbors(head).contains(&u))
+        .expect("a hub is not adjacent to everything");
+    (u, head)
+}
+
+/// A batch that churns the in-rows of the five current hubs: it deletes
+/// every fourth in-edge (offset by round) and inserts three new ones each.
+fn hub_batch(g: &Graph, round: u32) -> GraphDelta {
+    let n = g.num_vertices() as VertexId;
+    let mut delta = GraphDelta::default();
+    for (j, h) in top_heads(g, 5).into_iter().enumerate() {
+        let j = j as u32;
+        delta.deletes.extend(
+            g.in_neighbors(h)
+                .iter()
+                .skip(round as usize % 3)
+                .step_by(4)
+                .map(|&u| (u, h)),
+        );
+        delta.inserts.extend(
+            (1..4)
+                .map(|k| ((h + k * 41 + round * 13 + j * 7) % n, h))
+                .filter(|&(u, h)| u != h),
+        );
+    }
+    delta
+}
+
 /// The postings index after many in-place patches is the index a fresh
 /// engine builds on the mutated graph. Batches churn the in-rows of the
 /// current hubs, whose postings lists are the longest; after each, a probe
@@ -360,42 +401,6 @@ fn hub_insert_never_over_invalidates() {
 /// have drawn. Runs under IC and LT, with source elimination on and off.
 #[test]
 fn patched_postings_match_a_fresh_index_after_hub_batches() {
-    fn top_heads(g: &Graph, count: usize) -> Vec<VertexId> {
-        let mut heads: Vec<VertexId> = (0..g.num_vertices() as VertexId).collect();
-        heads.sort_by_key(|&v| (std::cmp::Reverse(g.in_degree(v)), v));
-        heads.truncate(count);
-        heads
-    }
-    /// An edge into `head` that is not there yet: a probe that changes the
-    /// row without being applied.
-    fn probe(g: &Graph, head: VertexId) -> (VertexId, VertexId) {
-        let n = g.num_vertices() as VertexId;
-        let u = (0..n)
-            .find(|&u| u != head && !g.in_neighbors(head).contains(&u))
-            .expect("a hub is not adjacent to everything");
-        (u, head)
-    }
-    fn hub_batch(g: &Graph, round: u32) -> GraphDelta {
-        let n = g.num_vertices() as VertexId;
-        let mut delta = GraphDelta::default();
-        for (j, h) in top_heads(g, 5).into_iter().enumerate() {
-            let j = j as u32;
-            delta.deletes.extend(
-                g.in_neighbors(h)
-                    .iter()
-                    .skip(round as usize % 3)
-                    .step_by(4)
-                    .map(|&u| (u, h)),
-            );
-            delta.inserts.extend(
-                (1..4)
-                    .map(|k| ((h + k * 41 + round * 13 + j * 7) % n, h))
-                    .filter(|&(u, h)| u != h),
-            );
-        }
-        delta
-    }
-
     for (model, elim) in [
         (DiffusionModel::IndependentCascade, true),
         (DiffusionModel::LinearThreshold, true),
@@ -478,6 +483,58 @@ fn patched_postings_match_a_fresh_index_after_hub_batches() {
                         delta.inserts
                     );
                 }
+            }
+        }
+    }
+}
+
+/// Invalidation against ground truth computed from scratch, not against a
+/// second engine that could share a bug. After each hub batch, every slot
+/// is redrawn with [`HostResampler`] on the current graph; a one-head probe
+/// must then invalidate exactly the slots whose footprint holds the head.
+/// The probed heads are the top-10 hubs and the source of a slot whose
+/// footprint is its source alone (eliminated under source elimination).
+/// Runs under IC and LT, with source elimination on and off.
+#[test]
+fn predicted_invalidation_matches_footprints_redrawn_from_scratch() {
+    for (model, elim) in [
+        (DiffusionModel::IndependentCascade, true),
+        (DiffusionModel::LinearThreshold, true),
+        (DiffusionModel::IndependentCascade, false),
+        (DiffusionModel::LinearThreshold, false),
+    ] {
+        let c = base_config(model)
+            .with_source_elimination(elim)
+            .with_packed(true);
+        let g0 = test_graph(71);
+        let mut s = streaming_engine(&g0, c);
+        s.replay().unwrap();
+        for round in 0..6u32 {
+            let delta = hub_batch(s.graph(), round);
+            s.apply_update(&delta).unwrap();
+            let g = s.graph();
+            let indices: Vec<u64> = (0..s.slots() as u64).collect();
+            let footprints = HostResampler::new(c.model, c.seed)
+                .sample(g, &indices)
+                .unwrap();
+            let holding = |head: VertexId| -> Vec<u32> {
+                (0..s.slots() as u32)
+                    .filter(|&i| footprints[i as usize].1.binary_search(&head).is_ok())
+                    .collect()
+            };
+            let lone_source = footprints
+                .iter()
+                .find(|(_, footprint)| footprint.len() == 1)
+                .map(|&(source, _)| source)
+                .expect("some sample visits its source alone");
+            let mut heads = top_heads(g, 10);
+            heads.push(lone_source);
+            for head in heads {
+                let want = holding(head);
+                let ctx = format!("{model} elim={elim} round {round} head {head}");
+                assert!(!want.is_empty(), "{ctx}: every probed head is visited");
+                let got = s.predict_invalidated(&GraphDelta::inserting(vec![probe(g, head)]));
+                assert_eq!(got, want, "{ctx}");
             }
         }
     }
