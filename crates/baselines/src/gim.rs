@@ -330,7 +330,7 @@ impl ImmEngine for GimEngine<'_> {
         // against eIM's in the same Perfetto timeline.
         let mut ts = self.device.advance_clock(result.elapsed_us);
         for (i, iter) in result.iterations.iter().enumerate() {
-            self.device.run_trace().record_kernel_hw(
+            self.device.run_trace().record_kernel(
                 &format!("gim_select:iter{i}"),
                 ts,
                 iter.elapsed_us,

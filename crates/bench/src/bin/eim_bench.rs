@@ -46,7 +46,8 @@ use std::time::Instant;
 
 use eim_core::EimEngine;
 use eim_gpusim::{
-    provenance, write_metrics_file, DeviceSpec, FaultSpec, MetricsRegistry, MetricsSink, RunTrace,
+    provenance, write_metrics_file, DeviceSpec, FaultSpec, MetricsRegistry, MetricsSink, Phase,
+    RunTrace,
 };
 use eim_graph::{generators, Dataset, WeightModel};
 use eim_imm::{
@@ -137,11 +138,11 @@ fn run_updates(args: UpdatesArgs) -> ! {
 
     let registry = MetricsRegistry::new();
     let stream_sink = if args.metrics.is_some() {
-        registry.set_phase("stream-update");
         registry.sink().with_engine("streaming")
     } else {
         MetricsSink::disabled()
     };
+    stream_sink.set_phase(Phase::StreamUpdate);
 
     let ms = |t: Instant| t.elapsed().as_secs_f64() * 1e3;
     let mut engine = StreamingImmEngine::new(
@@ -187,22 +188,7 @@ fn run_updates(args: UpdatesArgs) -> ! {
         patch_total += patch_ms;
         recompute_total += recompute_ms;
         fraction_sum += fraction;
-        stream_sink.counter_add("eim_stream_batches_total", &[], 1);
-        stream_sink.counter_add(
-            "eim_stream_changed_heads_total",
-            &[],
-            report.changed_heads as u64,
-        );
-        stream_sink.counter_add(
-            "eim_stream_invalidated_slots_total",
-            &[],
-            report.resampled_slots.len() as u64,
-        );
-        stream_sink.counter_add(
-            "eim_stream_fresh_sets_total",
-            &[],
-            report.fresh_slots as u64,
-        );
+        report.record_metrics(&stream_sink);
         let mut row = Map::new();
         row.insert("batch", Value::from(report.batch));
         row.insert("changed_heads", Value::from(report.changed_heads));

@@ -28,7 +28,7 @@
 use std::sync::Arc;
 
 use eim_gpusim::{
-    ArgValue, CopyEvent, CopyStream, Device, DeviceSpec, FaultPlan, FaultSpec, RunTrace,
+    CopyEvent, CopyStream, Device, DeviceSpec, FaultPlan, FaultSpec, Recovery, RunTrace,
     TransferDirection,
 };
 use eim_graph::Graph;
@@ -358,12 +358,11 @@ impl<'g> EimEngine<'g> {
         let ts = self.primary().clock_us();
         self.pool[0].copy(bytes, TransferDirection::DeviceToHost);
         self.primary().run_trace().record_recovery(
-            "recover:spill",
+            Recovery::Spill {
+                sets: (end - self.spill_cursor) as u64,
+                bytes: bytes as u64,
+            },
             ts,
-            vec![
-                ("sets", ArgValue::U64((end - self.spill_cursor) as u64)),
-                ("bytes", ArgValue::U64(bytes as u64)),
-            ],
         );
         self.spill_cursor = end;
         self.spilled_bytes += bytes;
@@ -526,9 +525,10 @@ impl ImmEngine for EimEngine<'_> {
             let ts = self.primary().clock_us();
             self.pool[0].copy(spilled, TransferDirection::HostToDevice);
             self.primary().run_trace().record_recovery(
-                "recover:reload",
+                Recovery::Reload {
+                    bytes: spilled as u64,
+                },
                 ts,
-                vec![("bytes", ArgValue::U64(spilled as u64))],
             );
             let report = self.primary_report();
             report.reloaded_bytes += spilled;
@@ -564,7 +564,7 @@ impl ImmEngine for EimEngine<'_> {
         // in the Perfetto timeline rather than flattened into one span.
         let mut ts = primary.advance_clock(result.elapsed_us);
         for (i, iter) in result.iterations.iter().enumerate() {
-            primary.run_trace().record_kernel_hw(
+            primary.run_trace().record_kernel(
                 &format!("eim_select:iter{i}"),
                 ts,
                 iter.elapsed_us,
@@ -619,16 +619,12 @@ impl ImmEngine for EimEngine<'_> {
             self.device_reports[m.ordinal as usize].devices_evicted += 1;
             let dead_at = dev.fault_plan().and_then(|p| p.dead_at()).unwrap_or(0);
             dev.run_trace().record_recovery(
-                "recover:evict_device",
+                Recovery::EvictDevice {
+                    ordinal: m.ordinal,
+                    dead_at_event: dead_at,
+                },
                 dev.clock_us(),
-                vec![
-                    ("ordinal", ArgValue::U64(m.ordinal)),
-                    ("dead_at_event", ArgValue::U64(dead_at)),
-                ],
             );
-            dev.run_trace()
-                .metrics()
-                .counter_add("eim_device_failures_total", &[], 1);
         }
         self.pool.retain(|m| !m.device.is_lost());
         self.last_selection = None;

@@ -393,7 +393,7 @@ impl Device {
         }
         // Timestamped at the current clock; the driving engine advances the
         // clock by `elapsed_us` when it accounts for this launch.
-        self.run_trace.record_kernel_hw(
+        self.run_trace.record_kernel(
             name,
             self.clock.now_us(),
             stats.elapsed_us,
@@ -584,21 +584,34 @@ impl Device {
     /// current effective bandwidth — see [`Device::transfer_time_us`]).
     pub fn transfer(&self, bytes: usize, direction: TransferDirection) -> f64 {
         let us = self.transfer_time_us(bytes);
-        let (name, dir) = match direction {
-            TransferDirection::HostToDevice => ("pcie:h2d", "h2d"),
-            TransferDirection::DeviceToHost => ("pcie:d2h", "d2h"),
-        };
-        self.run_trace
-            .record_transfer(name, self.clock.now_us(), us, bytes);
-        // Bandwidth utilization: wire time over total time (latency included).
-        let ideal_us = bytes as f64 / (self.spec.pcie_gbps * 1000.0);
-        self.run_trace.metrics().observe_transfer(
-            dir,
-            "sync",
-            bytes as u64,
-            ideal_us / us.max(f64::MIN_POSITIVE),
-        );
+        self.record_transfer(direction, "sync", self.clock.now_us(), us, bytes);
         us
+    }
+
+    /// Records one PCIe copy on the run trace (`mode` `"sync"` or
+    /// `"stream"`), with its bandwidth utilization: wire time at the spec
+    /// rate over the charged time (latency and link degradation included).
+    pub(crate) fn record_transfer(
+        &self,
+        direction: TransferDirection,
+        mode: &'static str,
+        ts_us: f64,
+        dur_us: f64,
+        bytes: usize,
+    ) {
+        let dir = match direction {
+            TransferDirection::HostToDevice => "h2d",
+            TransferDirection::DeviceToHost => "d2h",
+        };
+        let ideal_us = bytes as f64 / (self.spec.pcie_gbps * 1000.0);
+        self.run_trace.record_transfer(
+            dir,
+            mode,
+            ts_us,
+            dur_us,
+            bytes,
+            ideal_us / dur_us.max(f64::MIN_POSITIVE),
+        );
     }
 }
 

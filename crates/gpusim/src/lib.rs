@@ -53,8 +53,8 @@ pub use transfer::TransferDirection;
 // Telemetry types appear in `Device`'s API; re-export so downstream crates
 // can attach a recorder without a direct `eim-trace` dependency.
 pub use eim_trace::{
-    provenance, write_metrics_file, ArgValue, KernelHw, KernelProfile, MetricsRegistry,
-    MetricsSink, ProfileKey, RunTrace, SimClock, SnapshotAccumulator, SnapshotStreamWriter,
+    provenance, write_metrics_file, KernelHw, KernelProfile, MetricsRegistry, MetricsSink, Phase,
+    ProfileKey, Recovery, RunTrace, SimClock, SnapshotAccumulator, SnapshotStreamWriter,
     TraceSummary, SNAPSHOT_SCHEMA,
 };
 

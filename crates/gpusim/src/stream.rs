@@ -100,24 +100,11 @@ impl CopyStream {
         direction: TransferDirection,
     ) -> CopyEvent {
         // Priced at the link's current effective bandwidth: a link-flapped
-        // device pays more per byte, and the spec-rate `ideal_us` below
-        // makes the lost utilization visible in the metrics.
+        // device pays more per byte, and the spec-rate utilization recorded
+        // with the copy makes the lost bandwidth visible in the metrics.
         let dur_us = device.transfer_time_us(bytes);
         let start_us = device.clock().now_us().max(self.tail_us);
-        let (name, dir) = match direction {
-            TransferDirection::HostToDevice => ("stream:h2d", "h2d"),
-            TransferDirection::DeviceToHost => ("stream:d2h", "d2h"),
-        };
-        device
-            .run_trace()
-            .record_copy(name, start_us, dur_us, bytes);
-        let ideal_us = bytes as f64 / (device.spec().pcie_gbps * 1000.0);
-        device.run_trace().metrics().observe_transfer(
-            dir,
-            "stream",
-            bytes as u64,
-            ideal_us / dur_us.max(f64::MIN_POSITIVE),
-        );
+        device.record_transfer(direction, "stream", start_us, dur_us, bytes);
         self.tail_us = start_us + dur_us;
         let event = CopyEvent {
             completes_at_us: self.tail_us,

@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use eim_diffusion::{sample_rng, sample_rrr};
 use eim_graph::{Graph, VertexId};
-use eim_trace::RunTrace;
+use eim_trace::{KernelHw, RunTrace};
 use rand::Rng;
 use rayon::prelude::*;
 
@@ -111,8 +111,15 @@ impl ImmEngine for CpuEngine<'_> {
             // One kernel span per sampling round: "blocks" is the number of
             // sample indices the rayon sweep covered; the cycle counters
             // don't apply off-device.
-            self.trace
-                .record_kernel("cpu_sample", t0, self.wall_us() - t0, drawn, 0, 0);
+            self.trace.record_kernel(
+                "cpu_sample",
+                t0,
+                self.wall_us() - t0,
+                drawn,
+                0,
+                0,
+                &KernelHw::default(),
+            );
             self.next_index = target as u64;
             for set in sets.into_iter().flatten() {
                 self.store.append_set(&set);
@@ -128,8 +135,15 @@ impl ImmEngine for CpuEngine<'_> {
     fn select(&mut self, k: usize) -> Selection {
         let t0 = self.wall_us();
         let selection = select_seeds(&self.store, k);
-        self.trace
-            .record_kernel("cpu_select", t0, self.wall_us() - t0, k, 0, 0);
+        self.trace.record_kernel(
+            "cpu_select",
+            t0,
+            self.wall_us() - t0,
+            k,
+            0,
+            0,
+            &KernelHw::default(),
+        );
         selection
     }
 

@@ -7,7 +7,7 @@
 
 use eim_gpusim::{MemoryError, SimFault};
 use eim_graph::VertexId;
-use eim_trace::{ArgValue, RunTrace};
+use eim_trace::{Phase, Recovery, RunTrace};
 
 use crate::bounds::{
     adjusted_ell, epsilon_prime, lambda_prime, lambda_star, max_estimation_iterations,
@@ -279,7 +279,7 @@ fn extend_with_recovery<E: ImmEngine>(
     report: &mut RecoveryReport,
 ) -> Result<(), EngineError> {
     let metrics = trace.metrics();
-    metrics.set_phase("sample");
+    metrics.set_phase(Phase::Sample);
     if !policy.allows_retry() {
         let r = engine.extend_to(target);
         metrics.tick_stream(engine.elapsed_us());
@@ -310,25 +310,20 @@ fn extend_with_recovery<E: ImmEngine>(
                     // before the round is declared unrecoverable. Set the
                     // recover phase first so the engine-internal eviction
                     // counters (eim_device_failures_total) carry it too.
-                    metrics.set_phase("recover");
+                    metrics.set_phase(Phase::Recover);
                     if let Some(eviction) = engine.evict_lost_devices()? {
                         let pending = target.saturating_sub(engine.logical_sets()) as u64;
                         report.redistributed_sets += pending;
-                        metrics.counter_add("eim_redistributed_sets_total", &[], pending);
                         trace.record_recovery(
-                            "recover:evict_device",
+                            Recovery::Redistribute {
+                                devices_evicted: eviction.devices_evicted as u64,
+                                survivors: eviction.survivors as u64,
+                                redistributed_sets: pending,
+                            },
                             engine.elapsed_us(),
-                            vec![
-                                (
-                                    "devices_evicted",
-                                    ArgValue::U64(eviction.devices_evicted as u64),
-                                ),
-                                ("survivors", ArgValue::U64(eviction.survivors as u64)),
-                                ("redistributed_sets", ArgValue::U64(pending)),
-                            ],
                         );
                         metrics.tick_stream(engine.elapsed_us());
-                        metrics.set_phase("sample");
+                        metrics.set_phase(Phase::Sample);
                         attempts = 0;
                         continue;
                     }
@@ -338,17 +333,16 @@ fn extend_with_recovery<E: ImmEngine>(
                 report.retries += 1;
                 let backoff = policy.backoff_us * (1u64 << (attempts - 1).min(16)) as f64;
                 engine.advance_time(backoff);
-                metrics.set_phase("recover");
+                metrics.set_phase(Phase::Recover);
                 trace.record_recovery(
-                    "recover:retry",
+                    Recovery::Retry {
+                        attempt: attempts as u64,
+                        fault_ordinal: fault.ordinal(),
+                        backoff_us: backoff,
+                    },
                     engine.elapsed_us(),
-                    vec![
-                        ("attempt", ArgValue::U64(attempts as u64)),
-                        ("fault_ordinal", ArgValue::U64(fault.ordinal())),
-                        ("backoff_us", ArgValue::F64(backoff)),
-                    ],
                 );
-                metrics.set_phase("sample");
+                metrics.set_phase(Phase::Sample);
             }
             Err(oom @ EngineError::OutOfMemory { .. }) => {
                 if batch <= policy.min_batch {
@@ -357,13 +351,14 @@ fn extend_with_recovery<E: ImmEngine>(
                 batch = (batch / 2).max(policy.min_batch);
                 attempts = 0;
                 report.batch_splits += 1;
-                metrics.set_phase("recover");
+                metrics.set_phase(Phase::Recover);
                 trace.record_recovery(
-                    "recover:batch_split",
+                    Recovery::BatchSplit {
+                        batch: batch as u64,
+                    },
                     engine.elapsed_us(),
-                    vec![("batch", ArgValue::U64(batch as u64))],
                 );
-                metrics.set_phase("sample");
+                metrics.set_phase(Phase::Sample);
             }
             Err(other) => return Err(other),
         }
@@ -415,17 +410,13 @@ fn write_checkpoint<E: ImmEngine>(
     };
     cp.save(dir).map_err(|_| EngineError::CheckpointIo)?;
     *written_this_run += 1;
-    trace.metrics().set_phase("recover");
-    trace
-        .metrics()
-        .counter_add("eim_checkpoints_written_total", &[], 1);
+    trace.metrics().set_phase(Phase::Recover);
     trace.record_recovery(
-        "recover:checkpoint",
+        Recovery::Checkpoint {
+            logical_sets: cp.logical_sets as u64,
+            written: *written_this_run as u64,
+        },
         engine.elapsed_us(),
-        vec![
-            ("logical_sets", ArgValue::U64(cp.logical_sets as u64)),
-            ("written", ArgValue::U64(*written_this_run as u64)),
-        ],
     );
     if ckpt
         .kill_after
@@ -566,12 +557,12 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
                 estimation_sets = sets;
             }
         }
-        trace.metrics().set_phase("recover");
-        trace.metrics().counter_add("eim_resumes_total", &[], 1);
+        trace.metrics().set_phase(Phase::Recover);
         trace.record_recovery(
-            "recover:resume",
+            Recovery::Resume {
+                logical_sets: cp.logical_sets as u64,
+            },
             engine.elapsed_us(),
-            vec![("logical_sets", ArgValue::U64(cp.logical_sets as u64))],
         );
         trace.metrics().tick_stream(engine.elapsed_us());
     }
@@ -584,7 +575,7 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
             let theta_i = theta_at(i);
             extend_with_recovery(engine, theta_i, policy, trace, &mut report)?;
             let short = engine.logical_sets() < theta_i;
-            trace.metrics().set_phase("select");
+            trace.metrics().set_phase(Phase::Select);
             let sel = engine.select(k);
             trace.metrics().tick_stream(engine.elapsed_us());
             kept = Some(sel.num_sets);
@@ -652,7 +643,7 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
         last_coverage,
     )?;
 
-    trace.metrics().set_phase("select");
+    trace.metrics().set_phase(Phase::Select);
     let sel = engine.select(k);
     let t3 = engine.elapsed_us();
     trace.record_phase("selection", t2, t3 - t2);
@@ -661,7 +652,7 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
     report.merge(&engine.recovery_report());
     // Re-export the merged recovery tallies through the metrics registry so
     // Prometheus scrapes see them next to the fault/recovery event counters.
-    trace.metrics().set_phase("recover");
+    trace.metrics().set_phase(Phase::Recover);
     trace.metrics().record_recovery_report(
         report.retries as u64,
         report.batch_splits as u64,

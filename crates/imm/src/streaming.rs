@@ -19,7 +19,7 @@
 //!   place via the backends' `patch_sets`; eliminated slots are stored
 //!   empty, so the store holds exactly the kept content;
 //! * the per-slot source of every sample;
-//! * one [`InvertedIndex`] of that store — the same index every cold engine
+//! * one `InvertedIndex` of that store — the same index every cold engine
 //!   selects over — rebuilt whenever the store changes.
 //!
 //! The index serves invalidation and selection alike. A footprint is its
@@ -57,6 +57,7 @@ use rayon::prelude::*;
 
 use eim_diffusion::{sample_rng, sample_rrr, DiffusionModel};
 use eim_graph::{Graph, GraphDelta, VertexId, WeightModel};
+use eim_trace::MetricsSink;
 
 use crate::checkpoint::{run_fingerprint, store_digest};
 use crate::config::ImmConfig;
@@ -182,6 +183,22 @@ impl UpdateReport {
         } else {
             self.resampled_slots.len() as f64 / base as f64
         }
+    }
+
+    /// Counts this batch in the `eim_stream_*` counters of `metrics`.
+    pub fn record_metrics(&self, metrics: &MetricsSink) {
+        metrics.counter_add("eim_stream_batches_total", &[], 1);
+        metrics.counter_add(
+            "eim_stream_changed_heads_total",
+            &[],
+            self.changed_heads as u64,
+        );
+        metrics.counter_add(
+            "eim_stream_invalidated_slots_total",
+            &[],
+            self.resampled_slots.len() as u64,
+        );
+        metrics.counter_add("eim_stream_fresh_sets_total", &[], self.fresh_slots as u64);
     }
 }
 

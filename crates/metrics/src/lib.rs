@@ -194,16 +194,59 @@ impl Histogram {
     }
 }
 
+/// The run phase stamped as a `phase` label on flow counters and histogram
+/// observations recorded while it is set (see [`MetricsSink::set_phase`]).
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum Phase {
+    /// No phase: series carry no `phase` label.
+    #[default]
+    None,
+    /// RRR sampling rounds.
+    Sample,
+    /// Seed selection.
+    Select,
+    /// Engine set-up traffic (graph upload) before the first round.
+    Transfer,
+    /// Fault recovery, checkpoints and resumes.
+    Recover,
+    /// Streaming edge-update batches.
+    StreamUpdate,
+}
+
+impl Phase {
+    /// The `phase` label value (`""` for [`Phase::None`]).
+    pub fn label(self) -> &'static str {
+        match self {
+            Phase::None => "",
+            Phase::Sample => "sample",
+            Phase::Select => "select",
+            Phase::Transfer => "transfer",
+            Phase::Recover => "recover",
+            Phase::StreamUpdate => "stream-update",
+        }
+    }
+}
+
 #[derive(Debug, Default)]
 struct State {
     counters: BTreeMap<Key, u64>,
     gauges: BTreeMap<Key, Gauge>,
     histograms: BTreeMap<Key, Histogram>,
     kernels: BTreeMap<ProfileKey, KernelProfile>,
-    /// Current run phase, stamped as a `phase` label on flow counters and
-    /// histograms recorded while set. Empty = no label (the pre-phase
-    /// behaviour, so existing series names are unchanged).
-    phase: &'static str,
+    /// Current run phase.
+    phase: Phase,
+}
+
+impl State {
+    fn add(&mut self, name: &'static str, labels: Labels, v: u64) {
+        *self.counters.entry(Key { name, labels }).or_insert(0) += v;
+    }
+
+    fn raise(&mut self, name: &'static str, labels: Labels, v: u64) {
+        let g = self.gauges.entry(Key { name, labels }).or_default();
+        g.peak = g.peak.max(v);
+        g.value = g.value.max(v);
+    }
 }
 
 /// The shared instrument store. Cheap to clone (an `Arc`); one registry per
@@ -247,29 +290,26 @@ impl MetricsRegistry {
             .collect()
     }
 
-    /// Whether anything has been recorded.
-    pub fn is_empty(&self) -> bool {
+    /// Sum of the counter `name` over every label set (0 when absent).
+    pub fn counter_total(&self, name: &str) -> u64 {
         let st = self.lock();
-        st.counters.is_empty()
-            && st.gauges.is_empty()
-            && st.histograms.is_empty()
-            && st.kernels.is_empty()
+        st.counters
+            .iter()
+            .filter(|(k, _)| k.name == name)
+            .map(|(_, v)| v)
+            .sum()
     }
 
-    /// Sets the run phase (`sample` / `select` / `transfer` / `recover` /
-    /// `stream-update`, or `""` for none). Subsequent flow counters and
-    /// histogram observations carry it as a `phase` label. Kernel profiles
-    /// and the memory stock counters (alloc/free/peak) deliberately stay
-    /// phase-free: profiles must keep aggregating per (device, kernel) to
-    /// reconcile against trace spans, and the derived in-use gauge must see
-    /// every alloc matched with its free under one label set.
-    pub fn set_phase(&self, phase: &'static str) {
-        self.lock().phase = phase;
-    }
-
-    /// The current phase label.
-    pub fn phase(&self) -> &'static str {
-        self.lock().phase
+    /// Largest value of the high-water gauge `name` over every label set
+    /// (0 when absent).
+    pub fn gauge_peak(&self, name: &str) -> u64 {
+        let st = self.lock();
+        st.gauges
+            .iter()
+            .filter(|(k, _)| k.name == name)
+            .map(|(_, g)| g.peak.max(g.value))
+            .max()
+            .unwrap_or(0)
     }
 
     /// Cumulative snapshot of the registry as a deterministic JSON value —
@@ -296,11 +336,6 @@ impl MetricsRegistry {
         let w = SnapshotStreamWriter::new(out, interval_us, provenance)?;
         *self.lock_stream() = Some(w);
         Ok(())
-    }
-
-    /// Whether a snapshot stream is attached.
-    pub fn has_snapshot_stream(&self) -> bool {
-        self.lock_stream().is_some()
     }
 
     /// Offers the simulated clock (µs) to the stream writer; emits one delta
@@ -742,11 +777,6 @@ impl MetricsSink {
         }
     }
 
-    /// The device label.
-    pub fn device(&self) -> u32 {
-        self.device
-    }
-
     fn labels(&self, extra: &[(&'static str, &str)]) -> Labels {
         let mut l: Labels = extra.iter().map(|&(k, v)| (k, v.to_string())).collect();
         l.push(("device", self.device.to_string()));
@@ -755,19 +785,24 @@ impl MetricsSink {
         l
     }
 
-    fn labels_phased(&self, extra: &[(&'static str, &str)], phase: &'static str) -> Labels {
+    fn labels_phased(&self, extra: &[(&'static str, &str)], phase: Phase) -> Labels {
         let mut l = self.labels(extra);
-        if !phase.is_empty() {
-            l.push(("phase", phase.to_string()));
+        if phase != Phase::None {
+            l.push(("phase", phase.label().to_string()));
             l.sort_by(|a, b| a.0.cmp(b.0));
         }
         l
     }
 
-    /// Forwards to [`MetricsRegistry::set_phase`]; no-op when disabled.
-    pub fn set_phase(&self, phase: &'static str) {
+    /// Sets the registry's run phase; subsequent flow counters and histogram
+    /// observations carry it as a `phase` label. Kernel profiles and the
+    /// memory stock counters (alloc/free/peak) deliberately stay phase-free:
+    /// profiles must keep aggregating per (device, kernel) to reconcile
+    /// against trace spans, and the derived in-use gauge must see every
+    /// alloc matched with its free under one label set. No-op when disabled.
+    pub fn set_phase(&self, phase: Phase) {
         if let Some(reg) = &self.registry {
-            reg.set_phase(phase);
+            reg.lock().phase = phase;
         }
     }
 
@@ -784,24 +819,14 @@ impl MetricsSink {
     pub fn counter_add(&self, name: &'static str, extra: &[(&'static str, &str)], v: u64) {
         let Some(reg) = &self.registry else { return };
         let mut st = reg.lock();
-        let key = Key {
-            name,
-            labels: self.labels_phased(extra, st.phase),
-        };
-        *st.counters.entry(key).or_insert(0) += v;
+        let labels = self.labels_phased(extra, st.phase);
+        st.add(name, labels, v);
     }
 
     /// Raises the high-water gauge `name{engine, device}` to at least `v`.
     pub fn gauge_max(&self, name: &'static str, v: u64) {
         let Some(reg) = &self.registry else { return };
-        let key = Key {
-            name,
-            labels: self.labels(&[]),
-        };
-        let mut st = reg.lock();
-        let g = st.gauges.entry(key).or_default();
-        g.peak = g.peak.max(v);
-        g.value = g.value.max(v);
+        reg.lock().raise(name, self.labels(&[]), v);
     }
 
     /// Folds one kernel launch into the per-kernel profile.
@@ -845,18 +870,8 @@ impl MetricsSink {
         let extra = [("dir", direction), ("mode", mode)];
         let mut st = reg.lock();
         let labels = self.labels_phased(&extra, st.phase);
-        *st.counters
-            .entry(Key {
-                name: "eim_transfers_total",
-                labels: labels.clone(),
-            })
-            .or_insert(0) += 1;
-        *st.counters
-            .entry(Key {
-                name: "eim_transfer_bytes_total",
-                labels: labels.clone(),
-            })
-            .or_insert(0) += bytes;
+        st.add("eim_transfers_total", labels.clone(), 1);
+        st.add("eim_transfer_bytes_total", labels.clone(), bytes);
         st.histograms
             .entry(Key {
                 name: "eim_transfer_bandwidth_utilization",
@@ -874,27 +889,9 @@ impl MetricsSink {
         let Some(reg) = &self.registry else { return };
         let labels = self.labels(&[]);
         let mut st = reg.lock();
-        *st.counters
-            .entry(Key {
-                name: "eim_device_allocs_total",
-                labels: labels.clone(),
-            })
-            .or_insert(0) += 1;
-        *st.counters
-            .entry(Key {
-                name: "eim_device_alloc_bytes_total",
-                labels: labels.clone(),
-            })
-            .or_insert(0) += bytes;
-        let g = st
-            .gauges
-            .entry(Key {
-                name: "eim_device_mem_peak_bytes",
-                labels,
-            })
-            .or_default();
-        g.peak = g.peak.max(in_use);
-        g.value = g.value.max(in_use);
+        st.add("eim_device_allocs_total", labels.clone(), 1);
+        st.add("eim_device_alloc_bytes_total", labels.clone(), bytes);
+        st.raise("eim_device_mem_peak_bytes", labels, in_use);
     }
 
     /// Records a device-memory free of `bytes`.
@@ -902,18 +899,8 @@ impl MetricsSink {
         let Some(reg) = &self.registry else { return };
         let labels = self.labels(&[]);
         let mut st = reg.lock();
-        *st.counters
-            .entry(Key {
-                name: "eim_device_frees_total",
-                labels: labels.clone(),
-            })
-            .or_insert(0) += 1;
-        *st.counters
-            .entry(Key {
-                name: "eim_device_free_bytes_total",
-                labels,
-            })
-            .or_insert(0) += bytes;
+        st.add("eim_device_frees_total", labels.clone(), 1);
+        st.add("eim_device_free_bytes_total", labels, bytes);
     }
 
     /// Records a failed device-memory allocation.
@@ -942,9 +929,6 @@ impl MetricsSink {
         reloaded_bytes: u64,
         degraded_rounds: u64,
     ) {
-        if self.registry.is_none() {
-            return;
-        }
         self.counter_add("eim_recovery_retries_total", &[], retries);
         self.counter_add("eim_recovery_batch_splits_total", &[], batch_splits);
         self.counter_add("eim_recovery_spill_events_total", &[], spill_events);

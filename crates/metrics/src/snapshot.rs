@@ -440,7 +440,7 @@ impl SnapshotStreamWriter {
         let cur = flatten(st);
         let (sections, empty) = delta_sections(&self.prev, &cur);
         if !empty {
-            self.write_record(boundary, st.phase, sections, None)?;
+            self.write_record(boundary, st.phase.label(), sections, None)?;
         }
         self.prev = cur;
         self.next_emit_us = boundary + self.interval_us;
@@ -454,7 +454,12 @@ impl SnapshotStreamWriter {
         let cur = flatten(st);
         let (sections, _) = delta_sections(&self.prev, &cur);
         let digest = cumulative_digest(&cur);
-        self.write_record(now_us.max(0.0) as u64, st.phase, sections, Some(digest))?;
+        self.write_record(
+            now_us.max(0.0) as u64,
+            st.phase.label(),
+            sections,
+            Some(digest),
+        )?;
         self.prev = cur;
         self.finished = true;
         Ok(())
@@ -685,7 +690,7 @@ pub fn write_metrics_file(registry: &MetricsRegistry, path: &Path) -> std::io::R
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{KernelHw, MetricsRegistry};
+    use crate::{KernelHw, MetricsRegistry, Phase};
     use std::sync::{Arc, Mutex};
 
     /// A `Write` handle into a shared buffer, so tests can read back what a
@@ -705,7 +710,7 @@ mod tests {
 
     fn drive(reg: &MetricsRegistry) {
         let s = reg.sink().with_engine("eim");
-        reg.set_phase("sample");
+        s.set_phase(Phase::Sample);
         s.record_launch(
             "k",
             8,
@@ -725,7 +730,7 @@ mod tests {
         s.observe_transfer("h2d", "sync", 4096, 0.8);
         s.counter_add("eim_transfers_total", &[("dir", "h2d")], 1);
         reg.tick_snapshot_stream(150.0);
-        reg.set_phase("select");
+        s.set_phase(Phase::Select);
         s.record_launch("k", 8, 80.0, 500, 60, &KernelHw::default());
         s.gauge_max("eim_device_mem_peak_bytes", 9000);
         reg.tick_snapshot_stream(230.0);
@@ -811,7 +816,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         let s = reg.sink().with_engine("eim");
         s.counter_add("eim_transfers_total", &[("dir", "h2d")], 1);
-        reg.set_phase("sample");
+        s.set_phase(Phase::Sample);
         s.counter_add("eim_transfers_total", &[("dir", "h2d")], 2);
         let text = reg.render_prometheus();
         assert!(

@@ -13,13 +13,17 @@
 //!   in-use counter (rendered as a Perfetto counter track),
 //! - **transfer events** — PCIe host↔device copies with byte counts.
 //!
-//! The stream exports as Chrome trace-event JSON ([`RunTrace::chrome_json`]),
-//! loadable in Perfetto / `chrome://tracing`, and condenses to a
-//! [`TraceSummary`] for machine-readable CLI output.
+//! Each typed `record_*` call is the one instrumentation point for its
+//! event: it feeds both the Chrome-trace buffer and the attached
+//! [`MetricsSink`]. The stream exports as Chrome trace-event JSON
+//! ([`RunTrace::chrome_json`]), loadable in Perfetto / `chrome://tracing`;
+//! its [`TraceSummary`] is read back from the metrics registry the trace
+//! feeds (an enabled trace without a user sink gets a private registry).
 //!
-//! A disabled recorder ([`RunTrace::disabled`]) holds no buffer and every
-//! `record_*` call is a branch on a `None` — no allocation, no locking — so
-//! the hot sampling loop pays nothing when tracing is off.
+//! A disabled recorder ([`RunTrace::disabled`]) with no sink holds no
+//! buffer and every `record_*` call is a branch on a `None` — no
+//! allocation, no locking — so the hot sampling loop pays nothing when
+//! tracing is off.
 
 #![warn(missing_docs)]
 
@@ -30,7 +34,7 @@ use std::sync::{Arc, Mutex};
 use serde_json::{json, Value};
 
 pub use eim_metrics::{
-    provenance, write_metrics_file, KernelHw, KernelProfile, MetricsRegistry, MetricsSink,
+    provenance, write_metrics_file, KernelHw, KernelProfile, MetricsRegistry, MetricsSink, Phase,
     ProfileKey, SnapshotAccumulator, SnapshotStreamWriter, SNAPSHOT_SCHEMA, UTILIZATION_BUCKETS,
 };
 
@@ -120,7 +124,8 @@ impl Default for SimClock {
 }
 
 /// Event category: which subsystem emitted the event. Becomes the Chrome
-/// `cat` field and selects the rendering lane.
+/// `cat` field and selects the rendering lane; variants are declared in
+/// lane order.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EventCat {
     /// IMM driver phase (estimation / sampling / selection).
@@ -140,52 +145,27 @@ pub enum EventCat {
     CopyStream,
 }
 
+/// Chrome `cat` string and lane name of each [`EventCat`], indexed by its
+/// lane (the synthetic thread id its events render on).
+const LANES: [(&str, &str); NUM_CATS] = [
+    ("phase", "imm phases"),
+    ("kernel", "kernel launches"),
+    ("memory", "device memory"),
+    ("transfer", "pcie transfers"),
+    ("fault", "faults & recovery"),
+    ("transfer", "copy stream"),
+];
+
 impl EventCat {
     /// The Chrome trace `cat` string.
     pub fn as_str(self) -> &'static str {
-        match self {
-            EventCat::Phase => "phase",
-            EventCat::Kernel => "kernel",
-            EventCat::Memory => "memory",
-            EventCat::Transfer => "transfer",
-            EventCat::Fault => "fault",
-            EventCat::CopyStream => "transfer",
-        }
+        LANES[self as usize].0
     }
 
     /// The synthetic thread id (lane) events of this category render on.
     fn lane(self) -> u64 {
-        match self {
-            EventCat::Phase => 0,
-            EventCat::Kernel => 1,
-            EventCat::Memory => 2,
-            EventCat::Transfer => 3,
-            EventCat::Fault => 4,
-            EventCat::CopyStream => 5,
-        }
+        self as u64
     }
-
-    /// Human name of the rendering lane.
-    fn lane_name(self) -> &'static str {
-        match self {
-            EventCat::Phase => "imm phases",
-            EventCat::Kernel => "kernel launches",
-            EventCat::Memory => "device memory",
-            EventCat::Transfer => "pcie transfers",
-            EventCat::Fault => "faults & recovery",
-            EventCat::CopyStream => "copy stream",
-        }
-    }
-
-    /// Every category, in lane order (used when naming trace lanes).
-    const ALL: [EventCat; NUM_CATS] = [
-        EventCat::Phase,
-        EventCat::Kernel,
-        EventCat::Memory,
-        EventCat::Transfer,
-        EventCat::Fault,
-        EventCat::CopyStream,
-    ];
 }
 
 /// How an event occupies the timeline.
@@ -212,8 +192,6 @@ pub enum ArgValue {
     U64(u64),
     /// Floating-point argument.
     F64(f64),
-    /// String argument.
-    Str(String),
 }
 
 impl From<&ArgValue> for Value {
@@ -221,7 +199,142 @@ impl From<&ArgValue> for Value {
         match v {
             ArgValue::U64(x) => Value::from(*x),
             ArgValue::F64(x) => Value::from(*x),
-            ArgValue::Str(s) => Value::from(s.as_str()),
+        }
+    }
+}
+
+/// A recovery action taken by the IMM driver or an engine. Each variant
+/// carries the detail arguments of its trace event and names the metrics
+/// counter it feeds besides `eim_recovery_actions_total`.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub enum Recovery {
+    /// A faulted sampling round retried after a simulated backoff.
+    Retry {
+        /// 1-based attempt number within the round.
+        attempt: u64,
+        /// Fault-plan ordinal of the fault that aborted the round.
+        fault_ordinal: u64,
+        /// Simulated backoff charged before the retry, µs.
+        backoff_us: f64,
+    },
+    /// A sampling batch halved after an OOM.
+    BatchSplit {
+        /// The new batch size.
+        batch: u64,
+    },
+    /// A fail-stopped device evicted from the pool (recorded on its own
+    /// process group).
+    EvictDevice {
+        /// Pool ordinal of the lost device.
+        ordinal: u64,
+        /// Fault-plan ordinal at which the device died.
+        dead_at_event: u64,
+    },
+    /// The driver's side of an eviction: the round's pending samples
+    /// re-sharded onto the survivors. Shares the `recover:evict_device`
+    /// trace name with [`Recovery::EvictDevice`].
+    Redistribute {
+        /// Devices evicted by this eviction.
+        devices_evicted: u64,
+        /// Devices left in the pool.
+        survivors: u64,
+        /// Pending samples moved onto the survivors.
+        redistributed_sets: u64,
+    },
+    /// A run checkpoint persisted to disk.
+    Checkpoint {
+        /// Logical sets covered by the checkpoint.
+        logical_sets: u64,
+        /// Checkpoints written by this process so far.
+        written: u64,
+    },
+    /// A run reconstructed from a persisted checkpoint.
+    Resume {
+        /// Logical sets replayed from the checkpoint.
+        logical_sets: u64,
+    },
+    /// RRR sets evicted to host memory under memory pressure.
+    Spill {
+        /// Sets evicted.
+        sets: u64,
+        /// Device bytes they occupied.
+        bytes: u64,
+    },
+    /// Spilled sets re-streamed to the device for selection.
+    Reload {
+        /// Bytes re-streamed.
+        bytes: u64,
+    },
+}
+
+impl Recovery {
+    /// The trace event name (`recover:<action>`), also the `action` label
+    /// of `eim_recovery_actions_total`.
+    fn name(&self) -> &'static str {
+        match self {
+            Recovery::Retry { .. } => "recover:retry",
+            Recovery::BatchSplit { .. } => "recover:batch_split",
+            Recovery::EvictDevice { .. } | Recovery::Redistribute { .. } => "recover:evict_device",
+            Recovery::Checkpoint { .. } => "recover:checkpoint",
+            Recovery::Resume { .. } => "recover:resume",
+            Recovery::Spill { .. } => "recover:spill",
+            Recovery::Reload { .. } => "recover:reload",
+        }
+    }
+
+    /// The action's own counter and increment, if it has one.
+    fn counter(&self) -> Option<(&'static str, u64)> {
+        match *self {
+            Recovery::EvictDevice { .. } => Some(("eim_device_failures_total", 1)),
+            Recovery::Redistribute {
+                redistributed_sets, ..
+            } => Some(("eim_redistributed_sets_total", redistributed_sets)),
+            Recovery::Checkpoint { .. } => Some(("eim_checkpoints_written_total", 1)),
+            Recovery::Resume { .. } => Some(("eim_resumes_total", 1)),
+            _ => None,
+        }
+    }
+
+    /// The trace event's detail arguments.
+    fn args(&self) -> Vec<(&'static str, ArgValue)> {
+        use ArgValue::{F64, U64};
+        match *self {
+            Recovery::Retry {
+                attempt,
+                fault_ordinal,
+                backoff_us,
+            } => vec![
+                ("attempt", U64(attempt)),
+                ("fault_ordinal", U64(fault_ordinal)),
+                ("backoff_us", F64(backoff_us)),
+            ],
+            Recovery::BatchSplit { batch } => vec![("batch", U64(batch))],
+            Recovery::EvictDevice {
+                ordinal,
+                dead_at_event,
+            } => vec![
+                ("ordinal", U64(ordinal)),
+                ("dead_at_event", U64(dead_at_event)),
+            ],
+            Recovery::Redistribute {
+                devices_evicted,
+                survivors,
+                redistributed_sets,
+            } => vec![
+                ("devices_evicted", U64(devices_evicted)),
+                ("survivors", U64(survivors)),
+                ("redistributed_sets", U64(redistributed_sets)),
+            ],
+            Recovery::Checkpoint {
+                logical_sets,
+                written,
+            } => vec![
+                ("logical_sets", U64(logical_sets)),
+                ("written", U64(written)),
+            ],
+            Recovery::Resume { logical_sets } => vec![("logical_sets", U64(logical_sets))],
+            Recovery::Spill { sets, bytes } => vec![("sets", U64(sets)), ("bytes", U64(bytes))],
+            Recovery::Reload { bytes } => vec![("bytes", U64(bytes))],
         }
     }
 }
@@ -250,58 +363,26 @@ const NUM_CATS: usize = 6;
 #[derive(Debug)]
 struct Inner {
     events: Mutex<Vec<TraceEvent>>,
+    /// Every phase span `(name, µs)` in completion order, kept apart from
+    /// the capped buffer so the summary lists all of them.
+    phase_us: Mutex<Vec<(String, f64)>>,
     /// Max retained events *per category*; `u64::MAX` when uncapped.
     event_cap: u64,
     /// Retained-event count per category (indexed by [`EventCat::lane`]).
     cat_counts: [AtomicU64; NUM_CATS],
     /// Events discarded per category once its cap filled.
     cat_dropped: [AtomicU64; NUM_CATS],
-    kernel_launches: AtomicU64,
-    kernel_cycles: AtomicU64,
-    alloc_events: AtomicU64,
-    free_events: AtomicU64,
-    peak_bytes: AtomicU64,
-    transfer_events: AtomicU64,
-    transfer_bytes: AtomicU64,
-    fault_events: AtomicU64,
-    recovery_events: AtomicU64,
-}
-
-impl Default for Inner {
-    fn default() -> Self {
-        Self::with_cap(u64::MAX)
-    }
-}
-
-impl Inner {
-    fn with_cap(event_cap: u64) -> Self {
-        Self {
-            events: Mutex::new(Vec::new()),
-            event_cap,
-            cat_counts: Default::default(),
-            cat_dropped: Default::default(),
-            kernel_launches: AtomicU64::new(0),
-            kernel_cycles: AtomicU64::new(0),
-            alloc_events: AtomicU64::new(0),
-            free_events: AtomicU64::new(0),
-            peak_bytes: AtomicU64::new(0),
-            transfer_events: AtomicU64::new(0),
-            transfer_bytes: AtomicU64::new(0),
-            fault_events: AtomicU64::new(0),
-            recovery_events: AtomicU64::new(0),
-        }
-    }
 }
 
 /// Shared run-telemetry recorder.
 ///
 /// Clones share one buffer. A recorder is either *enabled* (holds an event
-/// buffer plus counters) or *disabled* (a `None`; every record call returns
-/// immediately without touching memory).
+/// buffer) or *disabled* (a `None`; every record call returns immediately
+/// without touching memory).
 ///
 /// Each handle carries a `pid` tag — the Perfetto process group its events
 /// land in. [`RunTrace::for_device`] derives a handle for another simulated
-/// device: same shared buffer, caps, and counters, different process group,
+/// device: same shared buffer, caps, and registry, different process group,
 /// so a multi-GPU run exports as one trace file with one timeline per GPU.
 #[derive(Clone, Debug, Default)]
 pub struct RunTrace {
@@ -309,8 +390,8 @@ pub struct RunTrace {
     pid: u64,
     /// Metrics instrument sink; records run *before* the enabled/disabled
     /// check on `inner`, so `RunTrace::disabled().with_metrics(..)` supports
-    /// metrics-only runs with no event buffering (and capped recorders keep
-    /// exact metrics past their caps).
+    /// metrics-only runs with no event buffering, and capped recorders keep
+    /// exact metrics (and summaries) past their caps.
     metrics: MetricsSink,
 }
 
@@ -327,25 +408,27 @@ impl RunTrace {
 
     /// A live recorder with an unbounded event buffer.
     pub fn enabled() -> Self {
-        Self {
-            inner: Some(Arc::new(Inner::default())),
-            pid: 0,
-            metrics: MetricsSink::disabled(),
-        }
+        Self::enabled_with_event_cap(usize::MAX)
     }
 
     /// A live recorder that retains at most `cap` events *per category*
     /// (phase / kernel / memory / transfer / fault). Beyond the cap, events
-    /// in that category are discarded — the summary counters stay exact
-    /// (every launch, byte, and fault is still counted) and the discards
-    /// are reported as [`TraceSummary::dropped_events`]. Bounds trace
-    /// memory and file size on long runs, where the kernel lane alone can
-    /// reach millions of events.
+    /// in that category are discarded — the summary stays exact (it is read
+    /// from the metrics registry, which sees every launch, byte, and fault)
+    /// and the discards are reported as [`TraceSummary::dropped_events`].
+    /// Bounds trace memory and file size on long runs, where the kernel lane
+    /// alone can reach millions of events.
     pub fn enabled_with_event_cap(cap: usize) -> Self {
         Self {
-            inner: Some(Arc::new(Inner::with_cap(cap as u64))),
+            inner: Some(Arc::new(Inner {
+                events: Mutex::default(),
+                phase_us: Mutex::default(),
+                event_cap: cap as u64,
+                cat_counts: Default::default(),
+                cat_dropped: Default::default(),
+            })),
             pid: 0,
-            metrics: MetricsSink::disabled(),
+            metrics: MetricsRegistry::new().sink(),
         }
     }
 
@@ -362,10 +445,11 @@ impl RunTrace {
         }
     }
 
-    /// Attaches a metrics sink: every kernel launch, memory event, fault,
-    /// and recovery action recorded through this trace also updates the
-    /// sink's registry. Works on disabled recorders too (metrics without
-    /// event buffering).
+    /// Attaches a metrics sink: every kernel launch, memory event, transfer,
+    /// fault, and recovery action recorded through this trace also updates
+    /// the sink's registry, which replaces an enabled recorder's private one
+    /// as the source of its [`TraceSummary`]. Works on disabled recorders
+    /// too (metrics without event buffering).
     pub fn with_metrics(mut self, metrics: MetricsSink) -> Self {
         self.metrics = metrics;
         self
@@ -386,8 +470,11 @@ impl RunTrace {
         self.inner.is_some()
     }
 
-    fn push(&self, ev: TraceEvent) {
+    /// Buffers the event `make` builds — only called when the recorder is
+    /// enabled — unless its category's cap is full.
+    fn push(&self, make: impl FnOnce() -> TraceEvent) {
         if let Some(inner) = &self.inner {
+            let ev = make();
             let lane = ev.cat.lane() as usize;
             if inner.event_cap != u64::MAX {
                 // Claim a slot under the category's cap; on overflow, undo
@@ -405,10 +492,13 @@ impl RunTrace {
 
     /// Records one IMM driver phase as a span.
     pub fn record_phase(&self, name: &str, ts_us: f64, dur_us: f64) {
-        if self.inner.is_none() {
-            return;
-        }
-        self.push(TraceEvent {
+        let Some(inner) = &self.inner else { return };
+        inner
+            .phase_us
+            .lock()
+            .expect("trace buffer poisoned")
+            .push((name.to_string(), dur_us));
+        self.push(|| TraceEvent {
             name: name.to_string(),
             cat: EventCat::Phase,
             ts_us,
@@ -420,33 +510,12 @@ impl RunTrace {
 
     /// Records one simulated kernel launch as a span, with its grid size and
     /// cycle accounting (`total_cycles` across all blocks, `max_block_cycles`
-    /// for the most expensive block — the load-imbalance indicator).
-    pub fn record_kernel(
-        &self,
-        name: &str,
-        ts_us: f64,
-        dur_us: f64,
-        num_blocks: usize,
-        total_cycles: u64,
-        max_block_cycles: u64,
-    ) {
-        self.record_kernel_hw(
-            name,
-            ts_us,
-            dur_us,
-            num_blocks,
-            total_cycles,
-            max_block_cycles,
-            &KernelHw::default(),
-        );
-    }
-
-    /// [`RunTrace::record_kernel`] with full hardware counters for the
-    /// launch (occupancy, divergence, memory transactions, atomics, …).
-    /// The counters flow into the attached metrics sink; the trace event is
-    /// unchanged, so span sums and metric totals reconcile exactly.
+    /// for the most expensive block — the load-imbalance indicator). The
+    /// hardware counters (occupancy, divergence, memory transactions,
+    /// atomics, …) flow into the metrics sink only; span sums and metric
+    /// totals reconcile exactly.
     #[allow(clippy::too_many_arguments)]
-    pub fn record_kernel_hw(
+    pub fn record_kernel(
         &self,
         name: &str,
         ts_us: f64,
@@ -464,12 +533,7 @@ impl RunTrace {
             max_block_cycles,
             hw,
         );
-        let Some(inner) = &self.inner else { return };
-        inner.kernel_launches.fetch_add(1, Ordering::Relaxed);
-        inner
-            .kernel_cycles
-            .fetch_add(total_cycles, Ordering::Relaxed);
-        self.push(TraceEvent {
+        self.push(|| TraceEvent {
             name: name.to_string(),
             cat: EventCat::Kernel,
             ts_us,
@@ -487,10 +551,7 @@ impl RunTrace {
     /// after the allocation. Emits a counter sample for the memory track.
     pub fn record_alloc(&self, ts_us: f64, bytes: usize, in_use: usize) {
         self.metrics.record_alloc(bytes as u64, in_use as u64);
-        let Some(inner) = &self.inner else { return };
-        inner.alloc_events.fetch_add(1, Ordering::Relaxed);
-        inner.peak_bytes.fetch_max(in_use as u64, Ordering::Relaxed);
-        self.push(TraceEvent {
+        self.push(|| TraceEvent {
             name: "device_mem_in_use".to_string(),
             cat: EventCat::Memory,
             ts_us,
@@ -505,9 +566,7 @@ impl RunTrace {
     /// Records a device free: `bytes` released, `in_use` the total after.
     pub fn record_free(&self, ts_us: f64, bytes: usize, in_use: usize) {
         self.metrics.record_free(bytes as u64);
-        let Some(inner) = &self.inner else { return };
-        inner.free_events.fetch_add(1, Ordering::Relaxed);
-        self.push(TraceEvent {
+        self.push(|| TraceEvent {
             name: "device_mem_in_use".to_string(),
             cat: EventCat::Memory,
             ts_us,
@@ -522,10 +581,7 @@ impl RunTrace {
     /// Records a failed device allocation (the request that did not fit).
     pub fn record_alloc_failure(&self, ts_us: f64, requested: usize, in_use: usize) {
         self.metrics.record_alloc_failure();
-        if self.inner.is_none() {
-            return;
-        }
-        self.push(TraceEvent {
+        self.push(|| TraceEvent {
             name: "alloc_failed".to_string(),
             cat: EventCat::Memory,
             ts_us,
@@ -538,38 +594,33 @@ impl RunTrace {
         });
     }
 
-    /// Records a PCIe transfer (`name` like `"h2d:graph"`) as a span.
-    pub fn record_transfer(&self, name: &str, ts_us: f64, dur_us: f64, bytes: usize) {
-        let Some(inner) = &self.inner else { return };
-        inner.transfer_events.fetch_add(1, Ordering::Relaxed);
-        inner
-            .transfer_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.push(TraceEvent {
-            name: name.to_string(),
-            cat: EventCat::Transfer,
-            ts_us,
-            pid: self.pid,
-            kind: EventKind::Span { dur_us },
-            args: vec![("bytes", ArgValue::U64(bytes as u64))],
-        });
-    }
-
-    /// Records an async copy enqueued on a device copy stream (`name` like
-    /// `"stream:h2d"`) as a span on the copy-stream lane. `ts_us` is the
+    /// Records one PCIe copy of `bytes` in direction `dir` (`"h2d"` /
+    /// `"d2h"`) as a span, plus its count, bytes and bandwidth
+    /// `utilization` (achieved over modelled peak) in the metrics sink. The
+    /// `mode` picks the lane: `"sync"` copies render as `pcie:<dir>` on the
+    /// PCIe lane; `"stream"` copies, enqueued on a device copy stream,
+    /// render as `stream:<dir>` on the copy-stream lane, with `ts_us` the
     /// stream-scheduled start (which can lie *ahead* of the device clock —
-    /// that is the overlap). Counts into the same transfer totals as
-    /// [`RunTrace::record_transfer`]: the summary reports all PCIe traffic
-    /// together, the lanes keep sync and async copies apart.
-    pub fn record_copy(&self, name: &str, ts_us: f64, dur_us: f64, bytes: usize) {
-        let Some(inner) = &self.inner else { return };
-        inner.transfer_events.fetch_add(1, Ordering::Relaxed);
-        inner
-            .transfer_bytes
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-        self.push(TraceEvent {
-            name: name.to_string(),
-            cat: EventCat::CopyStream,
+    /// that is the overlap). The summary reports all PCIe traffic together.
+    pub fn record_transfer(
+        &self,
+        dir: &'static str,
+        mode: &'static str,
+        ts_us: f64,
+        dur_us: f64,
+        bytes: usize,
+        utilization: f64,
+    ) {
+        self.metrics
+            .observe_transfer(dir, mode, bytes as u64, utilization);
+        let (cat, lane) = if mode == "stream" {
+            (EventCat::CopyStream, "stream")
+        } else {
+            (EventCat::Transfer, "pcie")
+        };
+        self.push(|| TraceEvent {
+            name: format!("{lane}:{dir}"),
+            cat,
             ts_us,
             pid: self.pid,
             kind: EventKind::Span { dur_us },
@@ -582,9 +633,7 @@ impl RunTrace {
     /// ordinal in the fault plan.
     pub fn record_fault(&self, name: &str, ts_us: f64, ordinal: u64) {
         self.metrics.record_fault(name);
-        let Some(inner) = &self.inner else { return };
-        inner.fault_events.fetch_add(1, Ordering::Relaxed);
-        self.push(TraceEvent {
+        self.push(|| TraceEvent {
             name: name.to_string(),
             cat: EventCat::Fault,
             ts_us,
@@ -594,20 +643,21 @@ impl RunTrace {
         });
     }
 
-    /// Records a recovery action (`name` like `"recover:retry"`,
-    /// `"recover:batch_split"`, `"recover:spill"`) as an instant on the
-    /// fault lane, with free-form detail arguments.
-    pub fn record_recovery(&self, name: &str, ts_us: f64, args: Vec<(&'static str, ArgValue)>) {
-        self.metrics.record_recovery(name);
-        let Some(inner) = &self.inner else { return };
-        inner.recovery_events.fetch_add(1, Ordering::Relaxed);
-        self.push(TraceEvent {
-            name: name.to_string(),
+    /// Records a recovery action as an instant on the fault lane, with its
+    /// detail arguments, and counts it in the metrics sink (under
+    /// `eim_recovery_actions_total` and the action's own counter).
+    pub fn record_recovery(&self, action: Recovery, ts_us: f64) {
+        self.metrics.record_recovery(action.name());
+        if let Some((counter, v)) = action.counter() {
+            self.metrics.counter_add(counter, &[], v);
+        }
+        self.push(|| TraceEvent {
+            name: action.name().to_string(),
             cat: EventCat::Fault,
             ts_us,
             pid: self.pid,
             kind: EventKind::Instant,
-            args,
+            args: action.args(),
         });
     }
 
@@ -619,38 +669,34 @@ impl RunTrace {
             .unwrap_or_default()
     }
 
-    /// Condenses the recorded stream into summary counters.
+    /// The run's summary: totals read from the registry this trace feeds,
+    /// plus the phase spans and the cap's drop count. All zero for a
+    /// disabled recorder.
     pub fn summary(&self) -> TraceSummary {
-        let Some(inner) = &self.inner else {
+        let (Some(inner), Some(reg)) = (&self.inner, self.metrics.registry()) else {
             return TraceSummary::default();
         };
-        let phase_us = inner
-            .events
-            .lock()
-            .expect("trace buffer poisoned")
-            .iter()
-            .filter(|e| e.cat == EventCat::Phase)
-            .filter_map(|e| match e.kind {
-                EventKind::Span { dur_us } => Some((e.name.clone(), dur_us)),
-                _ => None,
-            })
-            .collect();
+        let kernels = reg.kernel_profiles();
         TraceSummary {
-            kernel_launches: inner.kernel_launches.load(Ordering::Relaxed),
-            kernel_cycles: inner.kernel_cycles.load(Ordering::Relaxed),
-            alloc_events: inner.alloc_events.load(Ordering::Relaxed),
-            free_events: inner.free_events.load(Ordering::Relaxed),
-            peak_bytes: inner.peak_bytes.load(Ordering::Relaxed),
-            transfer_events: inner.transfer_events.load(Ordering::Relaxed),
-            transfer_bytes: inner.transfer_bytes.load(Ordering::Relaxed),
-            fault_events: inner.fault_events.load(Ordering::Relaxed),
-            recovery_events: inner.recovery_events.load(Ordering::Relaxed),
+            kernel_launches: kernels.iter().map(|(_, p)| p.launches).sum(),
+            kernel_cycles: kernels.iter().map(|(_, p)| p.cycles).sum(),
+            alloc_events: reg.counter_total("eim_device_allocs_total"),
+            free_events: reg.counter_total("eim_device_frees_total"),
+            peak_bytes: reg.gauge_peak("eim_device_mem_peak_bytes"),
+            transfer_events: reg.counter_total("eim_transfers_total"),
+            transfer_bytes: reg.counter_total("eim_transfer_bytes_total"),
+            fault_events: reg.counter_total("eim_faults_injected_total"),
+            recovery_events: reg.counter_total("eim_recovery_actions_total"),
             dropped_events: inner
                 .cat_dropped
                 .iter()
                 .map(|c| c.load(Ordering::Relaxed))
                 .sum(),
-            phase_us,
+            phase_us: inner
+                .phase_us
+                .lock()
+                .expect("trace buffer poisoned")
+                .clone(),
         }
     }
 
@@ -660,27 +706,23 @@ impl RunTrace {
     /// [`TraceSummary`] is embedded under `summary`.
     pub fn chrome_json(&self, metadata: &[(&str, String)]) -> Value {
         let recorded = self.events();
-        let mut events: Vec<Value> = Vec::new();
-        for &pid in &Self::stream_pids(&recorded) {
-            events.extend(Self::process_meta_events(pid));
-        }
-        for ev in &recorded {
-            events.push(Self::event_to_value(ev));
-        }
         json!({
-            "traceEvents": events,
+            "traceEvents": Self::event_values(&recorded).collect::<Vec<_>>(),
             "displayTimeUnit": "ms",
             "otherData": Value::Object(Self::metadata_object(metadata)),
             "summary": self.summary().to_json(),
         })
     }
 
-    /// One Perfetto process group per device pid seen in the stream (a run
-    /// with no events still gets the default group 0).
-    fn stream_pids(recorded: &[TraceEvent]) -> std::collections::BTreeSet<u64> {
+    /// The `traceEvents` entries: metadata for one Perfetto process group
+    /// per device pid seen in the stream (a run with no events still gets
+    /// the default group 0), then every recorded event.
+    fn event_values(recorded: &[TraceEvent]) -> impl Iterator<Item = Value> + '_ {
         let mut pids: std::collections::BTreeSet<u64> = recorded.iter().map(|e| e.pid).collect();
         pids.insert(0);
-        pids
+        pids.into_iter()
+            .flat_map(Self::process_meta_events)
+            .chain(recorded.iter().map(Self::event_to_value))
     }
 
     /// Process-name plus lane-name metadata events for one process group,
@@ -693,13 +735,13 @@ impl RunTrace {
             "tid": 0,
             "args": serde_json::json!({ "name": format!("device {pid}") }),
         })];
-        for cat in EventCat::ALL {
+        for (lane, (_, lane_name)) in LANES.iter().enumerate() {
             events.push(json!({
                 "name": "thread_name",
                 "ph": "M",
                 "pid": pid,
-                "tid": cat.lane(),
-                "args": serde_json::json!({ "name": cat.lane_name() }),
+                "tid": lane as u64,
+                "args": serde_json::json!({ "name": *lane_name }),
             }));
         }
         events
@@ -756,41 +798,16 @@ impl RunTrace {
         // `traceEvents` is never empty — pid 0 always contributes metadata
         // events — so the array brackets never need the empty-`[]` form.
         w.write_all(b"{\n  \"traceEvents\": [")?;
-        let mut first = true;
-        for &pid in &Self::stream_pids(&recorded) {
-            for v in Self::process_meta_events(pid) {
-                Self::write_stream_event(&mut w, &v, &mut first)?;
-            }
+        for (i, v) in Self::event_values(&recorded).enumerate() {
+            let sep = if i == 0 { "" } else { "," };
+            write!(w, "{sep}\n    {}", pretty_at(&v, 2))?;
         }
-        for ev in &recorded {
-            Self::write_stream_event(&mut w, &Self::event_to_value(ev), &mut first)?;
-        }
-        let mut tail = String::from("\n  ],\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": ");
-        write_pretty(
-            &mut tail,
-            &Value::Object(Self::metadata_object(metadata)),
-            1,
-        );
-        tail.push_str(",\n  \"summary\": ");
-        write_pretty(&mut tail, &self.summary().to_json(), 1);
-        tail.push_str("\n}");
-        w.write_all(tail.as_bytes())
-    }
-
-    /// Renders one `traceEvents` entry at array depth, with its separator.
-    fn write_stream_event<W: std::io::Write>(
-        w: &mut W,
-        v: &Value,
-        first: &mut bool,
-    ) -> std::io::Result<()> {
-        let mut s = String::with_capacity(256);
-        if !*first {
-            s.push(',');
-        }
-        *first = false;
-        s.push_str("\n    ");
-        write_pretty(&mut s, v, 2);
-        w.write_all(s.as_bytes())
+        write!(
+            w,
+            "\n  ],\n  \"displayTimeUnit\": \"ms\",\n  \"otherData\": {},\n  \"summary\": {}\n}}",
+            pretty_at(&Value::Object(Self::metadata_object(metadata)), 1),
+            pretty_at(&self.summary().to_json(), 1),
+        )
     }
 
     /// Writes [`RunTrace::chrome_json`] to `path`, creating parent
@@ -830,99 +847,12 @@ impl RunTrace {
     }
 }
 
-/// Mirror of the vendored `serde_json::to_string_pretty` value renderer at
-/// an arbitrary starting depth, used by [`RunTrace::write_chrome_stream`] to
-/// emit one event at a time while staying byte-identical to whole-document
-/// pretty printing (the `stream_matches_to_string_pretty` test locks the two
-/// together).
-fn write_pretty(out: &mut String, v: &Value, depth: usize) {
-    match v {
-        Value::Null => out.push_str("null"),
-        Value::Bool(true) => out.push_str("true"),
-        Value::Bool(false) => out.push_str("false"),
-        Value::Number(n) => write_pretty_number(out, n),
-        Value::String(s) => write_pretty_string(out, s),
-        Value::Array(a) => {
-            if a.is_empty() {
-                out.push_str("[]");
-                return;
-            }
-            out.push('[');
-            for (i, elem) in a.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                pretty_newline(out, depth + 1);
-                write_pretty(out, elem, depth + 1);
-            }
-            pretty_newline(out, depth);
-            out.push(']');
-        }
-        Value::Object(m) => {
-            if m.is_empty() {
-                out.push_str("{}");
-                return;
-            }
-            out.push('{');
-            for (i, (k, elem)) in m.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                pretty_newline(out, depth + 1);
-                write_pretty_string(out, k);
-                out.push_str(": ");
-                write_pretty(out, elem, depth + 1);
-            }
-            pretty_newline(out, depth);
-            out.push('}');
-        }
-    }
-}
-
-fn pretty_newline(out: &mut String, depth: usize) {
-    out.push('\n');
-    for _ in 0..depth {
-        out.push_str("  ");
-    }
-}
-
-fn write_pretty_number(out: &mut String, n: &serde_json::Number) {
-    match *n {
-        serde_json::Number::PosInt(v) => out.push_str(&v.to_string()),
-        serde_json::Number::NegInt(v) => out.push_str(&v.to_string()),
-        serde_json::Number::Float(f) => {
-            if !f.is_finite() {
-                out.push_str("null");
-            } else if f == f.trunc() && f.abs() < 1e15 {
-                out.push_str(&format!("{f:.1}"));
-            } else {
-                out.push_str(&format!("{f}"));
-            }
-        }
-    }
-}
-
-fn write_pretty_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            '\u{0008}' => out.push_str("\\b"),
-            '\u{000c}' => out.push_str("\\f"),
-            c if (c as u32) < 0x20 => {
-                let _ = {
-                    use std::fmt::Write as _;
-                    write!(out, "\\u{:04x}", c as u32)
-                };
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
+/// `serde_json::to_string_pretty(v)` as it renders nested `depth` levels
+/// deep: strings escape `\n`, so every newline in the output is
+/// indentation, and each gains two spaces per level.
+fn pretty_at(v: &Value, depth: usize) -> String {
+    let text = serde_json::to_string_pretty(v).expect("a Value always serializes");
+    text.replace('\n', &format!("\n{}", "  ".repeat(depth)))
 }
 
 /// Machine-readable condensation of one run's telemetry.
@@ -936,7 +866,7 @@ pub struct TraceSummary {
     pub alloc_events: u64,
     /// Number of device frees.
     pub free_events: u64,
-    /// High-water mark of device bytes in use, as seen by the recorder.
+    /// High-water mark of device bytes in use on the busiest device.
     pub peak_bytes: u64,
     /// Number of PCIe transfers.
     pub transfer_events: u64,
@@ -948,7 +878,7 @@ pub struct TraceSummary {
     pub recovery_events: u64,
     /// Events discarded by a per-category cap
     /// ([`RunTrace::enabled_with_event_cap`]); 0 for unbounded recorders.
-    /// The other counters here stay exact regardless of drops.
+    /// The other fields here stay exact regardless of drops.
     pub dropped_events: u64,
     /// Per-phase simulated durations `(name, µs)`, in completion order.
     pub phase_us: Vec<(String, f64)>,
@@ -1013,9 +943,9 @@ mod tests {
     fn disabled_records_nothing() {
         let t = RunTrace::disabled();
         t.record_phase("sampling", 0.0, 10.0);
-        t.record_kernel("k", 0.0, 1.0, 4, 100, 50);
+        t.record_kernel("k", 0.0, 1.0, 4, 100, 50, &KernelHw::default());
         t.record_alloc(0.0, 64, 64);
-        t.record_transfer("h2d", 0.0, 1.0, 1024);
+        t.record_transfer("h2d", "sync", 0.0, 1.0, 1024, 0.5);
         assert!(!t.is_enabled());
         assert!(t.events().is_empty());
         assert_eq!(t.summary(), TraceSummary::default());
@@ -1025,8 +955,8 @@ mod tests {
     fn clones_share_one_buffer() {
         let t = RunTrace::enabled();
         let t2 = t.clone();
-        t.record_kernel("a", 0.0, 1.0, 2, 10, 7);
-        t2.record_kernel("b", 1.0, 1.0, 2, 20, 9);
+        t.record_kernel("a", 0.0, 1.0, 2, 10, 7, &KernelHw::default());
+        t2.record_kernel("b", 1.0, 1.0, 2, 20, 9, &KernelHw::default());
         let s = t.summary();
         assert_eq!(s.kernel_launches, 2);
         assert_eq!(s.kernel_cycles, 30);
@@ -1050,9 +980,9 @@ mod tests {
     fn chrome_json_shape() {
         let t = RunTrace::enabled();
         t.record_phase("estimation", 0.0, 3.0);
-        t.record_kernel("eim_sample", 0.5, 2.0, 8, 1000, 200);
+        t.record_kernel("eim_sample", 0.5, 2.0, 8, 1000, 200, &KernelHw::default());
         t.record_alloc(0.1, 64, 64);
-        t.record_transfer("h2d:graph", 0.0, 0.4, 4096);
+        t.record_transfer("h2d", "sync", 0.0, 0.4, 4096, 0.5);
         let v = t.chrome_json(&[("engine", "eim".to_string())]);
         let events = v["traceEvents"].as_array().expect("array");
         // 1 process-name + 6 lane-name metadata events + 4 recorded events.
@@ -1098,9 +1028,9 @@ mod tests {
         let d1 = t.for_device(1);
         assert_eq!(t.pid(), 0);
         assert_eq!(d1.pid(), 1);
-        t.record_kernel("k0", 0.0, 1.0, 2, 10, 7);
-        d1.record_kernel("k1", 0.0, 1.0, 2, 20, 9);
-        d1.record_copy("stream:d2h", 1.0, 0.5, 4096);
+        t.record_kernel("k0", 0.0, 1.0, 2, 10, 7, &KernelHw::default());
+        d1.record_kernel("k1", 0.0, 1.0, 2, 20, 9, &KernelHw::default());
+        d1.record_transfer("d2h", "stream", 1.0, 0.5, 4096, 0.5);
         let events = t.events();
         assert_eq!(events.len(), 3, "one shared buffer");
         let pid_of = |name: &str| events.iter().find(|e| e.name == name).unwrap().pid;
@@ -1116,8 +1046,9 @@ mod tests {
     #[test]
     fn chrome_json_emits_one_process_group_per_device() {
         let t = RunTrace::enabled();
-        t.record_kernel("k0", 0.0, 1.0, 1, 1, 1);
-        t.for_device(2).record_copy("stream:d2h", 0.0, 1.0, 64);
+        t.record_kernel("k0", 0.0, 1.0, 1, 1, 1, &KernelHw::default());
+        t.for_device(2)
+            .record_transfer("d2h", "stream", 0.0, 1.0, 64, 0.5);
         let v = t.chrome_json(&[]);
         let events = v["traceEvents"].as_array().unwrap();
         let names: Vec<u64> = events
@@ -1139,12 +1070,12 @@ mod tests {
         let t = RunTrace::enabled();
         t.record_fault("fault:kernel_launch", 1.0, 7);
         t.record_recovery(
-            "recover:retry",
+            Recovery::Retry {
+                attempt: 1,
+                fault_ordinal: 7,
+                backoff_us: 50.0,
+            },
             2.0,
-            vec![
-                ("attempt", ArgValue::U64(1)),
-                ("backoff_us", ArgValue::F64(50.0)),
-            ],
         );
         let s = t.summary();
         assert_eq!(s.fault_events, 1);
@@ -1171,10 +1102,10 @@ mod tests {
     fn event_cap_bounds_each_category_and_counts_drops() {
         let t = RunTrace::enabled_with_event_cap(3);
         for i in 0..10 {
-            t.record_kernel("k", i as f64, 1.0, 1, 100, 50);
+            t.record_kernel("k", i as f64, 1.0, 1, 100, 50, &KernelHw::default());
         }
         // A different category has its own budget.
-        t.record_transfer("h2d", 0.0, 1.0, 64);
+        t.record_transfer("h2d", "sync", 0.0, 1.0, 64, 0.5);
         let kernels = t
             .events()
             .iter()
@@ -1202,7 +1133,7 @@ mod tests {
     fn uncapped_recorder_reports_zero_drops() {
         let t = RunTrace::enabled();
         for i in 0..100 {
-            t.record_kernel("k", i as f64, 1.0, 1, 1, 1);
+            t.record_kernel("k", i as f64, 1.0, 1, 1, 1, &KernelHw::default());
         }
         assert_eq!(t.summary().dropped_events, 0);
         assert_eq!(t.events().len(), 100);
@@ -1216,7 +1147,7 @@ mod tests {
                 let t = t.clone();
                 s.spawn(move || {
                     for i in 0..100 {
-                        t.record_kernel("k", i as f64, 1.0, 1, 1, 1);
+                        t.record_kernel("k", i as f64, 1.0, 1, 1, 1, &KernelHw::default());
                     }
                 });
             }
@@ -1230,8 +1161,8 @@ mod tests {
     fn busy_trace() -> RunTrace {
         let t = RunTrace::enabled();
         t.record_phase("estimation", 0.0, 3.25);
-        t.record_kernel("eim_sample", 0.5, 2.0, 8, 1000, 200);
-        t.record_kernel_hw(
+        t.record_kernel("eim_sample", 0.5, 2.0, 8, 1000, 200, &KernelHw::default());
+        t.record_kernel(
             "eim_select:iter0",
             2.5,
             1.5,
@@ -1251,17 +1182,13 @@ mod tests {
         );
         t.record_alloc(0.1, 64, 64);
         t.record_alloc_failure(0.2, 1 << 30, 64);
-        t.record_transfer("h2d:graph", 0.0, 0.4, 4096);
-        t.for_device(2).record_copy("stream:d2h", 1.0, 0.5, 8192);
+        t.record_transfer("h2d", "sync", 0.0, 0.4, 4096, 0.5);
+        t.for_device(2)
+            .record_transfer("d2h", "stream", 1.0, 0.5, 8192, 0.5);
         t.record_fault("fault:kernel_launch", 1.0, 7);
-        t.record_recovery(
-            "recover:retry",
-            2.0,
-            vec![
-                ("attempt", ArgValue::U64(1)),
-                ("quote", ArgValue::Str("a\"b\\c".into())),
-            ],
-        );
+        // Quotes, backslashes and newlines in a name must escape, not indent.
+        t.record_fault("fault:\"quoted\"\\back\nline", 1.5, 8);
+        t.record_recovery(Recovery::BatchSplit { batch: 64 }, 2.0);
         t
     }
 
@@ -1319,12 +1246,20 @@ mod tests {
     fn metrics_ride_the_trace_recorders() {
         let reg = MetricsRegistry::new();
         let t = RunTrace::enabled().with_metrics(reg.sink().with_engine("eim"));
-        t.record_kernel("k", 0.0, 2.0, 4, 100, 60);
-        t.for_device(1).record_kernel("k", 2.0, 1.0, 2, 40, 30);
+        t.record_kernel("k", 0.0, 2.0, 4, 100, 60, &KernelHw::default());
+        t.for_device(1)
+            .record_kernel("k", 2.0, 1.0, 2, 40, 30, &KernelHw::default());
         t.record_alloc(0.0, 100, 100);
         t.record_free(1.0, 100, 0);
         t.record_fault("fault:transfer", 1.0, 3);
-        t.record_recovery("recover:retry", 2.0, vec![]);
+        t.record_recovery(
+            Recovery::Retry {
+                attempt: 1,
+                fault_ordinal: 3,
+                backoff_us: 1.0,
+            },
+            2.0,
+        );
         let profiles = reg.kernel_profiles();
         assert_eq!(profiles.len(), 2, "per-device profile keys");
         assert_eq!(profiles[0].0.device, 0);
@@ -1351,7 +1286,7 @@ mod tests {
     fn disabled_trace_with_metrics_still_collects_metrics() {
         let reg = MetricsRegistry::new();
         let t = RunTrace::disabled().with_metrics(reg.sink().with_engine("bench"));
-        t.record_kernel("k", 0.0, 1.0, 1, 10, 10);
+        t.record_kernel("k", 0.0, 1.0, 1, 10, 10, &KernelHw::default());
         assert!(!t.is_enabled());
         assert!(t.events().is_empty(), "no event buffering");
         assert_eq!(reg.kernel_profiles().len(), 1, "metrics still flow");

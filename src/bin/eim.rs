@@ -71,7 +71,7 @@ use eim::core::{DeviceRecoverySummary, EimEngine, ScanStrategy};
 use eim::diffusion::estimate_spread;
 use eim::gpusim::{
     provenance, write_metrics_file, Device, DeviceSpec, FaultPlan, FaultSpec, MetricsRegistry,
-    RunTrace,
+    Phase, RunTrace,
 };
 use eim::graph::{generators, parse_edge_list, parse_weighted_edge_list, Dataset, GraphStats};
 use eim::imm::{
@@ -500,9 +500,7 @@ fn run_streaming_mode(a: &Args, graph: Graph, config: ImmConfig, dspec: DeviceSp
         RunTrace::disabled()
     };
     attach_snapshot_stream(a, &registry);
-    if want_metrics {
-        registry.set_phase("transfer");
-    }
+    trace.metrics().set_phase(Phase::Transfer);
     let wall = std::time::Instant::now();
     let (reports, last) = match a.engine.as_str() {
         "cpu" => drive_stream(
@@ -551,20 +549,9 @@ fn run_streaming_mode(a: &Args, graph: Graph, config: ImmConfig, dspec: DeviceSp
         // interval per batch) — deterministic, and `eim top` reads the
         // invalidation trajectory batch by batch.
         let sink = registry.sink().with_engine(&a.engine);
-        registry.set_phase("stream-update");
+        sink.set_phase(Phase::StreamUpdate);
         for (i, r) in reports.iter().enumerate() {
-            sink.counter_add("eim_stream_batches_total", &[], 1);
-            sink.counter_add(
-                "eim_stream_changed_heads_total",
-                &[],
-                r.changed_heads as u64,
-            );
-            sink.counter_add(
-                "eim_stream_invalidated_slots_total",
-                &[],
-                r.resampled_slots.len() as u64,
-            );
-            sink.counter_add("eim_stream_fresh_sets_total", &[], r.fresh_slots as u64);
+            r.record_metrics(&sink);
             registry.tick_snapshot_stream(((i + 1) as u64 * a.snapshot_interval_us) as f64);
         }
         if let Err(e) = registry
@@ -692,11 +679,9 @@ fn main() {
         trace
     };
     attach_snapshot_stream(&a, &registry);
-    if want_metrics {
-        // Engine construction uploads the graph; attribute that traffic to
-        // the transfer phase. The IMM driver takes over at the first round.
-        registry.set_phase("transfer");
-    }
+    // Engine construction uploads the graph; attribute that traffic to the
+    // transfer phase. The IMM driver takes over at the first round.
+    trace.metrics().set_phase(Phase::Transfer);
     let wall = std::time::Instant::now();
 
     let run_err = |e: EngineError| -> ! { report_engine_error(a.json, e) };
