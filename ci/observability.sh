@@ -5,7 +5,9 @@
 #
 # <bin-dir> holds release builds of `eim` and `eim-bench`. Each `eim` run
 # writes its Prometheus dump (.prom), Chrome trace (.trace.json), snapshot
-# stream (.jsonl) and --json output (.json) into <out-dir>. The two
+# stream (.jsonl) and --json output (.json) into <out-dir>, failed runs
+# (the checkpoint kill) included; a run that leaves one of them missing or
+# empty fails the script, so an absent file cannot pass the diff. The two
 # host-dependent parts are stripped: the snapshot stream's header line
 # (toolchain and git provenance) and the JSON `wall_seconds` field.
 # `--engine cpu` is left out: its kernel spans are timed with host wall time.
@@ -29,6 +31,12 @@ eim() {
     exit 1
   fi
   tail -n +2 "$name.raw.jsonl" > "$name.jsonl"
+  for f in "$name.prom" "$name.trace.json" "$name.jsonl"; do
+    if [ ! -s "$f" ]; then
+      echo "$name: $f is missing or empty" >&2
+      exit 1
+    fi
+  done
   python3 - "$name.raw.json" "$name.json" <<'EOF'
 import json, sys
 out = json.load(open(sys.argv[1]))

@@ -21,7 +21,7 @@ use eim_gpusim::{
 };
 use eim_graph::Graph;
 use eim_imm::{
-    greedy_cover_store, AnyRrrStore, EngineError, ImmConfig, ImmEngine, RrrSets, RrrStoreBuilder,
+    greedy_cover_store, EngineError, ImmConfig, ImmEngine, RrrSets, RrrStore, RrrStoreBuilder,
     Selection,
 };
 use rayon::prelude::*;
@@ -80,7 +80,7 @@ pub struct CuRipplesEngine<'g> {
     device_graph: PlainDeviceGraph<'g>,
     config: ImmConfig,
     /// Host-resident store (plain: cuRipples does not compress).
-    store: AnyRrrStore,
+    store: RrrStore,
     next_index: u64,
     transfer_bytes_total: usize,
 }
@@ -114,7 +114,7 @@ impl<'g> CuRipplesEngine<'g> {
             host,
             graph,
             device_graph: PlainDeviceGraph::new(graph),
-            store: AnyRrrStore::new(n, false),
+            store: RrrStore::new(n, false),
             config,
             next_index: 0,
             transfer_bytes_total: graph.csc_bytes(),

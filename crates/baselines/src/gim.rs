@@ -18,9 +18,7 @@
 use eim_diffusion::{lt_choose, sample_rng, DiffusionModel};
 use eim_gpusim::{CopyEvent, CopyStream, Device, Op, TransferDirection, WARP_SIZE};
 use eim_graph::{Graph, VertexId};
-use eim_imm::{
-    AnyRrrStore, EngineError, ImmConfig, ImmEngine, RrrSets, RrrStoreBuilder, Selection,
-};
+use eim_imm::{EngineError, ImmConfig, ImmEngine, RrrSets, RrrStore, RrrStoreBuilder, Selection};
 use rand::Rng;
 
 use eim_core::select::{select_on_device, ScanStrategy};
@@ -46,7 +44,7 @@ pub struct GimEngine<'g> {
     upload: Option<CopyEvent>,
     graph: &'g Graph,
     config: ImmConfig,
-    store: AnyRrrStore,
+    store: RrrStore,
     next_index: u64,
     store_alloc_bytes: usize,
     leaked_bytes: usize,
@@ -77,7 +75,7 @@ impl<'g> GimEngine<'g> {
             upload,
             graph,
             // gIM stores plain (never packed, never eliminates sources).
-            store: AnyRrrStore::new(n, false),
+            store: RrrStore::new(n, false),
             config,
             next_index: 0,
             store_alloc_bytes: 0,

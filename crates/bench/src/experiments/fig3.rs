@@ -3,7 +3,7 @@
 
 use eim_core::select::{select_on_device, ScanStrategy};
 use eim_gpusim::{Device, DeviceSpec};
-use eim_imm::{PlainRrrStore, RrrSets, RrrStoreBuilder};
+use eim_imm::{RrrSets, RrrStore, RrrStoreBuilder};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
@@ -21,7 +21,7 @@ pub fn fig3_scan_scaling(k: usize, max_log2_sets: u32, seed: u64) -> Table {
         "warp/thread",
     ]);
     let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut store = PlainRrrStore::new(n);
+    let mut store = RrrStore::new(n, false);
     let mut target = 1usize << 12;
     while store.num_sets() < (1usize << max_log2_sets) {
         // Grow the store to the next point.

@@ -9,16 +9,16 @@
 //! hosts — which encodes the identical bit stream and halves the boundary
 //! crossings.
 //!
-//! Three layers:
+//! Two layers:
 //! * [`PackedArray`] — immutable packed array, built in one pass.
-//! * [`PackedBuf`] — the growable packed buffer the RRR store appends to.
-//!   The paper packs RRR sets from many GPU blocks with a thread-safe
-//!   encoder; here the fused sampler's blocks write plain per-block arenas,
-//!   and one host writer packs them into the store after the arenas merge,
-//!   so no packed write is ever concurrent.
 //! * [`PackedCsc`] — a whole CSC graph (offsets + in-neighbors packed,
 //!   weights either plain or derived) with the memory accounting behind
 //!   Figure 4 / §4.2.
+//!
+//! The RRR store holds no packed buffer. Like the decoded neighbor mirror
+//! of `eim-core`'s `PackedDeviceGraph`, `eim-imm`'s `RrrStore` keeps its ids
+//! decoded on the host and charges the packed layout in `bytes()`, at the
+//! widths [`bits_for`] gives.
 //!
 //! ```
 //! use eim_bitpack::PackedArray;
@@ -30,13 +30,11 @@
 //! assert_eq!((0..a.len()).map(|i| a.get(i)).collect::<Vec<_>>(), [5, 123, 99, 43, 7]);
 //! ```
 
-mod buf;
 mod csc;
 mod mem;
 mod nbits;
 mod packed;
 
-pub use buf::PackedBuf;
 pub use csc::PackedCsc;
 pub use mem::MemoryReport;
 pub use nbits::bits_for;

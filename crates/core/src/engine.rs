@@ -33,8 +33,8 @@ use eim_gpusim::{
 };
 use eim_graph::Graph;
 use eim_imm::{
-    AnyRrrStore, DeviceManifest, EngineError, EngineManifest, Eviction, ImmConfig, ImmEngine,
-    PackedRrrBatch, RecoveryPolicy, RecoveryReport, RrrSets, RrrStoreBuilder, Selection,
+    DeviceManifest, EngineError, EngineManifest, Eviction, ImmConfig, ImmEngine, RecoveryPolicy,
+    RecoveryReport, RrrSets, RrrStore, RrrStoreBuilder, Selection,
 };
 
 use crate::device_graph::{DeviceGraph, PackedDeviceGraph, PlainDeviceGraph};
@@ -125,7 +125,7 @@ pub struct EimEngine<'g> {
     graph: GraphRepr<'g>,
     config: ImmConfig,
     scan: ScanStrategy,
-    store: AnyRrrStore,
+    store: RrrStore,
     next_index: u64,
     counters: SamplerCounters,
     store_alloc_bytes: usize,
@@ -242,7 +242,7 @@ impl<'g> EimEngine<'g> {
             device_reports: vec![RecoveryReport::default(); pool.len()],
             pool,
             graph: repr,
-            store: AnyRrrStore::new(n, config.packed),
+            store: RrrStore::new(n, config.packed),
             config,
             scan,
             next_index: 0,
@@ -351,7 +351,7 @@ impl<'g> EimEngine<'g> {
             return false;
         }
         let end = (self.spill_cursor + SPILL_BATCH_SETS).min(total);
-        let bytes = PackedRrrBatch::pack_range(&self.store, self.spill_cursor, end).device_bytes();
+        let bytes = self.store.spill_bytes(self.spill_cursor, end);
         // The eviction rides the copy stream (queueing behind an in-flight
         // graph upload) but is waited on immediately: the relieved memory
         // must be visible before the allocator retries.
@@ -537,12 +537,7 @@ impl ImmEngine for EimEngine<'_> {
         let key = (self.logical_sets(), k);
         let result = match self.last_selection.take() {
             Some((hit, result)) if hit == key => result,
-            // Dispatch on the concrete layout once, so the scan's probes
-            // compile against it instead of a vtable.
-            _ => match &self.store {
-                AnyRrrStore::Plain(s) => select_on_device(self.primary(), s, k, self.scan),
-                AnyRrrStore::Packed(s) => select_on_device(self.primary(), s, k, self.scan),
-            },
+            _ => select_on_device(self.primary(), &self.store, k, self.scan),
         };
         let primary = self.primary();
         // The covered-flag array F is transient device scratch.

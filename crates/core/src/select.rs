@@ -341,9 +341,9 @@ impl<'a, S: RrrSets + ?Sized> ChargePass<'a, S> {
             for from in (lo..num_sets).step_by(self.used_slots) {
                 let to = (from + hi - lo).min(num_sets);
                 sets += (to - from) as u64;
-                self.store.for_each_set_in(from, to, &mut |i, members| {
-                    self.charge_set(i - from, self.cover[i], members, &mut piece);
-                });
+                for i in from..to {
+                    self.charge_set(i - from, self.cover[i], self.store.set(i), &mut piece);
+                }
             }
             // The entries past the last seed only balance the rows.
             let (rows, past) = piece.rows.split_at_mut(k * WARP_SIZE);
@@ -467,12 +467,12 @@ impl Piece {
 mod tests {
     use super::*;
     use eim_gpusim::DeviceSpec;
-    use eim_imm::{select_seeds, PlainRrrStore, RrrStoreBuilder};
+    use eim_imm::{select_seeds, RrrStore, RrrStoreBuilder};
     use rand::{Rng, SeedableRng};
 
-    fn random_store(n: usize, sets: usize, seed: u64) -> PlainRrrStore {
+    fn random_store(n: usize, sets: usize, seed: u64) -> RrrStore {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let mut store = PlainRrrStore::new(n);
+        let mut store = RrrStore::new(n, false);
         for _ in 0..sets {
             let len = rng.gen_range(1..12);
             let mut set: Vec<u32> = (0..len).map(|_| rng.gen_range(0..n as u32)).collect();
@@ -533,7 +533,7 @@ mod tests {
     fn covered_sets_cost_almost_nothing_in_later_iterations() {
         // One dominating vertex: after seed 1 everything is covered, so
         // iteration 2's scan must be much cheaper than iteration 1's.
-        let mut store = PlainRrrStore::new(50);
+        let mut store = RrrStore::new(50, false);
         for i in 0..2_000u32 {
             store.append_set(&[7, 10 + (i % 3)]);
         }
@@ -552,7 +552,7 @@ mod tests {
 
     #[test]
     fn empty_store_selects_lowest_ids_quickly() {
-        let store = PlainRrrStore::new(10);
+        let store = RrrStore::new(10, false);
         let device = Device::new(DeviceSpec::test_small());
         let r = select_on_device(&device, &store, 3, ScanStrategy::ThreadPerSet);
         assert_eq!(r.selection.seeds, vec![0, 1, 2]);
@@ -586,7 +586,7 @@ mod tests {
     fn exhausted_vertices_yield_a_dangling_argmax_iteration() {
         // k > n: after n picks every vertex is selected and the final
         // argmax launches but selects nothing.
-        let store = PlainRrrStore::new(3);
+        let store = RrrStore::new(3, false);
         let device = Device::new(DeviceSpec::test_small());
         let r = select_on_device(&device, &store, 5, ScanStrategy::ThreadPerSet);
         assert_eq!(r.selection.seeds, vec![0, 1, 2]);

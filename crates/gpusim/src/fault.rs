@@ -687,4 +687,116 @@ mod tests {
         // for run-to-run determinism).
         assert_eq!(d1, spec.derive(1));
     }
+
+    /// An accepted spec is one a fault plan can run: every probability in
+    /// [0, 1), every window non-empty, straggler multipliers finite and
+    /// at least 1, pressure fractions in (0, 1].
+    fn assert_runnable(spec: &FaultSpec, text: &str) {
+        for p in [
+            spec.kernel_fault_prob,
+            spec.transfer_fault_prob,
+            spec.device_fail_prob,
+            spec.link_flap_prob,
+        ] {
+            assert!((0.0..1.0).contains(&p), "`{text}`: probability {p}");
+        }
+        for w in &spec.straggler {
+            assert!(w.from_event < w.to_event, "`{text}`: empty window");
+            assert!(w.multiplier.is_finite() && w.multiplier >= 1.0, "`{text}`");
+        }
+        for w in &spec.pressure {
+            assert!(w.from_event < w.to_event, "`{text}`: empty window");
+            assert!(w.fraction > 0.0 && w.fraction <= 1.0, "`{text}`");
+        }
+    }
+
+    /// Keys of the grammar and near misses.
+    const KEYS: [&str; 10] = [
+        "seed",
+        "kernel",
+        "transfer",
+        "device_fail",
+        "link_flap",
+        "straggler",
+        "pressure",
+        " kernel ",
+        "Kernel",
+        "",
+    ];
+
+    /// Number-like tokens the value parsers must survive.
+    const TOKENS: [&str; 10] = [
+        "NaN",
+        "inf",
+        "-inf",
+        "1e400",
+        "-0",
+        "",
+        "0x10",
+        "1.0.0",
+        "+1",
+        "18446744073709551616",
+    ];
+
+    /// One value token: an integer, a decimal in [-2, 3), a fraction, or a
+    /// hostile token, chosen by `kind`.
+    fn token(kind: u64, bits: u64, x: f64) -> String {
+        match kind {
+            0 => bits.to_string(),
+            1 => x.to_string(),
+            2 => format!("0.{}", bits % 1000),
+            3 => TOKENS[(bits % TOKENS.len() as u64) as usize].to_string(),
+            _ => (bits % 50).to_string(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn parse_never_panics_on_arbitrary_text(text in ".{0,200}") {
+            if let Ok(spec) = FaultSpec::parse(&text) {
+                assert_runnable(&spec, &text);
+            }
+        }
+
+        /// `key=value` items, each with a window or not, some mutated by
+        /// one inserted or replaced character.
+        #[test]
+        fn parse_never_panics_on_mutated_items(
+            items in proptest::collection::vec(
+                (
+                    (0usize..KEYS.len(), 0u64..5, proptest::prelude::any::<u64>(), -2.0f64..3.0),
+                    (proptest::prelude::any::<bool>(), 0u64..40, 0u64..40),
+                    (0u8..4, proptest::prelude::any::<usize>(), ".{1,1}"),
+                ),
+                0..6,
+            ),
+        ) {
+            let text: Vec<String> = items
+                .into_iter()
+                .map(|((key, kind, bits, x), (windowed, from, to), (mutate, at, ch))| {
+                    let mut item = format!("{}={}", KEYS[key], token(kind, bits, x));
+                    if windowed {
+                        item.push_str(&format!("@{from}:{to}"));
+                    }
+                    let at = item
+                        .char_indices()
+                        .map(|(i, _)| i)
+                        .nth(at % item.chars().count())
+                        .unwrap_or(0);
+                    match mutate {
+                        0 => item.insert_str(at, &ch),
+                        1 => item.replace_range(at..at + item[at..].chars().next().map_or(0, char::len_utf8), &ch),
+                        _ => {}
+                    }
+                    item
+                })
+                .collect();
+            let text = text.join(",");
+            if let Ok(spec) = FaultSpec::parse(&text) {
+                assert_runnable(&spec, &text);
+            }
+        }
+    }
 }

@@ -158,12 +158,13 @@ pub fn run_fingerprint(config: &ImmConfig, n: usize, engine: &str, devices: usiz
 pub fn store_digest(store: &dyn RrrSets) -> u64 {
     let mut h = Fnv::new();
     h.mix(store.num_sets() as u64);
-    store.for_each_set_in(0, store.num_sets(), &mut |_, members| {
+    for i in 0..store.num_sets() {
+        let members = store.set(i);
         h.mix(members.len() as u64);
         for &v in members {
             h.mix(v as u64);
         }
-    });
+    }
     h.finish()
 }
 
@@ -372,7 +373,7 @@ impl Checkpointing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rrrstore::{PlainRrrStore, RrrStoreBuilder};
+    use crate::rrrstore::{RrrStore, RrrStoreBuilder};
 
     fn sample_checkpoint() -> RunCheckpoint {
         RunCheckpoint {
@@ -473,16 +474,16 @@ mod tests {
 
     #[test]
     fn store_digest_tracks_content() {
-        let mut a = PlainRrrStore::new(16);
+        let mut a = RrrStore::new(16, false);
         a.append_set(&[1, 2, 3]);
         a.append_set(&[4]);
-        let mut b = PlainRrrStore::new(16);
+        let mut b = RrrStore::new(16, false);
         b.append_set(&[1, 2, 3]);
         b.append_set(&[4]);
         assert_eq!(store_digest(&a), store_digest(&b));
         b.append_set(&[5]);
         assert_ne!(store_digest(&a), store_digest(&b));
-        let mut c = PlainRrrStore::new(16);
+        let mut c = RrrStore::new(16, false);
         c.append_set(&[1, 2]);
         c.append_set(&[3, 4]);
         assert_ne!(store_digest(&a), store_digest(&c), "boundaries matter");

@@ -11,7 +11,7 @@ use rayon::prelude::*;
 
 use crate::config::ImmConfig;
 use crate::martingale::{EngineError, ImmEngine};
-use crate::rrrstore::{AnyRrrStore, RrrSets, RrrStoreBuilder};
+use crate::rrrstore::{RrrSets, RrrStore, RrrStoreBuilder};
 use crate::selection::{select_seeds, Selection};
 use crate::source_elim::apply_source_elimination;
 
@@ -24,8 +24,8 @@ pub enum CpuParallelism {
     Rayon,
 }
 
-/// CPU-backed IMM engine over a plain or packed [`AnyRrrStore`] (per
-/// `config.packed`).
+/// CPU-backed IMM engine over an [`RrrStore`] charged at the plain or packed
+/// layout (per `config.packed`).
 ///
 /// Sample `i` always derives from the deterministic stream
 /// `(config.seed, i)`, so results are identical under any thread count.
@@ -33,7 +33,7 @@ pub struct CpuEngine<'g> {
     graph: &'g Graph,
     config: ImmConfig,
     parallelism: CpuParallelism,
-    store: AnyRrrStore,
+    store: RrrStore,
     /// Next sample index to draw (indices of discarded samples are consumed
     /// too, keeping the stream aligned).
     next_index: u64,
@@ -46,7 +46,7 @@ pub struct CpuEngine<'g> {
 impl<'g> CpuEngine<'g> {
     /// A new engine over `graph`.
     pub fn new(graph: &'g Graph, config: ImmConfig, parallelism: CpuParallelism) -> Self {
-        let store = AnyRrrStore::new(graph.num_vertices(), config.packed);
+        let store = RrrStore::new(graph.num_vertices(), config.packed);
         Self {
             graph,
             config,

@@ -15,9 +15,10 @@
 //!    collected sets, by the one lazy greedy core every engine shares
 //!    ([`greedy_cover_store`]).
 //!
-//! The RRR sets live in an [`RrrSets`] store — plain (`u32` flat array) or
-//! log-encoded ([`PackedRrrStore`], the paper's §3.1 layout: one flat packed
-//! array `R`, an offset array `O`, a count array `C`).
+//! The RRR sets live in one [`RrrStore`]: a flat array `R`, an offset array
+//! `O` and a count array `C`. The host keeps the ids decoded; log encoding
+//! (the paper's §3.1 layout) is the device-byte account of
+//! [`RrrSets::bytes`], chosen by `config.packed`.
 //!
 //! [`CpuEngine`] is the reference backend (serial or rayon-parallel — the
 //! Ripples-style CPU baseline); the GPU-model backends live in `eim-core`
@@ -32,7 +33,6 @@ mod recovery;
 mod rrrstore;
 mod selection;
 mod source_elim;
-mod spill;
 pub mod streaming;
 
 pub use checkpoint::{
@@ -46,15 +46,9 @@ pub use martingale::{
     ImmEngine, ImmResult, PhaseBreakdown,
 };
 pub use recovery::{MartingaleCheckpoint, RecoveryMode, RecoveryPolicy, RecoveryReport};
-pub use rrrstore::{
-    search_probes, AnyRrrStore, PackedRrrStore, PlainRrrStore, RrrSets, RrrStoreBuilder,
-};
-pub use selection::{
-    greedy_cover_store, select_seeds, select_seeds_reference, select_seeds_reference_with_gains,
-    Greedy, Selection, SelectionWorkspace, NEVER,
-};
+pub use rrrstore::{search_probes, AnyRrrStore, RrrSets, RrrStore, RrrStoreBuilder};
+pub use selection::{greedy_cover_store, select_seeds, Greedy, Selection, NEVER};
 pub use source_elim::apply_source_elimination;
-pub use spill::PackedRrrBatch;
 pub use streaming::{
     run_stream, HostResampler, Resampler, StreamCheckpoint, StreamCheckpointing, StreamRunResult,
     StreamingImmEngine, UpdateReport,

@@ -683,14 +683,14 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rrrstore::{PlainRrrStore, RrrStoreBuilder};
+    use crate::rrrstore::{RrrStore, RrrStoreBuilder};
     use crate::selection::select_seeds;
 
     /// A toy engine producing fixed-shape sets: set j contains {j % 8} plus
     /// the hub vertex 0 — so vertex 0 covers everything and coverage is 1.0
     /// after one seed.
     struct ToyEngine {
-        store: PlainRrrStore,
+        store: RrrStore,
         n: usize,
         clock: f64,
         cap: Option<usize>,
@@ -699,7 +699,7 @@ mod tests {
     impl ToyEngine {
         fn new(n: usize, cap: Option<usize>) -> Self {
             Self {
-                store: PlainRrrStore::new(n),
+                store: RrrStore::new(n, false),
                 n,
                 clock: 0.0,
                 cap,
@@ -828,7 +828,7 @@ mod tests {
     #[test]
     fn oom_propagates() {
         struct OomEngine {
-            store: PlainRrrStore,
+            store: RrrStore,
         }
         impl ImmEngine for OomEngine {
             fn n(&self) -> usize {
@@ -852,7 +852,7 @@ mod tests {
             }
         }
         let mut e = OomEngine {
-            store: PlainRrrStore::new(100),
+            store: RrrStore::new(100, false),
         };
         let err = run_imm(&mut e, &cfg(1, 0.5)).unwrap_err();
         assert!(matches!(err, EngineError::OutOfMemory { .. }));

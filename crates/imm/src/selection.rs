@@ -13,22 +13,14 @@
 //! ([`greedy_cover_store`]); the streaming engine keeps the index of its
 //! slot-indexed store and selects over the slots below its cutoff.
 //!
-//! [`select_seeds_reference`] is the direct Algorithm 3 transcription:
-//! repeat `k` times, take the vertex appearing in the most *uncovered* RRR
-//! sets, mark every set containing it covered (one task per set,
-//! membership by binary search — structurally identical to the paper's
-//! thread-based GPU scan), and decrement the counts of all vertices in the
-//! newly covered sets. It is the differential-testing oracle.
-//!
-//! Both break gain ties toward the smallest vertex id, so seed sets are
-//! deterministic and interchangeable between the two paths.
+//! Gain ties break toward the smallest vertex id, so seed sets are
+//! deterministic. `tests/device_selection.rs` holds the direct Algorithm 3
+//! transcription the core is tested against.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 use eim_graph::VertexId;
-use rayon::prelude::*;
 
 use crate::rrrstore::RrrSets;
 
@@ -59,7 +51,7 @@ impl Selection {
 /// sets containing it — the transpose of the store's `R`/`O` layout. The
 /// per-vertex run starts are the exclusive prefix sum of the store's count
 /// array `C`. The postings fill is one sequential pass over the store's
-/// sets ([`RrrSets::for_each_set_in`]), so every run is ascending.
+/// sets, so every run is ascending.
 pub(crate) struct InvertedIndex {
     /// `starts[v]..starts[v + 1]` bounds vertex `v`'s posting run.
     starts: Vec<usize>,
@@ -83,13 +75,13 @@ impl InvertedIndex {
         let num_sets = store.num_sets();
         let mut cursors: Vec<usize> = starts[..n].to_vec();
         let mut postings = vec![0u32; acc];
-        store.for_each_set_in(0, num_sets, &mut |i, members| {
-            for &v in members {
+        for i in 0..num_sets {
+            for &v in store.set(i) {
                 let cursor = &mut cursors[v as usize];
                 postings[*cursor] = i as u32;
                 *cursor += 1;
             }
-        });
+        }
         Self {
             starts,
             postings,
@@ -217,137 +209,32 @@ pub fn select_seeds<S: RrrSets + ?Sized>(store: &S, k: usize) -> Selection {
     }
 }
 
-/// Reusable buffers for the reference selector, so repeated calls (the IMM
-/// driver selects once per estimation iteration) stop cloning the counts
-/// array and covered flags into fresh allocations every time.
-#[derive(Default)]
-pub struct SelectionWorkspace {
-    counts: Vec<AtomicU32>,
-    flags: Vec<AtomicU32>,
-    candidates: Vec<u32>,
-}
-
-impl SelectionWorkspace {
-    /// An empty workspace; buffers grow on first use and are reused after.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Grows `buf` to `len` slots and stores `value` in the first `len`.
-    fn reset(buf: &mut Vec<AtomicU32>, len: usize, values: impl Iterator<Item = u32>) {
-        if buf.len() < len {
-            buf.resize_with(len, || AtomicU32::new(0));
-        }
-        for (slot, v) in buf.iter().zip(values) {
-            slot.store(v, Ordering::Relaxed);
-        }
-    }
-}
-
-/// The reference greedy selector — [`select_seeds_reference_with_gains`]
-/// with a throwaway workspace.
-pub fn select_seeds_reference<S: RrrSets + ?Sized>(store: &S, k: usize) -> Selection {
-    select_seeds_reference_with_gains(store, k, &mut SelectionWorkspace::new()).0
-}
-
-/// Algorithm 3 as written: per pick, a parallel argmax over the still
-/// unselected vertices (a compacted candidate list, so already-selected ids
-/// cost nothing) followed by a thread-parallel membership scan over every
-/// RRR set. Byte-identical to [`greedy_cover_store`]'s seeds and gains;
-/// quadratically slower at scale, which is exactly what makes it a useful
-/// oracle.
-pub fn select_seeds_reference_with_gains<S: RrrSets + ?Sized>(
-    store: &S,
-    k: usize,
-    ws: &mut SelectionWorkspace,
-) -> (Selection, Vec<usize>) {
-    let n = store.num_vertices();
-    let num_sets = store.num_sets();
-    assert!(k <= n, "k exceeds vertex count");
-    SelectionWorkspace::reset(&mut ws.counts, n, store.counts().iter().copied());
-    SelectionWorkspace::reset(
-        &mut ws.flags,
-        num_sets.div_ceil(32),
-        std::iter::repeat_n(0, num_sets.div_ceil(32)),
-    );
-    ws.candidates.clear();
-    ws.candidates.extend(0..n as u32);
-    let (counts, flags) = (&ws.counts, &ws.flags);
-    let covered = AtomicUsize::new(0);
-    let mut seeds = Vec::with_capacity(k);
-    let mut gains = Vec::with_capacity(k);
-
-    for _ in 0..k {
-        // argmax_u C[u] over the candidate list (parallel reduce, ties to
-        // the smallest id).
-        let candidates = &ws.candidates;
-        let best = (0..candidates.len())
-            .into_par_iter()
-            .map(|pos| {
-                let v = candidates[pos];
-                (counts[v as usize].load(Ordering::Relaxed), v, pos)
-            })
-            .reduce(
-                || (0u32, u32::MAX, usize::MAX),
-                |a, b| {
-                    if b.0 > a.0 || (b.0 == a.0 && b.1 < a.1) {
-                        b
-                    } else {
-                        a
-                    }
-                },
-            );
-        if best.2 == usize::MAX {
-            break; // fewer than k vertices exist
-        }
-        let vid = best.1;
-        ws.candidates.swap_remove(best.2);
-        seeds.push(vid);
-        let covered_before = covered.load(Ordering::Relaxed);
-        // Thread-parallel scan: one task per set (Algorithm 3).
-        (0..num_sets).into_par_iter().for_each(|i| {
-            let (word, bit) = (i / 32, 1u32 << (i % 32));
-            if flags[word].load(Ordering::Relaxed) & bit != 0 {
-                return;
-            }
-            if store.contains(i, vid) {
-                // First marker wins; others skip the decrement.
-                if flags[word].fetch_or(bit, Ordering::Relaxed) & bit == 0 {
-                    covered.fetch_add(1, Ordering::Relaxed);
-                    let (s, e) = store.set_bounds(i);
-                    for idx in s..e {
-                        let u = store.element(idx) as usize;
-                        counts[u].fetch_sub(1, Ordering::Relaxed);
-                    }
-                }
-            }
-        });
-        gains.push(covered.load(Ordering::Relaxed) - covered_before);
-    }
-
-    (
-        Selection {
-            seeds,
-            covered_sets: covered.into_inner(),
-            num_sets,
-        },
-        gains,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rrrstore::{PlainRrrStore, RrrStoreBuilder};
-    use proptest::prelude::*;
+    use crate::rrrstore::{RrrStore, RrrStoreBuilder};
     use rand::{Rng, SeedableRng};
 
-    fn store_from(sets: &[&[u32]], n: usize) -> PlainRrrStore {
-        let mut s = PlainRrrStore::new(n);
+    fn store_from(sets: &[&[u32]], n: usize) -> RrrStore {
+        let mut s = RrrStore::new(n, false);
         for set in sets {
             s.append_set(set);
         }
         s
+    }
+
+    /// A store of `sets` random sets of `1..max_len` draws over `0..n`.
+    fn random_store(n: usize, sets: usize, max_len: usize, seed: u64) -> RrrStore {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let mut store = RrrStore::new(n, false);
+        for _ in 0..sets {
+            let len = rng.gen_range(1..max_len);
+            let mut set: Vec<u32> = (0..len).map(|_| rng.gen_range(0..n as u32)).collect();
+            set.sort_unstable();
+            set.dedup();
+            store.append_set(&set);
+        }
+        store
     }
 
     #[test]
@@ -408,17 +295,9 @@ mod tests {
 
     #[test]
     fn gains_sum_to_coverage_and_decrease() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(41);
-        let n = 80;
-        let mut store = PlainRrrStore::new(n);
-        for _ in 0..300 {
-            let len = rng.gen_range(1..8);
-            let mut set: Vec<u32> = (0..len).map(|_| rng.gen_range(0..n as u32)).collect();
-            set.sort_unstable();
-            set.dedup();
-            store.append_set(&set);
-        }
-        let (sel, gains) = select_with_gains(&store, 8);
+        let store = random_store(80, 300, 8, 41);
+        let gains = greedy_cover_store(&store, 8).gains();
+        let sel = select_seeds(&store, 8);
         assert_eq!(gains.len(), sel.seeds.len());
         assert_eq!(gains.iter().sum::<usize>(), sel.covered_sets);
         // Submodularity of coverage: marginal gains never increase.
@@ -426,44 +305,8 @@ mod tests {
     }
 
     #[test]
-    fn reference_matches_greedy_coverage_randomized() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
-        for trial in 0..20 {
-            let n = 60;
-            let mut store = PlainRrrStore::new(n);
-            for _ in 0..150 {
-                let len = rng.gen_range(1..8);
-                let mut set: Vec<u32> = (0..len).map(|_| rng.gen_range(0..n as u32)).collect();
-                set.sort_unstable();
-                set.dedup();
-                store.append_set(&set);
-            }
-            for k in [1, 3, 7] {
-                let a = select_seeds(&store, k);
-                let b = select_seeds_reference(&store, k);
-                // Greedy max-coverage is deterministic up to tie-breaking;
-                // covered counts must agree exactly.
-                assert_eq!(
-                    a.covered_sets, b.covered_sets,
-                    "trial {trial} k {k}: {:?} vs {:?}",
-                    a.seeds, b.seeds
-                );
-            }
-        }
-    }
-
-    #[test]
     fn coverage_is_monotone_in_k() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(23);
-        let n = 40;
-        let mut store = PlainRrrStore::new(n);
-        for _ in 0..100 {
-            let len = rng.gen_range(1..6);
-            let mut set: Vec<u32> = (0..len).map(|_| rng.gen_range(0..n as u32)).collect();
-            set.sort_unstable();
-            set.dedup();
-            store.append_set(&set);
-        }
+        let store = random_store(40, 100, 6, 23);
         let mut prev = 0;
         for k in 1..10 {
             let sel = select_seeds(&store, k);
@@ -474,141 +317,9 @@ mod tests {
 
     #[test]
     fn selection_deterministic_under_parallelism() {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(31);
-        let n = 200;
-        let mut store = PlainRrrStore::new(n);
-        for _ in 0..500 {
-            let len = rng.gen_range(1..10);
-            let mut set: Vec<u32> = (0..len).map(|_| rng.gen_range(0..n as u32)).collect();
-            set.sort_unstable();
-            set.dedup();
-            store.append_set(&set);
-        }
+        let store = random_store(200, 500, 10, 31);
         let a = select_seeds(&store, 10);
         let b = select_seeds(&store, 10);
         assert_eq!(a, b);
-    }
-
-    /// A random store with `sets` sets over `n` vertices; `max_len = 1`
-    /// makes it tie-heavy (every count collides with dozens of others).
-    fn random_store(n: usize, sets: usize, max_len: usize, seed: u64) -> PlainRrrStore {
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let mut store = PlainRrrStore::new(n);
-        for _ in 0..sets {
-            let len = rng.gen_range(1..max_len + 1);
-            let mut set: Vec<u32> = (0..len).map(|_| rng.gen_range(0..n as u32)).collect();
-            set.sort_unstable();
-            set.dedup();
-            store.append_set(&set);
-        }
-        store
-    }
-
-    /// [`select_seeds`] plus the per-pick gains read off the covering rounds.
-    fn select_with_gains(store: &PlainRrrStore, k: usize) -> (Selection, Vec<usize>) {
-        let gains = greedy_cover_store(store, k).gains();
-        (select_seeds(store, k), gains)
-    }
-
-    fn assert_paths_identical(store: &PlainRrrStore, k: usize, ctx: &str) {
-        let (fast, fast_gains) = select_with_gains(store, k);
-        let (reference, ref_gains) =
-            select_seeds_reference_with_gains(store, k, &mut SelectionWorkspace::new());
-        assert_eq!(fast, reference, "{ctx}");
-        assert_eq!(fast_gains, ref_gains, "{ctx}");
-    }
-
-    #[test]
-    fn indexed_matches_reference_on_random_stores() {
-        for trial in 0..10 {
-            let store = random_store(120, 400, 10, 100 + trial);
-            for k in [1, 5, 17, 120] {
-                assert_paths_identical(&store, k, &format!("trial {trial} k {k}"));
-            }
-        }
-    }
-
-    #[test]
-    fn indexed_matches_reference_on_tie_heavy_stores() {
-        // Singleton sets over few vertices: nearly every gain value is
-        // shared by many vertices, so every pick exercises the tie-break.
-        for trial in 0..10 {
-            let store = random_store(12, 300, 1, 200 + trial);
-            for k in [1, 3, 12] {
-                assert_paths_identical(&store, k, &format!("tie trial {trial} k {k}"));
-            }
-        }
-    }
-
-    #[test]
-    fn indexed_matches_reference_on_empty_and_exhausted_stores() {
-        // No sets at all: both paths must fall back to ascending ids.
-        assert_paths_identical(&store_from(&[], 9), 4, "empty store");
-        // Fewer useful vertices than k: both pad with ascending zero-gain ids.
-        assert_paths_identical(&store_from(&[&[5], &[5], &[7]], 10), 6, "exhausted");
-    }
-
-    #[test]
-    fn workspace_reuse_does_not_leak_state_between_stores() {
-        let mut ws = SelectionWorkspace::new();
-        // Big store first, then a smaller one: stale counts/flags from the
-        // first call must not bleed into the second.
-        let big = random_store(100, 500, 8, 7);
-        let small = random_store(30, 40, 4, 8);
-        let _ = select_seeds_reference_with_gains(&big, 20, &mut ws);
-        let reused = select_seeds_reference_with_gains(&small, 5, &mut ws);
-        let fresh = select_seeds_reference_with_gains(&small, 5, &mut SelectionWorkspace::new());
-        assert_eq!(reused.0, fresh.0);
-        assert_eq!(reused.1, fresh.1);
-    }
-
-    #[test]
-    fn deterministic_under_varying_thread_counts() {
-        let store = random_store(150, 2_000, 12, 77);
-        let baseline = select_with_gains(&store, 20);
-        for threads in [1, 2, 3, 8] {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            let got = pool.install(|| select_with_gains(&store, 20));
-            assert_eq!(got.0, baseline.0, "threads = {threads}");
-            assert_eq!(got.1, baseline.1, "threads = {threads}");
-            let reference = pool.install(|| {
-                select_seeds_reference_with_gains(&store, 20, &mut SelectionWorkspace::new())
-            });
-            assert_eq!(reference.0, baseline.0, "reference, threads = {threads}");
-        }
-    }
-
-    /// Proptest generator: a sorted-unique set over `0..n`.
-    fn arb_set(n: u32) -> impl Strategy<Value = Vec<u32>> {
-        proptest::collection::vec(0..n, 1..10).prop_map(|mut v| {
-            v.sort_unstable();
-            v.dedup();
-            v
-        })
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(48))]
-
-        /// Differential property: the indexed/lazy selector is
-        /// byte-identical to the reference greedy — seeds, coverage, and
-        /// per-pick gains — on arbitrary stores, including tie-heavy ones
-        /// (tiny vertex ranges force count collisions).
-        #[test]
-        fn indexed_selector_equals_reference(
-            n in 1usize..40,
-            sets in proptest::collection::vec(arb_set(40), 0..60),
-            k_frac in 0.0f64..1.0,
-        ) {
-            let mut store = PlainRrrStore::new(n.max(40));
-            for set in &sets {
-                store.append_set(set);
-            }
-            let k = ((store.num_vertices() as f64) * k_frac) as usize;
-            assert_paths_identical(&store, k, "proptest");
-        }
     }
 }

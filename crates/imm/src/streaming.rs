@@ -15,9 +15,9 @@
 //!
 //! [`StreamingImmEngine`] maintains, across a [`GraphDelta`] stream:
 //!
-//! * the RRR store (plain or packed) with slot = sample index, patched in
-//!   place via the backends' `patch_sets`; eliminated slots are stored
-//!   empty, so the store holds exactly the kept content;
+//! * the RRR store (charged at the plain or packed layout) with slot =
+//!   sample index, patched in place via `patch_sets`; eliminated slots are
+//!   stored empty, so the store holds exactly the kept content;
 //! * the per-slot source of every sample;
 //! * one `InvertedIndex` of that store — the same index every cold engine
 //!   selects over — rebuilt whenever the store changes.
@@ -34,10 +34,8 @@
 //! replay extends the sample universe. Patching only the touched postings
 //! would save little: a batch of a few hundred edges already touches most
 //! of the postings entries, through the hubs every traversal crosses. The store
-//! takes the new contents as one element arena plus lengths; the packed
-//! store rebuilds its bit stream from the first patched set, copying each
-//! unpatched run with a word-level shifted copy and encoding only the
-//! patched sets.
+//! takes the new contents as one element arena plus lengths and rebuilds
+//! `R` from the first patched set on, copying each unpatched run whole.
 //!
 //! After patching, [`crate::run_imm`] drives the engine over the cutoff.
 //! The engine is an [`ImmEngine`] whose logical prefix is the cutoff:
@@ -48,7 +46,7 @@
 //! than any earlier run drew. The correctness bar is differential: at every
 //! update checkpoint, seeds are byte-identical to a cold full recompute on
 //! the mutated graph (`tests/streaming_updates.rs` enforces this across
-//! engines, store backends, and thread pools).
+//! engines, store layouts, and thread pools).
 
 use std::path::{Path, PathBuf};
 
@@ -62,7 +60,7 @@ use eim_trace::MetricsSink;
 use crate::checkpoint::{run_fingerprint, store_digest};
 use crate::config::ImmConfig;
 use crate::martingale::{run_imm, EngineError, ImmEngine};
-use crate::rrrstore::{AnyRrrStore, RrrSets, RrrStoreBuilder};
+use crate::rrrstore::{RrrSets, RrrStore, RrrStoreBuilder};
 use crate::selection::{greedy_cover, InvertedIndex, Selection};
 
 /// Draws RRR samples for explicit `(seed, index)` slots against the current
@@ -225,7 +223,7 @@ pub struct StreamingImmEngine<R: Resampler> {
     resampler: R,
     /// Slot `i` holds sample `i`'s *stored* content (post-elimination);
     /// eliminated slots hold the empty set, and only they do.
-    store: AnyRrrStore,
+    store: RrrStore,
     /// Per-slot source vertex (sample `i`'s first RNG draw).
     sources: Vec<VertexId>,
     /// Inverted index of `store`, rebuilt whenever the store changes.
@@ -257,7 +255,7 @@ impl<R: Resampler> StreamingImmEngine<R> {
     ) -> Self {
         let n = graph.num_vertices();
         config.validate(n);
-        let store = AnyRrrStore::new(n, config.packed);
+        let store = RrrStore::new(n, config.packed);
         Self {
             graph,
             config,
@@ -282,7 +280,7 @@ impl<R: Resampler> StreamingImmEngine<R> {
 
     /// The patched store. Slot = logical sample index; eliminated slots are
     /// empty (a cold engine would simply not have stored them).
-    pub fn store(&self) -> &AnyRrrStore {
+    pub fn store(&self) -> &RrrStore {
         &self.store
     }
 
@@ -750,7 +748,7 @@ fn write_stream_checkpoint<R: Resampler>(
 mod tests {
     use super::*;
     use crate::engine::{CpuEngine, CpuParallelism};
-    use crate::rrrstore::PlainRrrStore;
+    use crate::rrrstore::RrrStore;
     use crate::selection::{greedy_cover_store, NEVER};
     use eim_graph::generators;
 
@@ -899,7 +897,7 @@ mod tests {
                     .sample(s.graph(), &indices)
                     .unwrap();
                 for cutoff in [0, 1, slots / 3, slots / 2 + 7, slots] {
-                    let mut cold = PlainRrrStore::new(g.num_vertices());
+                    let mut cold = RrrStore::new(g.num_vertices(), false);
                     let mut kept_slots = Vec::new();
                     for (slot, (_, footprint)) in footprints[..cutoff].iter().enumerate() {
                         if !(elim && footprint.len() <= 1) {

@@ -459,22 +459,19 @@ fn write_metrics_or_die(registry: &MetricsRegistry, path: &str) {
     }
 }
 
-/// Runs the update stream to completion on one streaming engine, reporting
-/// failures (including deliberate `--ckpt-kill-after` interrupts, exit 3)
-/// through the shared error path.
+/// Runs the update stream to completion on one streaming engine. Failures
+/// include deliberate `--ckpt-kill-after` interrupts (exit 3).
 fn drive_stream<R: Resampler>(
     mut engine: StreamingImmEngine<R>,
     deltas: &[eim::graph::GraphDelta],
     ckpt: &StreamCheckpointing,
-    json: bool,
-) -> (Vec<UpdateReport>, eim::imm::StreamRunResult) {
-    let reports =
-        run_stream(&mut engine, deltas, ckpt).unwrap_or_else(|e| report_engine_error(json, e));
+) -> Result<(Vec<UpdateReport>, eim::imm::StreamRunResult), EngineError> {
+    let reports = run_stream(&mut engine, deltas, ckpt)?;
     let last = engine
         .last_result()
         .cloned()
         .expect("run_stream always replays");
-    (reports, last)
+    Ok((reports, last))
 }
 
 /// `--updates` mode: generate the edge-update stream, maintain the RRR
@@ -501,6 +498,19 @@ fn run_streaming_mode(a: &Args, graph: Graph, config: ImmConfig, dspec: DeviceSp
     };
     attach_snapshot_stream(a, &registry);
     trace.metrics().set_phase(Phase::Transfer);
+    // Closes the snapshot stream `batches + 1` intervals in and writes the
+    // Prometheus dump; a failed run does so with no batch folded in.
+    let flush_metrics = |batches: usize| {
+        if let Err(e) =
+            registry.finish_snapshot_stream((batches + 1) as f64 * a.snapshot_interval_us as f64)
+        {
+            eprintln!("cannot finish snapshot stream: {e}");
+            std::process::exit(1);
+        }
+        if let Some(path) = &a.metrics {
+            write_metrics_or_die(&registry, path);
+        }
+    };
     let wall = std::time::Instant::now();
     let (reports, last) = match a.engine.as_str() {
         "cpu" => drive_stream(
@@ -513,7 +523,6 @@ fn run_streaming_mode(a: &Args, graph: Graph, config: ImmConfig, dspec: DeviceSp
             ),
             &deltas,
             &ckpt,
-            a.json,
         ),
         "eim" => {
             let base = Device::with_run_trace(dspec, trace.clone());
@@ -533,14 +542,17 @@ fn run_streaming_mode(a: &Args, graph: Graph, config: ImmConfig, dspec: DeviceSp
                 ),
                 &deltas,
                 &ckpt,
-                a.json,
             )
         }
         _ => {
             eprintln!("--updates supports --engine cpu or eim");
             std::process::exit(2);
         }
-    };
+    }
+    .unwrap_or_else(|e| {
+        flush_metrics(0);
+        report_engine_error(a.json, e)
+    });
     let wall_s = wall.elapsed().as_secs_f64();
     if want_metrics {
         // Per-batch invalidation counters under the stream-update phase.
@@ -554,15 +566,7 @@ fn run_streaming_mode(a: &Args, graph: Graph, config: ImmConfig, dspec: DeviceSp
             r.record_metrics(&sink);
             registry.tick_snapshot_stream(((i + 1) as u64 * a.snapshot_interval_us) as f64);
         }
-        if let Err(e) = registry
-            .finish_snapshot_stream((reports.len() + 1) as f64 * a.snapshot_interval_us as f64)
-        {
-            eprintln!("cannot finish snapshot stream: {e}");
-            std::process::exit(1);
-        }
-        if let Some(path) = &a.metrics {
-            write_metrics_or_die(&registry, path);
-        }
+        flush_metrics(reports.len());
     }
     if a.json {
         let checkpoints: Vec<serde_json::Value> = reports
@@ -684,7 +688,44 @@ fn main() {
     trace.metrics().set_phase(Phase::Transfer);
     let wall = std::time::Instant::now();
 
-    let run_err = |e: EngineError| -> ! { report_engine_error(a.json, e) };
+    // What a run writes besides its result: the snapshot stream's closing
+    // record at simulated time `sim_us`, the Chrome trace and the
+    // Prometheus dump. A failed run writes them too, before it exits, so
+    // that recovery explains itself when it gives up.
+    let flush_telemetry = |sim_us: f64| {
+        if let Err(e) = registry.finish_snapshot_stream(sim_us) {
+            eprintln!("cannot finish snapshot stream: {e}");
+            std::process::exit(1);
+        }
+        if let Some(path) = &a.trace {
+            let source = a
+                .dataset
+                .clone()
+                .or_else(|| a.input.clone())
+                .or_else(|| a.weighted.clone())
+                .unwrap_or_default();
+            let metadata = [
+                ("engine", a.engine.clone()),
+                ("source", source),
+                ("model", a.model.to_string()),
+                ("k", a.k.to_string()),
+                ("epsilon", a.eps.to_string()),
+                ("seed", a.seed.to_string()),
+            ];
+            if let Err(e) = trace.write_chrome_file(Path::new(path), &metadata) {
+                eprintln!("cannot write trace {path}: {e}");
+                std::process::exit(1);
+            }
+        }
+        if let Some(path) = &a.metrics {
+            write_metrics_or_die(&registry, path);
+        }
+    };
+    // Fails the run at simulated time `sim_us` (0 before an engine exists).
+    let run_err = |e: EngineError, sim_us: f64| -> ! {
+        flush_telemetry(sim_us);
+        report_engine_error(a.json, e)
+    };
     // Single-device engines share one device; `--inject-faults` attaches
     // the deterministic fault schedule to it.
     let make_device = || {
@@ -704,9 +745,9 @@ fn main() {
         "eim" => {
             let ckpt = build_checkpointing(&a, &config, n_vertices, 1);
             let mut e = EimEngine::new(&graph, config, make_device(), ScanStrategy::ThreadPerSet)
-                .unwrap_or_else(|e| run_err(e));
+                .unwrap_or_else(|err| run_err(err, 0.0));
             let r = run_imm_checkpointed(&mut e, &config, &policy, &trace, &ckpt)
-                .unwrap_or_else(|e| run_err(e));
+                .unwrap_or_else(|err| run_err(err, e.elapsed_us()));
             let us = e.elapsed_us();
             (r, Some(us), None)
         }
@@ -714,33 +755,33 @@ fn main() {
             let ckpt = build_checkpointing(&a, &config, n_vertices, a.devices);
             let mut e =
                 EimEngine::with_telemetry(&graph, config, spec, a.devices, &trace, !a.no_overlap)
-                    .unwrap_or_else(|e| run_err(e));
+                    .unwrap_or_else(|err| run_err(err, 0.0));
             if let Some(f) = &a.faults {
                 if !f.is_noop() {
                     e = e.with_faults(f);
                 }
             }
             let r = run_imm_checkpointed(&mut e, &config, &policy, &trace, &ckpt)
-                .unwrap_or_else(|e| run_err(e));
+                .unwrap_or_else(|err| run_err(err, e.elapsed_us()));
             let us = e.elapsed_us();
             let summaries = e.device_summaries();
             (r, Some(us), Some(summaries))
         }
         "gim" => {
             let ckpt = build_checkpointing(&a, &baseline, n_vertices, 1);
-            let mut e =
-                GimEngine::new(&graph, baseline, make_device()).unwrap_or_else(|e| run_err(e));
+            let mut e = GimEngine::new(&graph, baseline, make_device())
+                .unwrap_or_else(|err| run_err(err, 0.0));
             let r = run_imm_checkpointed(&mut e, &baseline, &policy, &trace, &ckpt)
-                .unwrap_or_else(|e| run_err(e));
+                .unwrap_or_else(|err| run_err(err, e.elapsed_us()));
             let us = e.elapsed_us();
             (r, Some(us), None)
         }
         "curipples" => {
             let ckpt = build_checkpointing(&a, &baseline, n_vertices, 1);
             let mut e = CuRipplesEngine::new(&graph, baseline, make_device(), HostSpec::default())
-                .unwrap_or_else(|e| run_err(e));
+                .unwrap_or_else(|err| run_err(err, 0.0));
             let r = run_imm_checkpointed(&mut e, &baseline, &policy, &trace, &ckpt)
-                .unwrap_or_else(|e| run_err(e));
+                .unwrap_or_else(|err| run_err(err, e.elapsed_us()));
             let us = e.elapsed_us();
             (r, Some(us), None)
         }
@@ -749,7 +790,7 @@ fn main() {
             let mut e =
                 CpuEngine::new(&graph, config, CpuParallelism::Rayon).with_trace(trace.clone());
             let r = run_imm_checkpointed(&mut e, &config, &policy, &trace, &ckpt)
-                .unwrap_or_else(|e| run_err(e));
+                .unwrap_or_else(|err| run_err(err, e.elapsed_us()));
             let us = e.elapsed_us();
             // The CPU engine's analytic clock still keys the stream; only
             // the human-readable summary hides it.
@@ -758,12 +799,9 @@ fn main() {
         _ => usage(),
     };
     let cpu_engine = a.engine == "cpu";
-    if let Err(e) = registry.finish_snapshot_stream(sim_us.unwrap_or(0.0)) {
-        eprintln!("cannot finish snapshot stream: {e}");
-        std::process::exit(1);
-    }
-    let sim_us = if cpu_engine { None } else { sim_us };
     let wall_s = wall.elapsed().as_secs_f64();
+    flush_telemetry(sim_us.unwrap_or(0.0));
+    let sim_us = if cpu_engine { None } else { sim_us };
     let spread = (a.spread_sims > 0).then(|| {
         estimate_spread(
             &graph,
@@ -773,31 +811,6 @@ fn main() {
             a.seed ^ 0xe7a1,
         )
     });
-
-    if let Some(path) = &a.trace {
-        let source = a
-            .dataset
-            .clone()
-            .or_else(|| a.input.clone())
-            .or_else(|| a.weighted.clone())
-            .unwrap_or_default();
-        let metadata = [
-            ("engine", a.engine.clone()),
-            ("source", source),
-            ("model", a.model.to_string()),
-            ("k", a.k.to_string()),
-            ("epsilon", a.eps.to_string()),
-            ("seed", a.seed.to_string()),
-        ];
-        if let Err(e) = trace.write_chrome_file(Path::new(path), &metadata) {
-            eprintln!("cannot write trace {path}: {e}");
-            std::process::exit(1);
-        }
-    }
-
-    if let Some(path) = &a.metrics {
-        write_metrics_or_die(&registry, path);
-    }
 
     if a.json {
         // Multi-GPU runs break the merged recovery report down per device

@@ -334,3 +334,87 @@ fn lt_model_flag() {
     let v: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
     assert_eq!(v["model"], "LT");
 }
+
+/// Every sample line of a Prometheus dump is `series value` with a finite
+/// value; returns the samples.
+fn prometheus_samples(text: &str) -> Vec<(&str, f64)> {
+    text.lines()
+        .filter(|line| !line.is_empty() && !line.starts_with('#'))
+        .map(|line| {
+            let (series, value) = line.rsplit_once(' ').expect("series value");
+            let value: f64 = value.parse().expect("numeric sample");
+            assert!(value.is_finite(), "non-finite sample: {line}");
+            (series, value)
+        })
+        .collect()
+}
+
+#[test]
+fn interrupted_runs_keep_their_telemetry() {
+    let dir = std::env::temp_dir().join(format!("eim_cli_kill_{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let graph = [
+        "--dataset",
+        "WV",
+        "--scale",
+        "0.02",
+        "--k",
+        "4",
+        "--eps",
+        "0.3",
+    ];
+    let cold = ["--engine", "multigpu", "--devices", "2"];
+    let stream = ["--engine", "eim", "--updates", "batches=3,edges=16,seed=1"];
+    for (tag, mode) in [("cold", &cold[..]), ("stream", &stream[..])] {
+        let ckpt = dir.join(format!("{tag}-ckpt"));
+        let prom = dir.join(format!("{tag}.prom"));
+        let trace = dir.join(format!("{tag}.trace.json"));
+        let snapshots = dir.join(format!("{tag}.jsonl"));
+        let out = eim()
+            .args(graph)
+            .args(mode)
+            .arg("--checkpoint")
+            .arg(&ckpt)
+            .args(["--ckpt-kill-after", "1", "--json", "--metrics"])
+            .arg(&prom)
+            .arg("--trace")
+            .arg(&trace)
+            .arg("--snapshot-stream")
+            .arg(&snapshots)
+            .output()
+            .expect("binary runs");
+        assert_eq!(
+            out.status.code(),
+            Some(3),
+            "{tag}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let v: serde_json::Value = serde_json::from_slice(&out.stdout).unwrap();
+        assert_eq!(v["error"]["kind"], "interrupted", "{tag}");
+        let text = std::fs::read_to_string(&prom).expect("the dump is written");
+        let samples = prometheus_samples(&text);
+        let has = |name: &str| samples.iter().any(|&(s, v)| s.starts_with(name) && v > 0.0);
+        assert!(has("eim_kernel_launches_total"), "{tag}: {text}");
+        // The streaming engine keeps no checkpoint counter.
+        assert!(
+            tag == "stream" || has("eim_checkpoints_written_total"),
+            "{tag}: {text}"
+        );
+        // The snapshot stream is sealed: a header, then deltas ending in the
+        // final record.
+        let stream_text = std::fs::read_to_string(&snapshots).unwrap();
+        let records: Vec<serde_json::Value> = stream_text
+            .lines()
+            .map(|l| serde_json::from_str(l).expect("JSONL record"))
+            .collect();
+        assert!(records.len() >= 2, "{tag}: {stream_text}");
+        assert_eq!(records.last().unwrap()["final"], true, "{tag}");
+        if tag == "cold" {
+            let t: serde_json::Value =
+                serde_json::from_str(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+            assert!(!t["traceEvents"].as_array().unwrap().is_empty());
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

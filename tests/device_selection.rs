@@ -15,6 +15,12 @@
 //! * Replay: an `EimEngine` asked for the same selection over an unchanged
 //!   store returns the same seeds and charges the same simulated time as a
 //!   fresh computation; a grown store is selected afresh.
+//! * Greedy core: the lazy greedy every engine shares (`greedy_cover_store`)
+//!   picks the seeds, coverage and per-pick gains of a literal Algorithm 3
+//!   transcription ([`select_seeds_reference_with_gains`]), on random and
+//!   tie-heavy stores and under any rayon thread count.
+
+use std::sync::atomic::{AtomicU32, AtomicUsize, Ordering};
 
 use eim::core::select::SelectIteration;
 use eim::core::select::{select_on_device, DeviceSelection, ScanStrategy};
@@ -22,11 +28,13 @@ use eim::core::EimEngine;
 use eim::gpusim::{Device, DeviceSpec, KernelHw, RunTrace, GLOBAL_TRANSACTION_BYTES, WARP_SIZE};
 use eim::graph::generators;
 use eim::imm::{
-    select_seeds_reference, ImmConfig, ImmEngine, PackedRrrStore, PlainRrrStore, RrrSets,
-    RrrStoreBuilder, Selection,
+    greedy_cover_store, select_seeds, ImmConfig, ImmEngine, RrrSets, RrrStore, RrrStoreBuilder,
+    Selection, NEVER,
 };
 use eim::prelude::*;
 use proptest::prelude::*;
+use rand::{Rng, SeedableRng};
+use rayon::prelude::*;
 
 /// SplitMix64: a self-contained generator, so the stores never change with
 /// the vendored `rand`.
@@ -54,10 +62,10 @@ fn fill<S: RrrStoreBuilder>(store: &mut S, n: u64, sets: usize, seed: u64) {
     }
 }
 
-fn stores(n: u64, sets: usize, seed: u64) -> (PlainRrrStore, PackedRrrStore) {
-    let mut plain = PlainRrrStore::new(n as usize);
+fn stores(n: u64, sets: usize, seed: u64) -> (RrrStore, RrrStore) {
+    let mut plain = RrrStore::new(n as usize, false);
     fill(&mut plain, n, sets, seed);
-    let mut packed = PackedRrrStore::new(n as usize);
+    let mut packed = RrrStore::new(n as usize, true);
     fill(&mut packed, n, sets, seed);
     (plain, packed)
 }
@@ -140,7 +148,7 @@ const WARP_ROWS: [Row; 6] = [
 /// rayon threads, and checks every run against that strategy's recorded
 /// seeds, totals and per-iteration rows.
 fn assert_golden(
-    (plain, packed): &(PlainRrrStore, PackedRrrStore),
+    (plain, packed): &(RrrStore, RrrStore),
     k: usize,
     seeds: &[u32],
     cases: [(ScanStrategy, Totals, &[Row]); 2],
@@ -216,7 +224,7 @@ fn selection_past_n_golden_values() {
 /// Most sets are short and skewed toward high ids, so the seeds rank deep
 /// inside the long ones; every 37th set holds 100 to 600 members, past the
 /// probe table's cap; every 41st is emptied by a patch after ingest.
-fn long_and_empty_stores() -> (PlainRrrStore, PackedRrrStore) {
+fn long_and_empty_stores() -> (RrrStore, RrrStore) {
     let (n, num_sets) = (800u64, 3_333usize);
     let mut state = 29;
     let sets: Vec<Vec<u32>> = (0..num_sets)
@@ -238,8 +246,8 @@ fn long_and_empty_stores() -> (PlainRrrStore, PackedRrrStore) {
         })
         .collect();
     let emptied: Vec<usize> = (0..num_sets).step_by(41).collect();
-    let mut plain = PlainRrrStore::new(n as usize);
-    let mut packed = PackedRrrStore::new(n as usize);
+    let mut plain = RrrStore::new(n as usize, false);
+    let mut packed = RrrStore::new(n as usize, true);
     for set in &sets {
         plain.append_set(set);
         packed.append_set(set);
@@ -298,6 +306,89 @@ fn selection_cost_of_long_and_empty_sets_golden_values() {
             (ScanStrategy::WarpPerSet, LONG_WARP_TOTALS, &LONG_WARP_ROWS),
         ],
     );
+}
+
+/// The reference greedy selector: [`select_seeds_reference_with_gains`]
+/// without the gains.
+fn select_seeds_reference<S: RrrSets + ?Sized>(store: &S, k: usize) -> Selection {
+    select_seeds_reference_with_gains(store, k).0
+}
+
+/// Algorithm 3 as written: repeat `k` times, take the vertex appearing in
+/// the most *uncovered* RRR sets (a parallel argmax over the still
+/// unselected vertices, ties to the smallest id), mark every set containing
+/// it covered (one task per set, membership by binary search, as the
+/// paper's thread-based GPU scan does), and decrement the counts of all
+/// vertices in the newly covered sets. Returns the selection and each
+/// pick's gain. Quadratically slower than the greedy core at scale, which is
+/// what makes it a useful oracle.
+fn select_seeds_reference_with_gains<S: RrrSets + ?Sized>(
+    store: &S,
+    k: usize,
+) -> (Selection, Vec<usize>) {
+    let n = store.num_vertices();
+    let num_sets = store.num_sets();
+    assert!(k <= n, "k exceeds vertex count");
+    let counts: Vec<AtomicU32> = store.counts().iter().map(|&c| AtomicU32::new(c)).collect();
+    let flags: Vec<AtomicU32> = (0..num_sets.div_ceil(32))
+        .map(|_| AtomicU32::new(0))
+        .collect();
+    let mut candidates: Vec<u32> = (0..n as u32).collect();
+    let covered = AtomicUsize::new(0);
+    let mut seeds = Vec::with_capacity(k);
+    let mut gains = Vec::with_capacity(k);
+
+    for _ in 0..k {
+        // argmax_u C[u] over the candidate list (parallel reduce, ties to
+        // the smallest id).
+        let best = (0..candidates.len())
+            .into_par_iter()
+            .map(|pos| {
+                let v = candidates[pos];
+                (counts[v as usize].load(Ordering::Relaxed), v, pos)
+            })
+            .reduce(
+                || (0u32, u32::MAX, usize::MAX),
+                |a, b| {
+                    if b.0 > a.0 || (b.0 == a.0 && b.1 < a.1) {
+                        b
+                    } else {
+                        a
+                    }
+                },
+            );
+        if best.2 == usize::MAX {
+            break; // fewer than k vertices exist
+        }
+        let vid = best.1;
+        candidates.swap_remove(best.2);
+        seeds.push(vid);
+        let covered_before = covered.load(Ordering::Relaxed);
+        // Thread-parallel scan: one task per set (Algorithm 3).
+        (0..num_sets).into_par_iter().for_each(|i| {
+            let (word, bit) = (i / 32, 1u32 << (i % 32));
+            if flags[word].load(Ordering::Relaxed) & bit != 0 {
+                return;
+            }
+            // First marker wins; others skip the decrement.
+            if store.contains(i, vid) && flags[word].fetch_or(bit, Ordering::Relaxed) & bit == 0 {
+                covered.fetch_add(1, Ordering::Relaxed);
+                for &u in store.set(i) {
+                    counts[u as usize].fetch_sub(1, Ordering::Relaxed);
+                }
+            }
+        });
+        gains.push(covered.load(Ordering::Relaxed) - covered_before);
+    }
+
+    (
+        Selection {
+            seeds,
+            covered_sets: covered.into_inner(),
+            num_sets,
+        },
+        gains,
+    )
 }
 
 /// Algorithm 3 as the device runs it, one round at a time: the round's
@@ -428,10 +519,10 @@ fn random_stores(
     seed: u64,
     long: usize,
     empty: usize,
-) -> (PlainRrrStore, PackedRrrStore) {
+) -> (RrrStore, RrrStore) {
     let mut state = seed;
-    let mut plain = PlainRrrStore::new(n as usize);
-    let mut packed = PackedRrrStore::new(n as usize);
+    let mut plain = RrrStore::new(n as usize, false);
+    let mut packed = RrrStore::new(n as usize, true);
     for j in 0..sets {
         let set: Vec<u32> = if j % empty == 0 {
             Vec::new()
@@ -456,7 +547,7 @@ fn random_stores(
 
 /// Checks `select_on_device` against [`walk`] for both strategies, both
 /// layouts and 1 and 4 rayon threads.
-fn assert_matches_walk((plain, packed): &(PlainRrrStore, PackedRrrStore), k: usize) {
+fn assert_matches_walk((plain, packed): &(RrrStore, RrrStore), k: usize) {
     let spec = DeviceSpec::test_small();
     let device = Device::new(spec);
     for strategy in [ScanStrategy::ThreadPerSet, ScanStrategy::WarpPerSet] {
@@ -590,5 +681,149 @@ fn repeated_selection_replays_and_grown_store_reselects() {
         let grown = select_matches_fresh(&mut engine, spec, 8);
         assert!(grown.num_sets > first.num_sets, "{devices} device(s)");
         assert_eq!(engine.store().num_sets(), grown.num_sets);
+    }
+}
+
+fn store_from(sets: &[&[u32]], n: usize) -> RrrStore {
+    let mut s = RrrStore::new(n, false);
+    for set in sets {
+        s.append_set(set);
+    }
+    s
+}
+
+/// A random store with `sets` sets of 1..=`max_len` draws over `0..n`;
+/// `max_len = 1` makes it tie-heavy (every count collides with dozens of
+/// others).
+fn chacha_store(n: usize, sets: usize, max_len: usize, seed: u64) -> RrrStore {
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+    let mut store = RrrStore::new(n, false);
+    for _ in 0..sets {
+        let len = rng.gen_range(1..max_len + 1);
+        let mut set: Vec<u32> = (0..len).map(|_| rng.gen_range(0..n as u32)).collect();
+        set.sort_unstable();
+        set.dedup();
+        store.append_set(&set);
+    }
+    store
+}
+
+/// [`select_seeds`] plus the per-pick gains read off the covering rounds.
+fn select_with_gains(store: &RrrStore, k: usize) -> (Selection, Vec<usize>) {
+    let greedy = greedy_cover_store(store, k);
+    let mut gains = vec![0; greedy.seeds.len()];
+    for &c in &greedy.cover {
+        if c != NEVER {
+            gains[c as usize] += 1;
+        }
+    }
+    (select_seeds(store, k), gains)
+}
+
+fn assert_paths_identical(store: &RrrStore, k: usize, ctx: &str) {
+    let (fast, fast_gains) = select_with_gains(store, k);
+    let (reference, ref_gains) = select_seeds_reference_with_gains(store, k);
+    assert_eq!(fast, reference, "{ctx}");
+    assert_eq!(fast_gains, ref_gains, "{ctx}");
+}
+
+#[test]
+fn reference_matches_greedy_coverage_randomized() {
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
+    for trial in 0..20 {
+        let n = 60;
+        let mut store = RrrStore::new(n, false);
+        for _ in 0..150 {
+            let len = rng.gen_range(1..8);
+            let mut set: Vec<u32> = (0..len).map(|_| rng.gen_range(0..n as u32)).collect();
+            set.sort_unstable();
+            set.dedup();
+            store.append_set(&set);
+        }
+        for k in [1, 3, 7] {
+            let a = select_seeds(&store, k);
+            let b = select_seeds_reference(&store, k);
+            // Greedy max-coverage is deterministic up to tie-breaking;
+            // covered counts must agree exactly.
+            assert_eq!(
+                a.covered_sets, b.covered_sets,
+                "trial {trial} k {k}: {:?} vs {:?}",
+                a.seeds, b.seeds
+            );
+        }
+    }
+}
+
+#[test]
+fn indexed_matches_reference_on_random_stores() {
+    for trial in 0..10 {
+        let store = chacha_store(120, 400, 10, 100 + trial);
+        for k in [1, 5, 17, 120] {
+            assert_paths_identical(&store, k, &format!("trial {trial} k {k}"));
+        }
+    }
+}
+
+#[test]
+fn indexed_matches_reference_on_tie_heavy_stores() {
+    // Singleton sets over few vertices: nearly every gain value is
+    // shared by many vertices, so every pick exercises the tie-break.
+    for trial in 0..10 {
+        let store = chacha_store(12, 300, 1, 200 + trial);
+        for k in [1, 3, 12] {
+            assert_paths_identical(&store, k, &format!("tie trial {trial} k {k}"));
+        }
+    }
+}
+
+#[test]
+fn indexed_matches_reference_on_empty_and_exhausted_stores() {
+    // No sets at all: both paths must fall back to ascending ids.
+    assert_paths_identical(&store_from(&[], 9), 4, "empty store");
+    // Fewer useful vertices than k: both pad with ascending zero-gain ids.
+    assert_paths_identical(&store_from(&[&[5], &[5], &[7]], 10), 6, "exhausted");
+}
+
+#[test]
+fn greedy_and_reference_deterministic_under_varying_thread_counts() {
+    let store = chacha_store(150, 2_000, 12, 77);
+    let baseline = select_with_gains(&store, 20);
+    for threads in [1, 2, 3, 8] {
+        let got = on_threads(threads, || select_with_gains(&store, 20));
+        assert_eq!(got.0, baseline.0, "threads = {threads}");
+        assert_eq!(got.1, baseline.1, "threads = {threads}");
+        let reference = on_threads(threads, || select_seeds_reference_with_gains(&store, 20));
+        assert_eq!(reference.0, baseline.0, "reference, threads = {threads}");
+    }
+}
+
+/// Proptest generator: a sorted-unique set over `0..n`.
+fn arb_set(n: u32) -> impl Strategy<Value = Vec<u32>> {
+    proptest::collection::vec(0..n, 1..10).prop_map(|mut v| {
+        v.sort_unstable();
+        v.dedup();
+        v
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Differential property: the indexed/lazy selector is byte-identical
+    /// to the reference greedy — seeds, coverage, and per-pick gains — on
+    /// arbitrary stores, including tie-heavy ones (tiny vertex ranges force
+    /// count collisions).
+    #[test]
+    fn indexed_selector_equals_reference(
+        n in 1usize..40,
+        sets in proptest::collection::vec(arb_set(40), 0..60),
+        k_frac in 0.0f64..1.0,
+    ) {
+        let mut store = RrrStore::new(n.max(40), false);
+        for set in &sets {
+            store.append_set(set);
+        }
+        let k = ((store.num_vertices() as f64) * k_frac) as usize;
+        assert_paths_identical(&store, k, "proptest");
     }
 }

@@ -142,13 +142,16 @@ fn store_digest(s: &dyn RrrSets) -> u64 {
         h = h.wrapping_mul(0x100000001b3);
     };
     mix(s.num_sets() as u64);
+    let mut lo = 0u64;
     for i in 0..s.num_sets() {
-        let (lo, hi) = s.set_bounds(i);
-        mix(lo as u64);
-        mix(hi as u64);
-        for idx in lo..hi {
-            mix(s.element(idx) as u64);
+        let set = s.set(i);
+        let hi = lo + set.len() as u64;
+        mix(lo);
+        mix(hi);
+        for &v in set {
+            mix(v as u64);
         }
+        lo = hi;
     }
     h
 }

@@ -5,7 +5,7 @@
 use eim::diffusion::{sample_rng, sample_rrr_ic, simulate_ic, simulate_lt};
 use eim::gpusim::slot_makespan_cycles;
 use eim::graph::{Graph, GraphBuilder, VertexId, WeightModel};
-use eim::imm::{select_seeds, PlainRrrStore, RrrSets, RrrStoreBuilder};
+use eim::imm::{select_seeds, RrrSets, RrrStore, RrrStoreBuilder};
 use proptest::prelude::*;
 
 /// Strategy: a random directed graph with up to 40 vertices and 160 edges.
@@ -103,7 +103,7 @@ proptest! {
         raw_sets in prop::collection::vec(prop::collection::btree_set(0u32..30, 0..8), 0..60)
     ) {
         let n = 30;
-        let mut store = PlainRrrStore::new(n);
+        let mut store = RrrStore::new(n, false);
         for s in &raw_sets {
             let v: Vec<u32> = s.iter().copied().collect();
             store.append_set(&v);
@@ -123,7 +123,7 @@ proptest! {
         raw_sets in prop::collection::vec(prop::collection::btree_set(0u32..20, 1..6), 1..50)
     ) {
         let n = 20;
-        let mut store = PlainRrrStore::new(n);
+        let mut store = RrrStore::new(n, false);
         for s in &raw_sets {
             let v: Vec<u32> = s.iter().copied().collect();
             store.append_set(&v);
@@ -140,7 +140,7 @@ proptest! {
         k in 1usize..10,
     ) {
         let n = 25;
-        let mut store = PlainRrrStore::new(n);
+        let mut store = RrrStore::new(n, false);
         for s in &raw_sets {
             let v: Vec<u32> = s.iter().copied().collect();
             store.append_set(&v);
