@@ -17,7 +17,9 @@
 //!   A round therefore costs `max_j max(sample_j, copy_j)`.
 //! * The primary owns the whole store: its allocation grows, and under
 //!   [`RecoveryPolicy::degrade`] spills to the host, the same way at every
-//!   `D`, and selection runs there.
+//!   `D`, and selection runs there. Every `select` is charged in full,
+//!   spill reload included; the driver never asks for one over the sets
+//!   the previous one saw, so the engine keeps no selection of its own.
 //! * A fail-stopped device is evicted and its pending work re-sharded onto
 //!   the survivors; losing the primary promotes the first survivor.
 //!
@@ -40,7 +42,7 @@ use eim_imm::{
 use crate::device_graph::{DeviceGraph, PackedDeviceGraph, PlainDeviceGraph};
 use crate::memory::{MemoryFootprint, ScratchPlan};
 use crate::sampler::{sample_batch, SampleBatch, SamplerCounters};
-use crate::select::{select_on_device, DeviceSelection, ScanStrategy};
+use crate::select::{select_on_device, ScanStrategy};
 
 enum GraphRepr<'g> {
     Plain(PlainDeviceGraph<'g>),
@@ -140,12 +142,6 @@ pub struct EimEngine<'g> {
     /// *device-resident* byte accounting.
     spill_cursor: usize,
     spilled_bytes: usize,
-    /// The last selection computed, keyed on `(logical_sets, k)`. Selection
-    /// is a pure function of the store, `k` and the device spec, so asking
-    /// again over an unchanged store replays it; the simulated device still
-    /// pays for the repeated kernel. Dropped whenever the store gains sets,
-    /// a device is evicted, or a manifest is restored.
-    last_selection: Option<((usize, usize), DeviceSelection)>,
 }
 
 /// Per-device recovery view of a run, for telemetry breakdowns.
@@ -252,7 +248,6 @@ impl<'g> EimEngine<'g> {
             policy: RecoveryPolicy::abort(),
             spill_cursor: 0,
             spilled_bytes: 0,
-            last_selection: None,
         })
     }
 
@@ -471,7 +466,6 @@ impl<'g> EimEngine<'g> {
         }
         self.barrier();
         self.next_index = target as u64;
-        self.last_selection = None;
         for (m, s) in self.pool.iter_mut().zip(&staged) {
             m.staged_bytes += s;
         }
@@ -534,11 +528,7 @@ impl ImmEngine for EimEngine<'_> {
             report.reloaded_bytes += spilled;
             report.degraded_rounds += 1;
         }
-        let key = (self.logical_sets(), k);
-        let result = match self.last_selection.take() {
-            Some((hit, result)) if hit == key => result,
-            _ => select_on_device(self.primary(), &self.store, k, self.scan),
-        };
+        let result = select_on_device(self.primary(), &self.store, k, self.scan);
         let primary = self.primary();
         // The covered-flag array F is transient device scratch.
         let flag_bytes = self.store.num_sets().div_ceil(8);
@@ -570,9 +560,7 @@ impl ImmEngine for EimEngine<'_> {
             );
             ts += iter.elapsed_us;
         }
-        let selection = result.selection.clone();
-        self.last_selection = Some((key, result));
-        selection
+        result.selection
     }
 
     fn store(&self) -> &dyn RrrSets {
@@ -622,7 +610,6 @@ impl ImmEngine for EimEngine<'_> {
             );
         }
         self.pool.retain(|m| !m.device.is_lost());
-        self.last_selection = None;
         if primary_lost {
             // Promote the first survivor to primary: it must own the
             // gathered store, so reserve the store arena there and re-upload
@@ -693,7 +680,6 @@ impl ImmEngine for EimEngine<'_> {
         // re-shard: the checkpointed run already charged it, and the clocks
         // we pin below carry that cost.
         let primary_evicted = m.devices[0].evicted;
-        self.last_selection = None;
         self.pool.retain(|d| !m.devices[d.ordinal as usize].evicted);
         // Pin the primary store allocation: the replay's single bulk
         // extension grew it along a different (cheaper) path than the

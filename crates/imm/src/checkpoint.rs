@@ -44,6 +44,11 @@ pub enum CheckpointPhase {
         estimation_end_us_bits: u64,
         /// Sets present when estimation ended.
         estimation_sets: usize,
+        /// Logical sets the last estimation selection ran at, if the run
+        /// made one. When it equals the checkpoint's count the final
+        /// extension drew nothing and the run reuses that selection, so the
+        /// resume charges no device for it either.
+        selected_at: Option<usize>,
     },
 }
 
@@ -197,10 +202,12 @@ impl RunCheckpoint {
             CheckpointPhase::Sampled {
                 estimation_end_us_bits,
                 estimation_sets,
+                selected_at,
             } => serde_json::json!({
                 "kind": "sampled",
                 "estimation_end_us_bits": estimation_end_us_bits,
                 "estimation_sets": estimation_sets,
+                "selected_at": selected_at,
             }),
         };
         let devices: Vec<serde_json::Value> = self
@@ -265,6 +272,10 @@ impl RunCheckpoint {
             Some("sampled") => CheckpointPhase::Sampled {
                 estimation_end_us_bits: u(phase_v, "estimation_end_us_bits")?,
                 estimation_sets: u(phase_v, "estimation_sets")? as usize,
+                selected_at: phase_v
+                    .get("selected_at")
+                    .and_then(|x| x.as_u64())
+                    .map(|x| x as usize),
             },
             other => return Err(format!("unknown checkpoint phase kind {other:?}")),
         };
@@ -381,6 +392,7 @@ mod tests {
             phase: CheckpointPhase::Sampled {
                 estimation_end_us_bits: 1234.5f64.to_bits(),
                 estimation_sets: 77,
+                selected_at: Some(900),
             },
             logical_sets: 1000,
             store_digest: 42,
@@ -421,6 +433,12 @@ mod tests {
             CheckpointPhase::Sampled {
                 estimation_end_us_bits: 0.1f64.to_bits(),
                 estimation_sets: 3,
+                selected_at: None,
+            },
+            CheckpointPhase::Sampled {
+                estimation_end_us_bits: 0.1f64.to_bits(),
+                estimation_sets: 3,
+                selected_at: Some(1000),
             },
         ] {
             let mut cp = sample_checkpoint();

@@ -18,7 +18,7 @@ use crate::checkpoint::{
 use crate::config::ImmConfig;
 use crate::recovery::{MartingaleCheckpoint, RecoveryPolicy, RecoveryReport};
 use crate::rrrstore::RrrSets;
-use crate::selection::Selection;
+use crate::selection::{select_seeds, Selection};
 
 /// Failure modes of a sampling backend.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -53,16 +53,19 @@ pub enum EngineError {
     /// A resume checkpoint does not belong to this run (different config,
     /// graph, engine, or device count), the replayed store diverged from
     /// the digest or slot count the checkpoint recorded, the estimation
-    /// iteration it names is not the one that follows its sample count, or
-    /// the lower bound it records asks for more sets than it counts.
+    /// iteration it names is not the one that follows its sample count,
+    /// the lower bound it records asks for more sets than it counts, or the
+    /// count its last estimation selection ran at is not one a run selects
+    /// at.
     CheckpointMismatch {
         /// The fingerprint, digest, slot count or next estimation iteration
         /// this run expected (0 when no iteration matches the sample count),
-        /// or the sample count a lower bound's θ may not exceed.
+        /// or the sample count a lower bound's θ or a selection's count may
+        /// not exceed.
         expected: u64,
         /// The fingerprint, digest, slot count or next estimation iteration
-        /// found, or the θ the recorded lower bound asks for (0 when none is
-        /// recorded).
+        /// found, the θ the recorded lower bound asks for (0 when none is
+        /// recorded), or the recorded selection count.
         found: u64,
     },
     /// A checkpoint could not be persisted to disk.
@@ -133,7 +136,10 @@ pub trait ImmEngine {
     fn n(&self) -> usize;
     /// Samples RRR sets until [`ImmEngine::logical_sets`] reaches `target`.
     fn extend_to(&mut self, target: usize) -> Result<(), EngineError>;
-    /// Greedy max-coverage selection over the current store.
+    /// Greedy max-coverage selection over the current store. The driver
+    /// calls it once per estimation iteration, and once more only when the
+    /// final extension added logical sets, so an engine charges every call
+    /// in full and keeps no cache.
     fn select(&mut self, k: usize) -> Selection;
     /// The current RRR store.
     fn store(&self) -> &dyn RrrSets;
@@ -246,7 +252,9 @@ impl ImmResult {
 /// estimate theta (iterative halving), sample to theta, select `k` seeds.
 ///
 /// Estimation sets are reused for the final phase (the standard
-/// implementation practice of Ripples/gIM, which the paper follows).
+/// implementation practice of Ripples/gIM, which the paper follows). When
+/// the final extension draws no set, the last estimation selection is the
+/// result and the engine selects no second time.
 pub fn run_imm<E: ImmEngine>(engine: &mut E, config: &ImmConfig) -> Result<ImmResult, EngineError> {
     run_imm_traced(engine, config, &RunTrace::disabled())
 }
@@ -436,7 +444,15 @@ fn write_checkpoint<E: ImmEngine>(
 /// count (sample content is a pure function of `(seed, index)`, so the
 /// replayed store is digest-verified byte-identical), pins the engine's
 /// simulated clocks and allocator state from the manifest, and continues
-/// exactly where the interrupted run stopped — same seeds, same timeline.
+/// where the interrupted run stopped.
+///
+/// The final selection runs only when the final extension added logical
+/// sets; otherwise the last estimation selection, over the same sets, is the
+/// answer and no engine is charged again. A resumed run whose checkpoint
+/// was taken after that selection recomputes it on the host with
+/// [`select_seeds`] over the digest-verified store, charging nothing: the
+/// pinned clocks already hold its cost. The resume therefore returns the
+/// clean run's seeds and set count, and its timeline bit for bit.
 pub fn run_imm_checkpointed<E: ImmEngine>(
     engine: &mut E,
     config: &ImmConfig,
@@ -469,6 +485,9 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
     let mut resumed_past_estimation = false;
     let mut estimation_sets = 0usize;
     let mut written_this_run: u32 = 0;
+    // The last estimation selection: the logical count it ran at, and the
+    // selection itself unless a resume skipped the iteration that made it.
+    let mut last: Option<(usize, Option<Selection>)> = None;
 
     if let Some(cp) = &ckpt.resume {
         if cp.fingerprint != ckpt.fingerprint {
@@ -507,7 +526,9 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
                 }
             }
             CheckpointPhase::Sampled {
-                estimation_sets, ..
+                estimation_sets,
+                selected_at,
+                ..
             } => {
                 // Written after the final extension to θ = λ* / LB, so the
                 // count already covers θ. A lower bound asking for more sets
@@ -520,6 +541,19 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
                         expected: cp.logical_sets as u64,
                         found: theta.map_or(0, |t| t as u64),
                     });
+                }
+                // An estimation selection ran at some θ_i, or at the count
+                // the checkpoint holds when the engine could not reach θ_i;
+                // never past that count, since the count never drops.
+                if let Some(at) = selected_at {
+                    let selectable =
+                        at == cp.logical_sets || (1..=last_iteration).any(|i| theta_at(i) == at);
+                    if at > cp.logical_sets || !selectable {
+                        return Err(EngineError::CheckpointMismatch {
+                            expected: cp.logical_sets as u64,
+                            found: at as u64,
+                        });
+                    }
                 }
             }
         }
@@ -546,15 +580,27 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
         t1 = t0;
         match cp.phase {
             CheckpointPhase::Estimation { next_iteration } => {
-                start_iteration = next_iteration as usize
+                start_iteration = next_iteration as usize;
+                // The checkpoint follows the selection at its own count.
+                last = Some((cp.logical_sets, None));
             }
             CheckpointPhase::Sampled {
                 estimation_end_us_bits,
                 estimation_sets: sets,
+                selected_at,
             } => {
+                // A selection at the checkpoint's count saw exactly the
+                // replayed store, so it ran over all of its kept sets.
+                if selected_at == Some(cp.logical_sets) && sets != engine.store().num_sets() {
+                    return Err(EngineError::CheckpointMismatch {
+                        expected: engine.store().num_sets() as u64,
+                        found: sets as u64,
+                    });
+                }
                 resumed_past_estimation = true;
                 t1 = f64::from_bits(estimation_end_us_bits);
                 estimation_sets = sets;
+                last = selected_at.map(|at| (at, None));
             }
         }
         trace.metrics().set_phase(Phase::Recover);
@@ -568,8 +614,6 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
     }
 
     if !resumed_past_estimation {
-        // Kept sets the last estimation selection ran over.
-        let mut kept = None;
         for i in start_iteration..=last_iteration {
             let x = n_f / 2f64.powi(i as i32);
             let theta_i = theta_at(i);
@@ -578,8 +622,8 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
             trace.metrics().set_phase(Phase::Select);
             let sel = engine.select(k);
             trace.metrics().tick_stream(engine.elapsed_us());
-            kept = Some(sel.num_sets);
             last_coverage = sel.coverage_fraction();
+            last = Some((engine.logical_sets(), Some(sel)));
             if n_f * last_coverage >= (1.0 + eps_p) * x {
                 lower_bound = (n_f * last_coverage / (1.0 + eps_p)).max(1.0);
                 break;
@@ -614,7 +658,10 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
         }
         // A resume past the last iteration made no selection; a cold
         // engine's store holds exactly its kept sets.
-        estimation_sets = kept.unwrap_or_else(|| engine.store().num_sets());
+        estimation_sets = match &last {
+            Some((_, Some(sel))) => sel.num_sets,
+            _ => engine.store().num_sets(),
+        };
         t1 = engine.elapsed_us();
     }
     trace.record_phase("estimation", t0, t1 - t0);
@@ -638,13 +685,22 @@ pub fn run_imm_checkpointed<E: ImmEngine>(
         CheckpointPhase::Sampled {
             estimation_end_us_bits: t1.to_bits(),
             estimation_sets,
+            selected_at: last.as_ref().map(|&(at, _)| at),
         },
         lower_bound,
         last_coverage,
     )?;
 
     trace.metrics().set_phase(Phase::Select);
-    let sel = engine.select(k);
+    // Selection is a pure function of the sets below the logical count, so
+    // an extension that drew nothing leaves the last estimation selection
+    // the answer. A resumed run recomputes it on the host, uncharged.
+    let sel = match last {
+        Some((at, held)) if at == engine.logical_sets() => {
+            held.unwrap_or_else(|| select_seeds(engine.store(), k))
+        }
+        _ => engine.select(k),
+    };
     let t3 = engine.elapsed_us();
     trace.record_phase("selection", t2, t3 - t2);
     trace.metrics().tick_stream(t3);
@@ -686,23 +742,35 @@ mod tests {
     use crate::rrrstore::{RrrStore, RrrStoreBuilder};
     use crate::selection::select_seeds;
 
-    /// A toy engine producing fixed-shape sets: set j contains {j % 8} plus
-    /// the hub vertex 0 — so vertex 0 covers everything and coverage is 1.0
-    /// after one seed.
+    /// A toy engine producing fixed-shape sets: set j contains
+    /// `1 + j % spread`, plus the hub vertex 0 when `j % hub_every == 0`.
+    /// [`ToyEngine::new`] puts the hub in every set, so vertex 0 covers
+    /// everything and coverage is 1.0 after one seed. `selects` logs the
+    /// logical count every `select` ran at.
     struct ToyEngine {
         store: RrrStore,
         n: usize,
         clock: f64,
         cap: Option<usize>,
+        hub_every: u32,
+        spread: u32,
+        selects: Vec<usize>,
     }
 
     impl ToyEngine {
         fn new(n: usize, cap: Option<usize>) -> Self {
+            Self::shaped(n, cap, 1, 8)
+        }
+
+        fn shaped(n: usize, cap: Option<usize>, hub_every: u32, spread: u32) -> Self {
             Self {
                 store: RrrStore::new(n, false),
                 n,
                 clock: 0.0,
                 cap,
+                hub_every,
+                spread,
+                selects: Vec::new(),
             }
         }
     }
@@ -715,14 +783,19 @@ mod tests {
             let target = self.cap.map_or(target, |c| target.min(c));
             while self.store.num_sets() < target {
                 let j = self.store.num_sets() as u32;
-                let other = 1 + (j % 8);
-                self.store.append_set(&[0, other]);
+                let other = 1 + (j % self.spread);
+                if j.is_multiple_of(self.hub_every) {
+                    self.store.append_set(&[0, other]);
+                } else {
+                    self.store.append_set(&[other]);
+                }
                 self.clock += 1.0;
             }
             Ok(())
         }
         fn select(&mut self, k: usize) -> Selection {
             self.clock += 10.0;
+            self.selects.push(self.store.num_sets());
             select_seeds(&self.store, k)
         }
         fn store(&self) -> &dyn RrrSets {
@@ -730,6 +803,86 @@ mod tests {
         }
         fn elapsed_us(&self) -> f64 {
             self.clock
+        }
+    }
+
+    /// The driver's selection cases: an engine, its config, and whether the
+    /// final extension draws nothing, so the last estimation selection is
+    /// reused.
+    fn selection_cases() -> [(&'static str, ToyEngine, ImmConfig, bool); 4] {
+        [
+            // The hub in every tenth set: coverage crosses the threshold at
+            // iteration 4 with θ_4 = 2282 while λ* / LB asks for 2165.
+            (
+                "no-op extension",
+                ToyEngine::shaped(64, None, 10, 63),
+                cfg(8, 0.5),
+                true,
+            ),
+            (
+                "growing extension",
+                ToyEngine::new(64, None),
+                cfg(2, 0.3),
+                false,
+            ),
+            (
+                "capped backend",
+                ToyEngine::new(1 << 14, Some(3)),
+                cfg(1, 0.5),
+                true,
+            ),
+            // No hub past set 0: one seed never covers enough sets, so the
+            // lower bound falls back on the last coverage and θ grows.
+            (
+                "lower-bound fallback",
+                ToyEngine::shaped(64, None, u32::MAX, 63),
+                cfg(1, 0.5),
+                false,
+            ),
+        ]
+    }
+
+    #[test]
+    fn select_runs_once_per_iteration_and_again_only_after_growth() {
+        for (name, mut e, config, reused) in selection_cases() {
+            let r = run_imm(&mut e, &config).unwrap();
+            let n = e.n;
+            let ell = adjusted_ell(config.ell, n);
+            let lp = lambda_prime(n, config.k, config.epsilon, ell);
+            let cap = e.cap.unwrap_or(usize::MAX);
+            let theta_i = |i: i32| ((lp / (n as f64 / 2f64.powi(i))).ceil() as usize).min(cap);
+            // Iteration i selects once, at θ_i.
+            let iterations = (1..)
+                .zip(&e.selects)
+                .take_while(|&(i, &at)| at == theta_i(i))
+                .count();
+            assert!(iterations >= 1, "{name}: {:?}", e.selects);
+            let last_estimation = e.selects[iterations - 1];
+            assert_eq!(r.estimation_sets, last_estimation, "{name}");
+            assert_eq!(r.num_sets == last_estimation, reused, "{name}");
+            let expected_calls = iterations + usize::from(!reused);
+            assert_eq!(e.selects.len(), expected_calls, "{name}: {:?}", e.selects);
+            assert_eq!(*e.selects.last().unwrap(), r.num_sets, "{name}");
+            if name == "lower-bound fallback" {
+                assert_eq!(iterations, max_estimation_iterations(n), "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_reused_selection_equals_a_forced_reselection() {
+        for (name, mut e, config, reused) in selection_cases() {
+            let r = run_imm(&mut e, &config).unwrap();
+            let calls = e.selects.len();
+            let forced = e.select(config.k);
+            assert_eq!(e.selects.len(), calls + 1);
+            assert_eq!(r.seeds, forced.seeds, "{name} (reused: {reused})");
+            assert_eq!(
+                r.coverage.to_bits(),
+                forced.coverage_fraction().to_bits(),
+                "{name}"
+            );
+            assert_eq!(r.num_sets, forced.num_sets, "{name}");
         }
     }
 
@@ -767,6 +920,15 @@ mod tests {
         let r = run_imm(&mut e, &cfg(2, 0.3)).unwrap();
         assert!(r.phases.estimation_us > 0.0);
         assert!(r.phases.selection_us > 0.0);
+        assert!((r.elapsed_us() - e.clock).abs() < 1e-9);
+    }
+
+    #[test]
+    fn a_reused_selection_takes_no_time() {
+        let mut e = ToyEngine::shaped(64, None, 10, 63);
+        let r = run_imm(&mut e, &cfg(8, 0.5)).unwrap();
+        assert!(r.phases.estimation_us > 0.0);
+        assert_eq!(r.phases.selection_us, 0.0);
         assert!((r.elapsed_us() - e.clock).abs() < 1e-9);
     }
 

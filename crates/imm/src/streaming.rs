@@ -41,7 +41,9 @@
 //! The engine is an [`ImmEngine`] whose logical prefix is the cutoff:
 //! `extend_to` raises it (drawing slots only past those already
 //! materialized) and `select` runs over the slots below it, which is the
-//! prefix each estimation iteration of a cold run would have seen. The
+//! prefix each estimation iteration of a cold run would have seen. When the
+//! final extension leaves the cutoff where the last estimation selection
+//! ran, the driver returns that selection, so the engine keeps none. The
 //! store only grows when the mutated graph's coverage demands more samples
 //! than any earlier run drew. The correctness bar is differential: at every
 //! update checkpoint, seeds are byte-identical to a cold full recompute on
@@ -233,9 +235,6 @@ pub struct StreamingImmEngine<R: Resampler> {
     /// Logical samples the driver counts: selection runs over the slots
     /// below it.
     cutoff: usize,
-    /// The last selection and its `(cutoff, k)`. It is a pure function of
-    /// those over an unchanged index, so a repeated `select` reuses it.
-    selection: Option<((usize, usize), Selection)>,
     /// Update batches applied so far.
     delta_cursor: u64,
     /// The most recent run, reused verbatim for no-op batches.
@@ -267,7 +266,6 @@ impl<R: Resampler> StreamingImmEngine<R> {
             sources: Vec::new(),
             indexed_sets: 0,
             cutoff: 0,
-            selection: None,
             delta_cursor: 0,
             last: None,
         }
@@ -339,11 +337,10 @@ impl<R: Resampler> StreamingImmEngine<R> {
         out.len() - before
     }
 
-    /// Re-indexes the store after it changed, dropping the cached selection.
+    /// Re-indexes the store after it changed.
     fn rebuild_index(&mut self) {
         self.index = InvertedIndex::build(&self.store);
         self.indexed_sets += self.store.num_sets();
-        self.selection = None;
     }
 
     /// Extends the sample universe to `target` logical slots with fresh
@@ -521,20 +518,12 @@ impl<R: Resampler> ImmEngine for StreamingImmEngine<R> {
     }
 
     fn select(&mut self, k: usize) -> Selection {
-        let key = (self.cutoff, k);
-        if let Some((hit, selection)) = &self.selection {
-            if *hit == key {
-                return selection.clone();
-            }
-        }
         let greedy = greedy_cover(&self.index, self.cutoff, k);
-        let selection = Selection {
+        Selection {
             covered_sets: greedy.covered_sets(),
             seeds: greedy.seeds,
             num_sets: self.kept_below(self.cutoff),
-        };
-        self.selection = Some((key, selection.clone()));
-        selection
+        }
     }
 
     /// Every materialized slot, eliminated ones stored empty; the driver
@@ -832,7 +821,8 @@ mod tests {
         let deltas = generators::update_stream(&g, &spec);
         // With k = 50 and eps = 0.1 estimation ends at its first iteration
         // and the final extension is a no-op, so the run after an update
-        // first selects at the very cutoff the run before it cached.
+        // first selects at the very cutoff the run before it ended at, over
+        // the patched index.
         for c in [config(), config().with_k(50).with_epsilon(0.1)] {
             let mut s = StreamingImmEngine::new(
                 g.clone(),

@@ -73,7 +73,9 @@ use eim::gpusim::{
     provenance, write_metrics_file, Device, DeviceSpec, FaultPlan, FaultSpec, MetricsRegistry,
     Phase, RunTrace,
 };
-use eim::graph::{generators, parse_edge_list, parse_weighted_edge_list, Dataset, GraphStats};
+use eim::graph::{
+    generators, parse_edge_list, parse_weighted_edge_list, Dataset, GraphDelta, GraphStats,
+};
 use eim::imm::{
     run_fingerprint, run_imm_checkpointed, run_stream, Checkpointing, CpuEngine, CpuParallelism,
     EngineError, HostResampler, ImmConfig, ImmEngine, ImmResult, RecoveryPolicy, RecoveryReport,
@@ -277,6 +279,27 @@ fn parse_updates_spec(s: &str) -> Result<generators::UpdateStreamSpec, String> {
     Ok(spec)
 }
 
+/// Generates the `--updates` stream for `graph`. Fails, rather than
+/// panicking or aborting, on a graph with no pair of vertices to update and
+/// on a batch count whose list cannot be allocated.
+fn update_stream_for(
+    graph: &Graph,
+    spec: &generators::UpdateStreamSpec,
+) -> Result<Vec<GraphDelta>, String> {
+    let n = graph.num_vertices();
+    if n < 2 {
+        return Err(format!("updates need two vertices, the graph has {n}"));
+    }
+    // `update_stream` reserves one delta per batch up front.
+    if Vec::<GraphDelta>::new()
+        .try_reserve_exact(spec.batches)
+        .is_err()
+    {
+        return Err(format!("batches={} does not fit in memory", spec.batches));
+    }
+    Ok(generators::update_stream(graph, spec))
+}
+
 fn load_graph(a: &Args) -> Graph {
     if let Some(path) = &a.input {
         let file = File::open(path).unwrap_or_else(|e| {
@@ -459,6 +482,48 @@ fn write_metrics_or_die(registry: &MetricsRegistry, path: &str) {
     }
 }
 
+/// The run's telemetry buffer: enabled when `enabled` (bounded by
+/// `--trace-event-cap`), with the metrics registry attached when
+/// `want_metrics`.
+fn run_trace(a: &Args, enabled: bool, registry: &MetricsRegistry, want_metrics: bool) -> RunTrace {
+    let trace = match (enabled, a.trace_event_cap) {
+        (false, _) => RunTrace::disabled(),
+        (true, Some(cap)) => RunTrace::enabled_with_event_cap(cap),
+        (true, None) => RunTrace::enabled(),
+    };
+    if want_metrics {
+        trace.with_metrics(registry.sink().with_engine(&a.engine))
+    } else {
+        trace
+    }
+}
+
+/// Writes `trace` to `--trace` as Chrome trace-event JSON, when the flag was
+/// given, exiting on failure.
+fn write_trace_or_die(a: &Args, trace: &RunTrace) {
+    let Some(path) = &a.trace else {
+        return;
+    };
+    let source = a
+        .dataset
+        .clone()
+        .or_else(|| a.input.clone())
+        .or_else(|| a.weighted.clone())
+        .unwrap_or_default();
+    let metadata = [
+        ("engine", a.engine.clone()),
+        ("source", source),
+        ("model", a.model.to_string()),
+        ("k", a.k.to_string()),
+        ("epsilon", a.eps.to_string()),
+        ("seed", a.seed.to_string()),
+    ];
+    if let Err(e) = trace.write_chrome_file(Path::new(path), &metadata) {
+        eprintln!("cannot write trace {path}: {e}");
+        std::process::exit(1);
+    }
+}
+
 /// Runs the update stream to completion on one streaming engine. Failures
 /// include deliberate `--ckpt-kill-after` interrupts (exit 3).
 fn drive_stream<R: Resampler>(
@@ -479,7 +544,10 @@ fn drive_stream<R: Resampler>(
 fn run_streaming_mode(a: &Args, graph: Graph, config: ImmConfig, dspec: DeviceSpec) -> ! {
     let uspec = a.updates.expect("checked by caller");
     let stats = GraphStats::of(&graph);
-    let deltas = generators::update_stream(&graph, &uspec);
+    let deltas = update_stream_for(&graph, &uspec).unwrap_or_else(|e| {
+        eprintln!("bad --updates spec: {e}");
+        std::process::exit(2)
+    });
     let ckpt = StreamCheckpointing {
         dir: a.checkpoint.clone().map(PathBuf::from),
         resume: a.resume,
@@ -488,25 +556,23 @@ fn run_streaming_mode(a: &Args, graph: Graph, config: ImmConfig, dspec: DeviceSp
     // Streaming runs carry the same observability surface as batch runs:
     // device activity lands in the registry live (under the transfer phase),
     // and per-batch invalidation tallies are folded in afterwards under
-    // stream-update.
+    // stream-update. The `eim` arm's device records into the trace too.
     let registry = MetricsRegistry::new();
     let want_metrics = a.metrics.is_some() || a.snapshot_stream.is_some() || a.json;
-    let trace = if want_metrics {
-        RunTrace::disabled().with_metrics(registry.sink().with_engine(&a.engine))
-    } else {
-        RunTrace::disabled()
-    };
+    let trace = run_trace(a, a.trace.is_some(), &registry, want_metrics);
     attach_snapshot_stream(a, &registry);
     trace.metrics().set_phase(Phase::Transfer);
     // Closes the snapshot stream `batches + 1` intervals in and writes the
-    // Prometheus dump; a failed run does so with no batch folded in.
-    let flush_metrics = |batches: usize| {
+    // Chrome trace and the Prometheus dump; a failed run does so with no
+    // batch folded in.
+    let flush_telemetry = |batches: usize| {
         if let Err(e) =
             registry.finish_snapshot_stream((batches + 1) as f64 * a.snapshot_interval_us as f64)
         {
             eprintln!("cannot finish snapshot stream: {e}");
             std::process::exit(1);
         }
+        write_trace_or_die(a, &trace);
         if let Some(path) = &a.metrics {
             write_metrics_or_die(&registry, path);
         }
@@ -550,7 +616,7 @@ fn run_streaming_mode(a: &Args, graph: Graph, config: ImmConfig, dspec: DeviceSp
         }
     }
     .unwrap_or_else(|e| {
-        flush_metrics(0);
+        flush_telemetry(0);
         report_engine_error(a.json, e)
     });
     let wall_s = wall.elapsed().as_secs_f64();
@@ -566,8 +632,8 @@ fn run_streaming_mode(a: &Args, graph: Graph, config: ImmConfig, dspec: DeviceSp
             r.record_metrics(&sink);
             registry.tick_snapshot_stream(((i + 1) as u64 * a.snapshot_interval_us) as f64);
         }
-        flush_metrics(reports.len());
     }
+    flush_telemetry(reports.len());
     if a.json {
         let checkpoints: Vec<serde_json::Value> = reports
             .iter()
@@ -668,20 +734,11 @@ fn main() {
     // Recording is cheap at CLI scale: collect telemetry whenever the run
     // will report it (a trace file or the --json summary). A cap bounds the
     // buffer on long runs; summary counters stay exact either way.
-    let trace = match (a.trace.is_some() || a.json, a.trace_event_cap) {
-        (false, _) => RunTrace::disabled(),
-        (true, Some(cap)) => RunTrace::enabled_with_event_cap(cap),
-        (true, None) => RunTrace::enabled(),
-    };
     // Hardware counters ride the same recorders; a disabled trace with an
     // attached sink still collects exact metrics (profile/metrics-only runs).
     let registry = MetricsRegistry::new();
     let want_metrics = a.profile || a.metrics.is_some() || a.snapshot_stream.is_some() || a.json;
-    let trace = if want_metrics {
-        trace.with_metrics(registry.sink().with_engine(&a.engine))
-    } else {
-        trace
-    };
+    let trace = run_trace(&a, a.trace.is_some() || a.json, &registry, want_metrics);
     attach_snapshot_stream(&a, &registry);
     // Engine construction uploads the graph; attribute that traffic to the
     // transfer phase. The IMM driver takes over at the first round.
@@ -697,26 +754,7 @@ fn main() {
             eprintln!("cannot finish snapshot stream: {e}");
             std::process::exit(1);
         }
-        if let Some(path) = &a.trace {
-            let source = a
-                .dataset
-                .clone()
-                .or_else(|| a.input.clone())
-                .or_else(|| a.weighted.clone())
-                .unwrap_or_default();
-            let metadata = [
-                ("engine", a.engine.clone()),
-                ("source", source),
-                ("model", a.model.to_string()),
-                ("k", a.k.to_string()),
-                ("epsilon", a.eps.to_string()),
-                ("seed", a.seed.to_string()),
-            ];
-            if let Err(e) = trace.write_chrome_file(Path::new(path), &metadata) {
-                eprintln!("cannot write trace {path}: {e}");
-                std::process::exit(1);
-            }
-        }
+        write_trace_or_die(&a, &trace);
         if let Some(path) = &a.metrics {
             write_metrics_or_die(&registry, path);
         }
@@ -917,5 +955,90 @@ fn main() {
         if let Some(path) = &a.trace {
             println!("trace: {path}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use eim::graph::{GraphBuilder, WeightModel};
+
+    fn path3() -> Graph {
+        GraphBuilder::new(3)
+            .edges([(0, 1), (1, 2)])
+            .build(WeightModel::WeightedCascade)
+    }
+
+    const KEYS: [&str; 5] = ["batches", "edges", "insert", "seed", "bogus"];
+    const TOKENS: [&str; 8] = [
+        "",
+        "-1",
+        "NaN",
+        "inf",
+        "1e400",
+        "18446744073709551616",
+        "99999999999999",
+        "0.5.5",
+    ];
+
+    /// A parsed spec either generates its stream on a three-vertex graph or
+    /// is refused with a message; small streams are generated in full.
+    fn assert_runnable(spec: &generators::UpdateStreamSpec, text: &str) {
+        assert!(
+            (0.0..=1.0).contains(&spec.insert_fraction),
+            "{text}: insert fraction {} accepted",
+            spec.insert_fraction
+        );
+        let tiny = GraphBuilder::new(1).build(WeightModel::WeightedCascade);
+        assert!(update_stream_for(&tiny, spec).is_err(), "{text}");
+        if spec.batches.saturating_mul(spec.edges_per_batch.max(1)) <= 4096 {
+            let g = path3();
+            let deltas = update_stream_for(&g, spec).unwrap();
+            assert_eq!(deltas.len(), spec.batches, "{text}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn updates_spec_never_panics_on_arbitrary_text(text in ".{0,120}") {
+            if let Ok(spec) = parse_updates_spec(&text) {
+                assert_runnable(&spec, &text);
+            }
+        }
+
+        /// `key=value` items over the grammar's keys and hostile values.
+        #[test]
+        fn updates_spec_never_panics_on_hostile_items(
+            items in proptest::collection::vec(
+                (0usize..KEYS.len(), 0u64..3, proptest::prelude::any::<u64>(), -2.0f64..3.0),
+                0..5,
+            ),
+        ) {
+            let text: Vec<String> = items
+                .into_iter()
+                .map(|(key, kind, bits, x)| {
+                    let value = match kind {
+                        0 => (bits % 64).to_string(),
+                        1 => x.to_string(),
+                        _ => TOKENS[(bits % TOKENS.len() as u64) as usize].to_string(),
+                    };
+                    format!("{}={value}", KEYS[key])
+                })
+                .collect();
+            let text = text.join(",");
+            if let Ok(spec) = parse_updates_spec(&text) {
+                assert_runnable(&spec, &text);
+            }
+        }
+    }
+
+    #[test]
+    fn a_batch_count_past_memory_is_refused() {
+        let spec = parse_updates_spec("batches=99999999999999").unwrap();
+        let g = path3();
+        let err = update_stream_for(&g, &spec).unwrap_err();
+        assert!(err.contains("99999999999999"), "{err}");
     }
 }

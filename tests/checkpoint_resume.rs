@@ -182,6 +182,186 @@ fn resume_at_another_estimation_iteration_is_a_checkpoint_mismatch() {
     );
 }
 
+/// Seeds, set count and clock bits of one run.
+type Outcome = (Vec<u32>, usize, u64);
+
+/// The clean run of a config on four devices, and a run killed at its last
+/// checkpoint (the sampled one) and resumed from it.
+struct LastCheckpointRuns {
+    clean: Outcome,
+    resumed: Outcome,
+    /// The clean run's final selection time.
+    selection_us: f64,
+    /// The checkpoint the resume started from.
+    checkpoint: RunCheckpoint,
+}
+
+fn kill_at_the_last_checkpoint(c: ImmConfig, tag: &str) -> LastCheckpointRuns {
+    let g = graph();
+    let fp = run_fingerprint(&c, g.num_vertices(), "multigpu", 4);
+    let policy = RecoveryPolicy::retry();
+    let mut e = engine(&g, c);
+    let clean = run_imm_recovering(&mut e, &c, &policy, &RunTrace::disabled()).unwrap();
+    let selection_us = clean.phases.selection_us;
+    let clean = (clean.seeds, clean.num_sets, e.elapsed_us().to_bits());
+
+    let dir = temp_dir(tag);
+    let run = |e: &mut EimEngine, resume: Option<RunCheckpoint>, kill_after: Option<u32>| {
+        run_imm_checkpointed(
+            e,
+            &c,
+            &policy,
+            &RunTrace::disabled(),
+            &Checkpointing {
+                dir: Some(dir.clone()),
+                resume,
+                kill_after,
+                fingerprint: fp,
+            },
+        )
+    };
+    let written = run(&mut engine(&g, c), None, None)
+        .unwrap()
+        .recovery
+        .checkpoints_written;
+    let err = run(&mut engine(&g, c), None, Some(written)).unwrap_err();
+    assert!(
+        matches!(err, EngineError::Interrupted { checkpoints_written } if checkpoints_written == written),
+        "{err}"
+    );
+    let cp = RunCheckpoint::load(&dir).unwrap();
+    let mut e = engine(&g, c);
+    let r = run(&mut e, Some(cp.clone()), None).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(r.recovery.resumes, 1);
+    LastCheckpointRuns {
+        clean,
+        resumed: (r.seeds, r.num_sets, e.elapsed_us().to_bits()),
+        selection_us,
+        checkpoint: cp,
+    }
+}
+
+/// With k = 8 and ε = 0.3 the final extension draws nothing, so the clean
+/// run returns its last estimation selection and charges no device for a
+/// second one. A run killed after the final extension resumes with that
+/// selection recomputed on the host, and must land on the clean run's
+/// seeds, set count and clock bits.
+#[test]
+fn resume_at_the_last_checkpoint_of_a_reusing_run_reproduces_it_exactly() {
+    let c = config(true).with_k(8).with_epsilon(0.3);
+    let runs = kill_at_the_last_checkpoint(c, "last-reused");
+    assert_eq!(
+        runs.selection_us, 0.0,
+        "the clean run must reuse its selection"
+    );
+    let cp = &runs.checkpoint;
+    let CheckpointPhase::Sampled { selected_at, .. } = cp.phase else {
+        panic!("the last checkpoint is the sampled one: {:?}", cp.phase);
+    };
+    assert_eq!(selected_at, Some(cp.logical_sets));
+    assert_eq!(
+        runs.resumed, runs.clean,
+        "resume diverged from the clean run"
+    );
+}
+
+/// The same kill and resume on a run whose final extension draws sets: both
+/// the clean and the resumed run select again on the device.
+#[test]
+fn resume_at_the_last_checkpoint_of_an_extending_run_reproduces_it_exactly() {
+    let runs = kill_at_the_last_checkpoint(config(true), "last-grown");
+    assert!(runs.selection_us > 0.0, "the clean run must select again");
+    let cp = &runs.checkpoint;
+    let CheckpointPhase::Sampled { selected_at, .. } = cp.phase else {
+        panic!("the last checkpoint is the sampled one: {:?}", cp.phase);
+    };
+    assert!(
+        selected_at.is_some_and(|at| at < cp.logical_sets),
+        "{selected_at:?}"
+    );
+    assert_eq!(
+        runs.resumed, runs.clean,
+        "resume diverged from the clean run"
+    );
+}
+
+/// A sampled checkpoint's `selected_at` names the count the last estimation
+/// selection ran at. One past the checkpoint's count, one no iteration
+/// selects at, or the checkpoint's own count while the estimation selection
+/// saw fewer kept sets than the replayed store holds, is refused; the
+/// checkpoints as written still resume to the clean seeds.
+#[test]
+fn resume_with_a_forged_selection_count_is_a_checkpoint_mismatch() {
+    let g = graph();
+    let policy = RecoveryPolicy::retry();
+    for (c, reused) in [
+        (config(true).with_k(8).with_epsilon(0.3), true),
+        (config(true), false),
+    ] {
+        let fp = run_fingerprint(&c, g.num_vertices(), "multigpu", 4);
+        let clean =
+            run_imm_recovering(&mut engine(&g, c), &c, &policy, &RunTrace::disabled()).unwrap();
+        let dir = temp_dir(&format!("forged-selection-{reused}"));
+        let run = |resume: Option<RunCheckpoint>| {
+            run_imm_checkpointed(
+                &mut engine(&g, c),
+                &c,
+                &policy,
+                &RunTrace::disabled(),
+                &Checkpointing {
+                    dir: Some(dir.clone()),
+                    resume,
+                    kill_after: None,
+                    fingerprint: fp,
+                },
+            )
+        };
+        run(None).unwrap();
+        let cp = RunCheckpoint::load(&dir).unwrap();
+        let CheckpointPhase::Sampled {
+            estimation_end_us_bits,
+            estimation_sets,
+            selected_at: Some(at),
+        } = cp.phase
+        else {
+            panic!("a sampled checkpoint with a selection: {:?}", cp.phase);
+        };
+        let forge = |selected_at: usize| RunCheckpoint {
+            phase: CheckpointPhase::Sampled {
+                estimation_end_us_bits,
+                estimation_sets,
+                selected_at: Some(selected_at),
+            },
+            ..cp.clone()
+        };
+        let logical = cp.logical_sets as u64;
+        let mut forged = vec![(cp.logical_sets + 1, logical), (at - 1, logical)];
+        if !reused {
+            // Here the extension drew kept sets past the selection's.
+            forged.push((cp.logical_sets, clean.num_sets as u64));
+        }
+        for (selected_at, want) in forged {
+            let err = run(Some(forge(selected_at))).unwrap_err();
+            let found = if selected_at == cp.logical_sets {
+                estimation_sets as u64
+            } else {
+                selected_at as u64
+            };
+            assert!(
+                matches!(
+                    err,
+                    EngineError::CheckpointMismatch { expected, found: f } if expected == want && f == found
+                ),
+                "reused={reused} selected_at {selected_at}: {err}"
+            );
+        }
+        let resumed = run(Some(cp)).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(resumed.seeds, clean.seeds, "reused={reused}");
+    }
+}
+
 /// A run that loses devices mid-flight, and a kill/resume of that same
 /// faulted run, must both return the clean answer byte for byte (timing is
 /// allowed to differ — retries and re-sharding cost simulated time).

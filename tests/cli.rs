@@ -410,11 +410,95 @@ fn interrupted_runs_keep_their_telemetry() {
             .collect();
         assert!(records.len() >= 2, "{tag}: {stream_text}");
         assert_eq!(records.last().unwrap()["final"], true, "{tag}");
-        if tag == "cold" {
-            let t: serde_json::Value =
-                serde_json::from_str(&std::fs::read_to_string(&trace).unwrap()).unwrap();
-            assert!(!t["traceEvents"].as_array().unwrap().is_empty());
-        }
+        let t: serde_json::Value =
+            serde_json::from_str(&std::fs::read_to_string(&trace).unwrap()).unwrap();
+        assert!(!t["traceEvents"].as_array().unwrap().is_empty(), "{tag}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn streaming_mode_writes_its_trace() {
+    let dir = std::env::temp_dir().join(format!("eim_cli_stream_trace_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("stream.trace.json");
+    let out = eim()
+        .args([
+            "--dataset",
+            "WV",
+            "--scale",
+            "0.02",
+            "--k",
+            "4",
+            "--eps",
+            "0.3",
+        ])
+        .args([
+            "--engine",
+            "eim",
+            "--updates",
+            "batches=2,edges=16",
+            "--trace",
+        ])
+        .arg(&trace)
+        .output()
+        .expect("binary runs");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let t: serde_json::Value =
+        serde_json::from_str(&std::fs::read_to_string(&trace).expect("trace written")).unwrap();
+    let events = t["traceEvents"].as_array().unwrap();
+    assert!(
+        events.iter().any(|e| e["cat"] == "kernel"),
+        "the device resampler's kernels are traced"
+    );
+    assert_eq!(t["otherData"]["engine"], "eim");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn hostile_updates_input_is_a_usage_error() {
+    let dir = std::env::temp_dir().join(format!("eim_cli_hostile_updates_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let one_vertex = dir.join("one.txt");
+    std::fs::write(&one_vertex, "0 0\n").unwrap();
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &[
+                "--input",
+                one_vertex.to_str().unwrap(),
+                "--k",
+                "1",
+                "--updates",
+                "batches=2",
+            ],
+            "two vertices",
+        ),
+        (
+            &[
+                "--dataset",
+                "WV",
+                "--scale",
+                "0.01",
+                "--k",
+                "2",
+                "--updates",
+                "batches=99999999999999",
+            ],
+            "99999999999999",
+        ),
+    ];
+    for (args, needle) in cases {
+        let out = eim().args(args).output().expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("bad --updates spec") && stderr.contains(needle),
+            "{stderr}"
+        );
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
