@@ -202,7 +202,9 @@ pub trait DeviceGraph: Sync {
     /// The in-edge of `v` an LT reverse step chooses for threshold `tau`
     /// ([`lt_choose`]). The default scans the weights one by one;
     /// representations with a per-row prefix-sum table override it with
-    /// the `O(log d)` lookup, which returns the same edge.
+    /// [`lt_choose_prefix`], which returns the same edge. That lookup starts
+    /// at `⌊tau·d⌋`, so under weighted cascade it reads the one or two sums
+    /// beside the answer, and on other rows it gallops in `O(log d)` probes.
     fn lt_choose(&self, v: VertexId, tau: f32) -> Option<usize> {
         lt_choose((0..self.in_degree(v)).map(|i| self.in_weight(v, i)), tau)
     }
@@ -215,6 +217,13 @@ pub trait DeviceGraph: Sync {
     /// default does nothing.
     #[inline]
     fn prefetch_queued(&self, _queued: &[VertexId]) {}
+
+    /// Hints that an LT walk has just stepped to `v` and will read its row
+    /// on its next step, after the block's other walks in flight have
+    /// stepped. Views with flat host tables prefetch `v`'s row start. A
+    /// hint only, like [`DeviceGraph::prefetch_queued`].
+    #[inline]
+    fn prefetch_row(&self, _v: VertexId) {}
 }
 
 /// Plain (uncompressed) CSC view — what gIM keeps on the device.
@@ -244,10 +253,10 @@ impl DeviceGraph for PlainDeviceGraph<'_> {
         self.graph.num_vertices()
     }
     fn in_degree(&self, v: VertexId) -> usize {
-        self.graph.in_degree(v)
+        self.tables.row(v).len()
     }
     fn in_neighbor(&self, v: VertexId, i: usize) -> VertexId {
-        self.graph.in_neighbors(v)[i]
+        self.graph.csc().neighbors()[self.tables.starts[v as usize] + i]
     }
     fn in_weight(&self, v: VertexId, i: usize) -> Weight {
         self.graph.in_weights(v)[i]
@@ -275,6 +284,10 @@ impl DeviceGraph for PlainDeviceGraph<'_> {
         self.tables
             .prefetch_queued(self.graph.csc().neighbors(), queued);
     }
+    #[inline]
+    fn prefetch_row(&self, v: VertexId) {
+        prefetch(&self.tables.starts[v as usize]);
+    }
 }
 
 /// Log-encoded CSC view with the same once-per-run host precomputation
@@ -288,10 +301,12 @@ impl DeviceGraph for PlainDeviceGraph<'_> {
 /// edge of host memory), and [`DeviceGraph::device_bytes`] delegates to the
 /// packed representation unchanged.
 ///
-/// [`DeviceGraph::in_neighbor`], an LT step's one neighbor read, stays on
-/// the packed arrays: with one walk at a time their smaller working set
-/// measured faster than the mirror, and with the sampler's eight walks in
-/// flight the mirror measured no clear change.
+/// [`DeviceGraph::in_neighbor`], an LT step's one neighbor read, reads the
+/// mirror at the row start the step's lookup has just loaded: one load,
+/// where the packed arrays need an offset decode and a neighbor decode.
+/// Behind the short `⌊tau·d⌋` lookup, this read and
+/// [`DeviceGraph::prefetch_row`] measured faster than the packed read in
+/// alternating `lt-social` runs.
 pub struct PackedDeviceGraph {
     csc: PackedCsc,
     /// Decoded in-neighbors in CSC order: row `v` is `tables.row(v)`.
@@ -362,7 +377,7 @@ impl DeviceGraph for PackedDeviceGraph {
         self.tables.row(v).len()
     }
     fn in_neighbor(&self, v: VertexId, i: usize) -> VertexId {
-        self.csc.in_neighbor(v, i)
+        self.neighbors[self.tables.starts[v as usize] + i]
     }
     fn in_weight(&self, v: VertexId, i: usize) -> Weight {
         self.csc.in_weight(v, i)
@@ -384,6 +399,10 @@ impl DeviceGraph for PackedDeviceGraph {
     #[inline]
     fn prefetch_queued(&self, queued: &[VertexId]) {
         self.tables.prefetch_queued(&self.neighbors, queued);
+    }
+    #[inline]
+    fn prefetch_row(&self, v: VertexId) {
+        prefetch(&self.tables.starts[v as usize]);
     }
 }
 

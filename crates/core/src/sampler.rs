@@ -34,12 +34,17 @@
 //! Under LT a block keeps `LT_LANES` walks in flight and steps them
 //! round-robin, the host analogue of the resident warps that hide a GPU's
 //! memory latency: each step is a chain of dependent loads (row start,
-//! prefix-sum search, neighbor, visited flag), and interleaving eight
-//! independent chains lets their cache misses overlap. Every lane owns one
-//! sample's RNG stream and one bit of the visited mask `M`, so walks in
-//! flight never see each other's marks; a finished lane publishes its set
-//! through the same epilogue as an IC sample, then takes the block's next
-//! sample. Every sample charges exactly what it would alone, to the same
+//! prefix-sum lookup, neighbor, visited flag), and interleaving eight
+//! independent chains lets their cache misses overlap. The lookup starts
+//! at `⌊tau·d⌋` ([`eim_diffusion::lt_choose_prefix`]), so under weighted
+//! cascade it reads one or two sums, not a binary search's `log2 d`; the
+//! neighbor is read at the row start the lookup loaded; and a step that
+//! moves prefetches the next vertex's row start
+//! ([`DeviceGraph::prefetch_row`]) while the other lanes step. Every lane
+//! owns one sample's RNG stream and one bit of the visited mask `M`, so
+//! walks in flight never see each other's marks; a finished lane publishes
+//! its set through the same epilogue as an IC sample, then takes the
+//! block's next sample. Every sample charges exactly what it would alone, to the same
 //! block, and block totals are plain sums, so the interleaving moves no
 //! simulated number.
 //!
@@ -296,7 +301,11 @@ impl LtLane {
         }
         ctx.charge(Op::Rng, 1); // tau, shared across the warp
         let tau: f32 = self.rng.gen();
-        match lt_step_lookup(ctx, graph, u, tau).map(|i| graph.in_neighbor(u, i)) {
+        let chosen = lt_step_lookup(ctx, graph, u, tau).map(|i| graph.in_neighbor(u, i));
+        if let Some(v) = chosen {
+            graph.prefetch_row(v);
+        }
+        match chosen {
             Some(v) if visited[v as usize] & self.bit == 0 => {
                 visited[v as usize] |= self.bit;
                 self.path.push(v);
@@ -906,10 +915,12 @@ fn lt_traverse<G: DeviceGraph>(
     }
 }
 
-/// The fused kernel's LT step: binary search over `u`'s weight prefix sums
-/// ([`DeviceGraph::lt_choose`]), charged the waves the warp scan covers
-/// before the threshold falls — through the chosen edge's wave, or all of
-/// them when no edge is chosen.
+/// The fused kernel's LT step: a lookup in `u`'s weight prefix sums that
+/// starts at `⌊tau·d⌋` and gallops outward ([`DeviceGraph::lt_choose`]),
+/// charged the waves the warp scan covers before the threshold falls —
+/// through the chosen edge's wave, or all of them when no edge is chosen.
+/// How the host finds the edge is emulation; the charge depends only on
+/// which edge it is.
 #[inline]
 fn lt_step_lookup<G: DeviceGraph>(
     ctx: &mut BlockCtx,

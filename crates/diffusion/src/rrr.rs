@@ -70,16 +70,66 @@ pub fn lt_choose(weights: impl IntoIterator<Item = f32>, tau: f32) -> Option<usi
     None
 }
 
-/// [`lt_choose`] by binary search over the row's inclusive prefix sums,
-/// each accumulated exactly as [`lt_choose`] does (`prefix[i]` is the
-/// `f32` sum `((w0 + w1) + ...) + wi`). The sums are non-decreasing, so
-/// the first one that reaches `tau` is the only candidate; it is chosen iff
-/// the rule holds for it. Returns the same index as the linear scan.
+/// [`lt_choose`] by a search over the row's inclusive prefix sums, each
+/// accumulated exactly as [`lt_choose`] does (`prefix[i]` is the `f32` sum
+/// `((w0 + w1) + ...) + wi`). The sums are non-decreasing, so the first one
+/// that reaches `tau` is the only candidate; it is chosen iff the rule
+/// holds for it. Returns the same index as the linear scan.
+///
+/// The search starts at `min(⌊tau·d⌋, d − 1)`, where the sums would cross
+/// `tau` if every weight were `1/d`, and gallops outward from there. Under
+/// weighted cascade a step so reads the one or two sums beside its answer,
+/// where a binary search read about `log2 d` sums spread over the row.
 pub fn lt_choose_prefix(prefix: &[f32], tau: f32) -> Option<usize> {
-    let i = prefix.partition_point(|&s| s < tau);
+    let i = first_reaching(prefix, tau);
     let inclusive = *prefix.get(i)?;
     let exclusive = if i == 0 { 0.0 } else { prefix[i - 1] };
     lt_crosses(exclusive, inclusive, tau).then_some(i)
+}
+
+/// `prefix.partition_point(|&s| s < tau)` for a non-decreasing `prefix`,
+/// searched outward from the guess `g = min(⌊tau·d⌋, d − 1)`: probe `g`,
+/// gallop away from it with strides 1, 2, 4, … until a probe lands on the
+/// other side of `tau`, then binary-search the last stride. A row whose
+/// sums track `(i + 1)/d` answers in two probes; any other non-decreasing
+/// row costs `O(log |answer − g|)` probes and gets the same index.
+#[inline]
+fn first_reaching(prefix: &[f32], tau: f32) -> usize {
+    let d = prefix.len();
+    if d == 0 {
+        return 0;
+    }
+    // `as usize` saturates: a NaN or negative product gives 0.
+    let g = ((tau * d as f32) as usize).min(d - 1);
+    // The answer lies in `lo..=hi`: `prefix[lo - 1] < tau` (or `lo == 0`)
+    // and `prefix[hi] >= tau` (or `hi == d`).
+    let (lo, hi) = if prefix[g] < tau {
+        let (mut lo, mut stride) = (g + 1, 1);
+        loop {
+            let probe = g + stride;
+            if probe >= d {
+                break (lo, d);
+            }
+            if prefix[probe] >= tau {
+                break (lo, probe);
+            }
+            lo = probe + 1;
+            stride *= 2;
+        }
+    } else {
+        let (mut hi, mut stride) = (g, 1);
+        loop {
+            let Some(probe) = g.checked_sub(stride) else {
+                break (0, hi);
+            };
+            if prefix[probe] < tau {
+                break (probe + 1, hi);
+            }
+            hi = probe;
+            stride *= 2;
+        }
+    };
+    lo + prefix[lo..hi].partition_point(|&s| s < tau)
 }
 
 /// Samples one RRR set under LT. From each reached vertex `u` the reverse
@@ -323,50 +373,120 @@ mod tests {
         use proptest::prelude::*;
         use rand::SeedableRng;
 
+        /// One generated row: its weights, its prefix sums, and thresholds
+        /// worth probing besides the boundaries.
+        fn row(kind: u8, d: usize, seed: u64, pick: usize) -> (Vec<f32>, Vec<f32>, Vec<f32>) {
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let df = d as f32;
+            let c = pick % d.max(1);
+            let weights: Vec<f32> = match kind {
+                // Weighted cascade: 1/d on every in-edge.
+                0 => vec![1.0 / df; d],
+                // Random weights, row sum below 1.
+                1 => (0..d).map(|_| rng.gen::<f32>() / df).collect(),
+                // Half the edges weigh zero.
+                2 => (0..d)
+                    .map(|_| {
+                        if rng.gen_bool(0.5) {
+                            0.0
+                        } else {
+                            rng.gen::<f32>() / df
+                        }
+                    })
+                    .collect(),
+                // Trivalency-like levels plus zeros; the sum may pass 1.
+                3 => (0..d)
+                    .map(|_| [0.0, 0.001, 0.01, 0.1][rng.gen_range(0..4usize)])
+                    .collect(),
+                // One heavy edge first: the sums jump past most guesses.
+                4 => (0..d)
+                    .map(|i| if i == 0 { 0.9 } else { 0.1 / df })
+                    .collect(),
+                // One heavy edge last: the sums stay below most guesses.
+                5 => (0..d)
+                    .map(|i| if i + 1 == d { 0.9 } else { 0.1 / df })
+                    .collect(),
+                // Geometric weights 2^-(i+1): half the mass on edge 0.
+                6 => (0..d).map(|i| 0.5f32.powi(i as i32 + 1)).collect(),
+                // A run of zeros straddling position `c`, 1/d elsewhere.
+                7 => {
+                    let r = 1 + pick % 64;
+                    (0..d)
+                        .map(|i| {
+                            if i + r >= c && i <= c + r {
+                                0.0
+                            } else {
+                                1.0 / df
+                            }
+                        })
+                        .collect()
+                }
+                // Sums far below 1.
+                _ => (0..d).map(|_| rng.gen::<f32>() * 0.01 / df).collect(),
+            };
+            let mut acc = 0.0f32;
+            let prefix: Vec<f32> = weights
+                .iter()
+                .map(|&p| {
+                    acc += p;
+                    acc
+                })
+                .collect();
+            // Where a guess lands at `c`, and just above the row sum.
+            let taus = vec![
+                c as f32 / df.max(1.0),
+                (c as f32 + 0.5) / df.max(1.0),
+                f32::from_bits(acc.to_bits() + 1),
+            ];
+            (weights, prefix, taus)
+        }
+
         proptest! {
-            #![proptest_config(ProptestConfig::with_cases(64))]
+            #![proptest_config(ProptestConfig::with_cases(256))]
 
             #[test]
             fn prefix_lookup_matches_linear_rule(
-                kind in 0u8..4,
-                d in 0usize..10_000,
+                kind in 0u8..9,
+                size in 0u8..4,
+                span in 0usize..=100_000,
                 seed in any::<u64>(),
-                pick in 0usize..10_000,
+                pick in 0usize..100_000,
                 free_tau in 0.0f32..1.0,
             ) {
-                let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-                let weights: Vec<f32> = match kind {
-                    // Weighted cascade: 1/d on every in-edge.
-                    0 => vec![1.0 / d as f32; d],
-                    // Random weights, row sum below 1.
-                    1 => (0..d).map(|_| rng.gen::<f32>() / d as f32).collect(),
-                    // Half the edges weigh zero.
-                    2 => (0..d)
-                        .map(|_| if rng.gen_bool(0.5) { 0.0 } else { rng.gen::<f32>() / d as f32 })
-                        .collect(),
-                    // Trivalency-like levels plus zeros; the sum may pass 1.
-                    _ => (0..d)
-                        .map(|_| [0.0, 0.001, 0.01, 0.1][rng.gen_range(0..4usize)])
-                        .collect(),
+                // One edge, short rows, long rows, and rows up to 100k edges.
+                let d = match size {
+                    0 => 1,
+                    1 => span % 64,
+                    2 => span % 10_000,
+                    _ => span,
                 };
-                let mut acc = 0.0f32;
-                let prefix: Vec<f32> = weights
-                    .iter()
-                    .map(|&p| {
-                        acc += p;
-                        acc
-                    })
-                    .collect();
+                let (weights, prefix, extra) = row(kind, d, seed, pick);
                 let mut taus = vec![0.0, free_tau, 1.0, f32::from_bits(1)];
-                if d > 0 {
-                    // Exactly on a prefix boundary, and one ulp either side.
-                    let b = prefix[pick % d];
-                    taus.extend([b, f32::from_bits(b.to_bits().saturating_sub(1)), f32::from_bits(b.to_bits() + 1)]);
+                taus.extend(extra);
+                // Exactly on prefix boundaries, and one ulp either side:
+                // every boundary of a short row, a spread of a long one's.
+                let step = (d / 64).max(1);
+                for j in (pick % step..d).step_by(step) {
+                    let b = prefix[j];
+                    taus.extend([
+                        b,
+                        f32::from_bits(b.to_bits().saturating_sub(1)),
+                        f32::from_bits(b.to_bits() + 1),
+                    ]);
                 }
-                for tau in taus {
+                let linear: Vec<Option<usize>> = taus
+                    .iter()
+                    .map(|&tau| lt_choose(weights.iter().copied(), tau))
+                    .collect();
+                for (&tau, want) in taus.iter().zip(linear) {
+                    prop_assert_eq!(
+                        first_reaching(&prefix, tau),
+                        prefix.partition_point(|&s| s < tau),
+                        "kind {} d {} tau {}", kind, d, tau
+                    );
                     prop_assert_eq!(
                         lt_choose_prefix(&prefix, tau),
-                        lt_choose(weights.iter().copied(), tau),
+                        want,
                         "kind {} d {} tau {}", kind, d, tau
                     );
                 }

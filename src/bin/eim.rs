@@ -75,6 +75,7 @@ use eim::gpusim::{
 };
 use eim::graph::{
     generators, parse_edge_list, parse_weighted_edge_list, Dataset, GraphDelta, GraphStats,
+    VertexId,
 };
 use eim::imm::{
     run_fingerprint, run_imm_checkpointed, run_stream, Checkpointing, CpuEngine, CpuParallelism,
@@ -317,12 +318,21 @@ fn load_graph(a: &Args) -> Graph {
             eprintln!("cannot open {path}: {e}");
             std::process::exit(1);
         });
-        parse_weighted_edge_list(file)
-            .unwrap_or_else(|e| {
-                eprintln!("parse error: {e}");
-                std::process::exit(1);
-            })
-            .0
+        let (graph, ids) = parse_weighted_edge_list(file).unwrap_or_else(|e| {
+            eprintln!("parse error: {e}");
+            std::process::exit(1);
+        });
+        if a.model == DiffusionModel::LinearThreshold {
+            if let Some((v, sum)) = lt_overweight_row(&graph) {
+                eprintln!(
+                    "{path}: the in-weights of vertex {} sum to {sum:.6}; \
+                     the LT model needs every vertex's in-weights to sum to at most 1",
+                    ids[v as usize]
+                );
+                std::process::exit(2);
+            }
+        }
+        graph
     } else {
         let abbrev = a.dataset.as_deref().unwrap();
         let Some(d) = Dataset::by_abbrev(abbrev) else {
@@ -333,6 +343,19 @@ fn load_graph(a: &Args) -> Graph {
         };
         d.generate(a.scale, WeightModel::WeightedCascade, a.seed)
     }
+}
+
+/// The first vertex whose in-weights sum above 1, with that sum. An LT
+/// reverse step picks in-edge `i` when the threshold falls in its slice of
+/// the row's running sum, so past a sum of 1 an edge's slice is cut short
+/// and it is picked with less than its weight. The sum is taken in `f64`
+/// with `1e-6` of slack, so rows written as `f32` fractions of one (such as
+/// weighted cascade's `1/d`) pass.
+fn lt_overweight_row(graph: &Graph) -> Option<(VertexId, f64)> {
+    (0..graph.num_vertices() as VertexId).find_map(|v| {
+        let sum: f64 = graph.in_weights(v).iter().map(|&w| f64::from(w)).sum();
+        (sum > 1.0 + 1e-6).then_some((v, sum))
+    })
 }
 
 /// Reports an engine failure and exits nonzero. Under `--json` the error is

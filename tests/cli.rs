@@ -502,3 +502,39 @@ fn hostile_updates_input_is_a_usage_error() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn lt_refuses_in_weights_summing_above_one() {
+    let dir = std::env::temp_dir().join(format!("eim_cli_lt_weights_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let over = dir.join("over.txt");
+    std::fs::write(&over, "0 2 0.9\n1 2 0.9\n2 3 0.5\n").unwrap();
+    // Three in-edges of 1/3 each: an f32 row that sums to 1 up to rounding.
+    let thirds = dir.join("thirds.txt");
+    let third = 1.0f32 / 3.0;
+    std::fs::write(&thirds, format!("0 3 {third}\n1 3 {third}\n2 3 {third}\n")).unwrap();
+    let run = |path: &std::path::Path, model: &str| {
+        eim()
+            .args(["--weighted", path.to_str().unwrap(), "--model", model])
+            .args(["--k", "1", "--eps", "0.5"])
+            .output()
+            .expect("binary runs")
+    };
+    let out = run(&over, "lt");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("vertex 2") && stderr.contains("1.8"),
+        "{stderr}"
+    );
+    // IC has no row-sum constraint, and a row summing to one passes LT.
+    for (path, model) in [(&over, "ic"), (&thirds, "lt")] {
+        let out = run(path, model);
+        assert!(
+            out.status.success(),
+            "{model}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

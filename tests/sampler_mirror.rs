@@ -298,3 +298,66 @@ fn lt_charges_with_many_samples_per_block_match_pinned_values() {
         );
     }
 }
+
+/// Every row's LT lookup, through every view, picks the edge the prefix
+/// sums' partition point names: the threshold 0, each boundary and one
+/// ulp either side of it, and sixteen keystream draws per row. Rows come
+/// from an R-MAT graph with hubs of a few hundred in-edges, under weighted
+/// cascade (where the lookup's first guess is right) and under trivalency
+/// (where the sums stay far below `(i + 1)/d` and the lookup gallops).
+#[test]
+fn lt_lookup_matches_the_partition_point_on_every_row() {
+    use eim::diffusion::{lt_crosses, sample_rng};
+    use rand::Rng;
+    fn check<G: DeviceGraph>(view: &G, what: &str) -> usize {
+        let mut checked = 0;
+        for v in 0..view.n() as VertexId {
+            let mut acc = 0.0f32;
+            let prefix: Vec<f32> = (0..view.in_degree(v))
+                .map(|i| {
+                    acc += view.in_weight(v, i);
+                    acc
+                })
+                .collect();
+            let mut taus = vec![0.0f32];
+            for &b in &prefix {
+                taus.extend([
+                    b,
+                    f32::from_bits(b.to_bits().saturating_sub(1)),
+                    f32::from_bits(b.to_bits() + 1),
+                ]);
+            }
+            let mut rng = sample_rng(SEED, u64::from(v));
+            taus.extend((0..16).map(|_| rng.gen::<f32>()));
+            for tau in taus {
+                let i = prefix.partition_point(|&s| s < tau);
+                let want = prefix.get(i).and_then(|&inclusive| {
+                    let exclusive = if i == 0 { 0.0 } else { prefix[i - 1] };
+                    lt_crosses(exclusive, inclusive, tau).then_some(i)
+                });
+                assert_eq!(view.lt_choose(v, tau), want, "{what}: row {v} tau {tau}");
+                checked += 1;
+            }
+        }
+        checked
+    }
+    for weights in [WeightModel::WeightedCascade, WeightModel::Trivalency] {
+        let g = generators::rmat(2_000, 30_000, generators::RmatParams::GRAPH500, weights, 43);
+        assert!(
+            (0..2_000).any(|v| g.in_degree(v) >= 200),
+            "{weights:?}: no hub"
+        );
+        let mut checked = check(&PlainDeviceGraph::new(&g), &format!("{weights:?}/plain"));
+        checked += check(
+            &PackedDeviceGraph::from_graph(&g),
+            &format!("{weights:?}/packed"),
+        );
+        if weights == WeightModel::WeightedCascade {
+            checked += check(
+                &PackedDeviceGraph::new(PackedCsc::from_graph_derived(&g)),
+                &format!("{weights:?}/derived"),
+            );
+        }
+        assert!(checked > 100_000, "{weights:?}: {checked} lookups");
+    }
+}
