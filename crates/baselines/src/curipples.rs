@@ -96,6 +96,7 @@ impl<'g> CuRipplesEngine<'g> {
     ) -> Result<Self, EngineError> {
         let n = graph.num_vertices();
         config.validate(n);
+        config.check_graph(graph)?;
         let blocks = device.spec().num_sms * 4;
         let scratch = blocks * n.div_ceil(8) + blocks * n * 4 + n * 4;
         device

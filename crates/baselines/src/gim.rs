@@ -57,6 +57,7 @@ impl<'g> GimEngine<'g> {
     pub fn new(graph: &'g Graph, config: ImmConfig, device: Device) -> Result<Self, EngineError> {
         let n = graph.num_vertices();
         config.validate(n);
+        config.check_graph(graph)?;
         let blocks = device.spec().num_sms * 4;
         // M bitmaps + temp RRR buffers (n u32 per block) + counts C.
         let scratch = blocks * n.div_ceil(8) + blocks * n * 4 + n * 4;

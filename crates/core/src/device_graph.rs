@@ -12,23 +12,72 @@ use eim_graph::{Graph, VertexId, Weight};
 /// 24-bit mantissa `m = u >> 8` scales to f32 losslessly, and
 /// `p * 2^24` is exact in f64, so `m * 2^-24 <= p  <=>  m <= floor(p * 2^24)`.
 /// Precomputing the threshold lets the kernel compare raw keystream words
-/// against the CSC weights with no float conversion per edge.
+/// against the CSC weights with no float conversion per edge. The same test
+/// reads `u <= (t << 8) | 0xFF` on the whole word, which saturates at
+/// `u32::MAX` (every draw accepts) once `t >= 2^24 - 1`, as it does for
+/// every weight of 1 and above.
+///
+/// Under weighted cascade every in-edge of `v` has weight `1/d(v)`, so a
+/// row has one threshold; the views keep it once per row
+/// ([`RowThresholds::Shared`]) and the fused scan tests a whole keystream
+/// window against it.
 #[inline]
 pub fn weight_threshold(p: f32) -> u32 {
     ((p as f64 * 16_777_216.0).floor() as u64).min(u32::MAX as u64) as u32
 }
 
+/// The acceptance thresholds ([`weight_threshold`]) of one row's in-edges,
+/// as [`DeviceGraph::in_edges`] hands them to the fused IC scan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum RowThresholds<'a> {
+    /// Every edge of the row has this threshold: the weighted-cascade case,
+    /// where each in-weight of a row is `1/d`.
+    Shared(u32),
+    /// One threshold per edge, in CSC order: rows whose weights differ
+    /// (`Trivalency`, `Random`).
+    PerEdge(&'a [u32]),
+}
+
+impl<'a> RowThresholds<'a> {
+    /// The thresholds of the row's edges `start..start + len`.
+    #[inline]
+    pub fn window(self, start: usize, len: usize) -> Self {
+        match self {
+            Self::Shared(t) => Self::Shared(t),
+            Self::PerEdge(ts) => Self::PerEdge(&ts[start..start + len]),
+        }
+    }
+
+    /// The threshold of the row's `i`-th edge.
+    #[inline]
+    pub fn get(self, i: usize) -> u32 {
+        match self {
+            Self::Shared(t) => t,
+            Self::PerEdge(ts) => ts[i],
+        }
+    }
+}
+
+/// [`EdgeTables::shared`] of a row whose edge thresholds differ. A row whose
+/// edges all have this threshold (weights of 256 and above) is marked with it
+/// too and scanned through its per-edge thresholds, which are the same.
+const PER_EDGE: u32 = u32::MAX;
+
 /// The per-edge host emulation state a device view keeps beside its CSC:
 /// row starts, acceptance thresholds ([`weight_threshold`]) and per-row
-/// inclusive weight prefix sums, all in CSC order. The device scans the
-/// weights themselves; the thresholds re-encode the weight array at the
-/// same 4 bytes per edge and the prefix sums emulate the warp scan, so
-/// none of this changes what a view claims in device bytes.
+/// inclusive weight prefix sums, all in CSC order, plus each row's shared
+/// threshold. The device scans the weights themselves; the thresholds
+/// re-encode the weight array at the same 4 bytes per edge and the prefix
+/// sums emulate the warp scan, so none of this changes what a view claims
+/// in device bytes.
 struct EdgeTables {
     /// Exclusive prefix of in-degrees: the edge range of `v`.
     starts: Vec<usize>,
     /// Per-edge acceptance thresholds.
     thresholds: Vec<u32>,
+    /// Per row: the threshold all of its edges share, or [`PER_EDGE`]. An
+    /// empty row shares 0.
+    shared: Vec<u32>,
     /// Accumulated in order as `acc + p` in `f32` — the sums [`lt_choose`]
     /// forms as it scans, so [`lt_choose_prefix`] over them picks the same
     /// edge.
@@ -42,6 +91,7 @@ impl EdgeTables {
         Self {
             starts,
             thresholds: Vec::with_capacity(m),
+            shared: Vec::with_capacity(n),
             prefix: Vec::with_capacity(m),
         }
     }
@@ -68,12 +118,20 @@ impl EdgeTables {
 
     /// Appends one row with the given weights.
     fn push_row(&mut self, weights: impl IntoIterator<Item = Weight>) {
+        let first = self.thresholds.len();
         let mut acc = 0.0f32;
         for p in weights {
             self.thresholds.push(weight_threshold(p));
             acc += p;
             self.prefix.push(acc);
         }
+        let row = &self.thresholds[first..];
+        let shared = match row.first() {
+            None => 0,
+            Some(&t) if row.iter().all(|&x| x == t) => t,
+            Some(_) => PER_EDGE,
+        };
+        self.shared.push(shared);
         self.starts.push(self.thresholds.len());
     }
 
@@ -96,9 +154,19 @@ impl EdgeTables {
         let (s, e) = (src.starts[lo], src.starts[hi]);
         let base = self.thresholds.len();
         self.thresholds.extend_from_slice(&src.thresholds[s..e]);
+        self.shared.extend_from_slice(&src.shared[lo..hi]);
         self.prefix.extend_from_slice(&src.prefix[s..e]);
         self.starts
             .extend(src.starts[lo + 1..=hi].iter().map(|&x| x - s + base));
+    }
+
+    /// Row `v`'s acceptance thresholds: shared, or its per-edge slice.
+    #[inline]
+    fn row_thresholds(&self, v: VertexId) -> RowThresholds<'_> {
+        match self.shared[v as usize] {
+            PER_EDGE => RowThresholds::PerEdge(&self.thresholds[self.row(v)]),
+            t => RowThresholds::Shared(t),
+        }
     }
 
     #[inline]
@@ -117,20 +185,24 @@ impl EdgeTables {
     fn prefetch_queued(&self, neighbors: &[VertexId], queued: &[VertexId]) {
         if let Some(&v) = queued.get(PREFETCH_START_AHEAD) {
             prefetch(&self.starts[v as usize]);
+            prefetch(&self.shared[v as usize]);
         }
         if let Some(&v) = queued.get(PREFETCH_ROW_AHEAD) {
             let s = self.starts[v as usize];
-            if let (Some(t), Some(u)) = (self.thresholds.get(s), neighbors.get(s)) {
-                prefetch(t);
+            if let Some(u) = neighbors.get(s) {
                 prefetch(u);
+            }
+            if self.shared[v as usize] == PER_EDGE {
+                prefetch(&self.thresholds[s]);
             }
         }
     }
 }
 
 /// Positions in the queue [`DeviceGraph::prefetch_queued`] gets (0 is the
-/// next dequeue) whose row start, and whose neighbor and threshold rows,
-/// it prefetches: the vertices eight and three places behind the one being
+/// next dequeue) whose row start and shared threshold, and whose neighbor
+/// row (and per-edge thresholds, on a row without a shared one), it
+/// prefetches: the vertices eight and three places behind the one being
 /// expanded. A row start fetched early locates the row fetched later.
 const PREFETCH_START_AHEAD: usize = 7;
 const PREFETCH_ROW_AHEAD: usize = 2;
@@ -176,15 +248,19 @@ pub trait DeviceGraph: Sync {
     fn device_bytes(&self) -> usize;
 
     /// `v`'s full in-neighbor list alongside the integer acceptance
-    /// thresholds of its edge weights ([`weight_threshold`]) — the chunked
-    /// CSC view the fused sampler scans. The default decodes edge by edge
-    /// into `scratch`; representations with contiguous storage override it
-    /// to return their own slices zero-copy.
+    /// thresholds of its edge weights ([`weight_threshold`]) — the CSC view
+    /// the fused sampler scans. A row whose edges share one threshold (every
+    /// row under weighted cascade) hands out that one value, so its scan
+    /// reads no per-edge threshold; any other row hands out one per edge.
+    /// The default decodes edge by edge into `scratch` and returns
+    /// [`RowThresholds::PerEdge`]; representations with contiguous storage
+    /// override it to return their own slices zero-copy and their rows'
+    /// shared thresholds.
     fn in_edges<'a>(
         &'a self,
         v: VertexId,
         scratch: &'a mut EdgeScratch,
-    ) -> (&'a [VertexId], &'a [u32]) {
+    ) -> (&'a [VertexId], RowThresholds<'a>) {
         let d = self.in_degree(v);
         scratch.nbrs.clear();
         scratch.thresholds.clear();
@@ -196,7 +272,7 @@ pub trait DeviceGraph: Sync {
                 .thresholds
                 .push(weight_threshold(self.in_weight(v, i)));
         }
-        (&scratch.nbrs, &scratch.thresholds)
+        (&scratch.nbrs, RowThresholds::PerEdge(&scratch.thresholds))
     }
 
     /// The in-edge of `v` an LT reverse step chooses for threshold `tau`
@@ -211,10 +287,11 @@ pub trait DeviceGraph: Sync {
 
     /// Hints that a traversal will soon scan the in-edges of the vertices
     /// in `queued`, its BFS queue past the vertex being expanded, in
-    /// order. Views with flat host tables prefetch the row start of one
-    /// vertex a few places down the queue and the neighbor and threshold
-    /// rows of a nearer one. A hint only: it changes no result, and the
-    /// default does nothing.
+    /// order. Views with flat host tables prefetch the row start and shared
+    /// threshold of one vertex a few places down the queue, and the
+    /// neighbor row (with its per-edge thresholds, if it has no shared one)
+    /// of a nearer one. A hint only: it changes no result, and the default
+    /// does nothing.
     #[inline]
     fn prefetch_queued(&self, _queued: &[VertexId]) {}
 
@@ -229,9 +306,10 @@ pub trait DeviceGraph: Sync {
 /// Plain (uncompressed) CSC view — what gIM keeps on the device.
 ///
 /// Construction precomputes the flat per-edge threshold array mirroring the
-/// CSC weight array, so [`DeviceGraph::in_edges`] is zero-copy, and the
-/// per-row weight prefix sums behind [`DeviceGraph::lt_choose`]; engines
-/// build the view once per run, amortizing the `O(m)` pass.
+/// CSC weight array and each row's shared threshold, so
+/// [`DeviceGraph::in_edges`] is zero-copy, and the per-row weight prefix
+/// sums behind [`DeviceGraph::lt_choose`]; engines build the view once per
+/// run, amortizing the `O(m)` pass.
 pub struct PlainDeviceGraph<'g> {
     graph: &'g Graph,
     tables: EdgeTables,
@@ -270,11 +348,8 @@ impl DeviceGraph for PlainDeviceGraph<'_> {
         &'a self,
         v: VertexId,
         _scratch: &'a mut EdgeScratch,
-    ) -> (&'a [VertexId], &'a [u32]) {
-        (
-            self.graph.in_neighbors(v),
-            &self.tables.thresholds[self.tables.row(v)],
-        )
+    ) -> (&'a [VertexId], RowThresholds<'a>) {
+        (self.graph.in_neighbors(v), self.tables.row_thresholds(v))
     }
     fn lt_choose(&self, v: VertexId, tau: f32) -> Option<usize> {
         self.tables.lt_choose(v, tau)
@@ -389,9 +464,11 @@ impl DeviceGraph for PackedDeviceGraph {
         &'a self,
         v: VertexId,
         _scratch: &'a mut EdgeScratch,
-    ) -> (&'a [VertexId], &'a [u32]) {
-        let r = self.tables.row(v);
-        (&self.neighbors[r.clone()], &self.tables.thresholds[r])
+    ) -> (&'a [VertexId], RowThresholds<'a>) {
+        (
+            &self.neighbors[self.tables.row(v)],
+            self.tables.row_thresholds(v),
+        )
     }
     fn lt_choose(&self, v: VertexId, tau: f32) -> Option<usize> {
         self.tables.lt_choose(v, tau)
@@ -426,7 +503,7 @@ impl DeviceGraph for PackedCsc {
         &'a self,
         v: VertexId,
         scratch: &'a mut EdgeScratch,
-    ) -> (&'a [VertexId], &'a [u32]) {
+    ) -> (&'a [VertexId], RowThresholds<'a>) {
         // One offset decode per row plus a rolling sequential neighbor
         // decode, instead of the default's per-edge accessors (each of
         // which re-derives the row bounds from the packed offsets).
@@ -434,18 +511,20 @@ impl DeviceGraph for PackedCsc {
         scratch.nbrs.clear();
         scratch.thresholds.clear();
         self.decode_neighbors_into(start, end, &mut scratch.nbrs);
-        match self.plain_weights(start, end) {
-            Some(ws) => scratch
-                .thresholds
-                .extend(ws.iter().map(|&p| weight_threshold(p))),
-            None => {
-                // Derived weights are constant across the row.
-                let d = end - start;
-                let t = weight_threshold(if d == 0 { 0.0 } else { 1.0 / d as Weight });
-                scratch.thresholds.resize(d, t);
+        let thresholds = match self.plain_weights(start, end) {
+            Some(ws) => {
+                scratch
+                    .thresholds
+                    .extend(ws.iter().map(|&p| weight_threshold(p)));
+                RowThresholds::PerEdge(&scratch.thresholds)
             }
-        }
-        (&scratch.nbrs, &scratch.thresholds)
+            // Derived weights are constant across the row.
+            None => RowThresholds::Shared(weight_threshold(match end - start {
+                0 => 0.0,
+                d => 1.0 / d as Weight,
+            })),
+        };
+        (&scratch.nbrs, thresholds)
     }
 }
 
@@ -496,19 +575,28 @@ mod tests {
         let mut s3 = EdgeScratch::default();
         for v in 0..300u32 {
             let (pn, pt) = plain.in_edges(v, &mut s1);
+            // Weighted cascade: every row of the plain view shares one
+            // threshold.
+            assert!(matches!(pt, RowThresholds::Shared(_)), "row {v}");
             let (kn, kt) = packed.in_edges(v, &mut s2);
+            assert!(matches!(kt, RowThresholds::PerEdge(_)), "row {v}");
             assert_eq!(pn, kn);
-            assert_eq!(pt, kt);
             assert_eq!(pn.len(), plain.in_degree(v));
-            for (i, &t) in pt.iter().enumerate() {
-                assert_eq!(t, weight_threshold(plain.in_weight(v, i)));
+            for i in 0..pn.len() {
+                assert_eq!(pt.get(i), kt.get(i));
+                assert_eq!(pt.get(i), weight_threshold(plain.in_weight(v, i)));
             }
-            // Derived weights (weighted cascade): same neighbors, and each
-            // threshold encodes 1/d exactly as the per-edge accessor does.
+            // Derived weights (weighted cascade): same neighbors, and the
+            // shared threshold encodes 1/d exactly as the per-edge accessor
+            // does.
             let (dn, dt) = derived.in_edges(v, &mut s3);
+            assert!(matches!(dt, RowThresholds::Shared(_)), "row {v}");
             assert_eq!(pn, dn);
-            for (i, &t) in dt.iter().enumerate() {
-                assert_eq!(t, weight_threshold(DeviceGraph::in_weight(&derived, v, i)));
+            for i in 0..dn.len() {
+                assert_eq!(
+                    dt.get(i),
+                    weight_threshold(DeviceGraph::in_weight(&derived, v, i))
+                );
             }
         }
     }

@@ -205,6 +205,7 @@ impl<'g> EimEngine<'g> {
     ) -> Result<Self, EngineError> {
         let n = graph.num_vertices();
         config.validate(n);
+        config.check_graph(graph)?;
         let repr = if config.packed {
             GraphRepr::Packed(PackedDeviceGraph::from_graph(graph))
         } else {
@@ -474,9 +475,7 @@ impl<'g> EimEngine<'g> {
         // merge order. Each batch lands in bulk with the coverage deltas the
         // sampler aggregated in flight, without re-walking any set.
         for batch in &batches {
-            self.counters.sampled += batch.counters.sampled;
-            self.counters.singletons += batch.counters.singletons;
-            self.counters.discarded += batch.counters.discarded;
+            self.counters.add(&batch.counters);
             let lens: Vec<usize> = batch.sets.kept_lens().collect();
             self.store
                 .append_batch(batch.sets.arena(), &lens, &batch.coverage);

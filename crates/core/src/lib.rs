@@ -36,6 +36,7 @@
 //! assert!(r.sim_time_us() > 0.0);
 //! ```
 
+mod accept;
 mod builder;
 mod device_graph;
 mod engine;
@@ -46,7 +47,7 @@ pub mod select;
 
 pub use builder::{EimBuilder, EimResult};
 pub use device_graph::{
-    weight_threshold, DeviceGraph, EdgeScratch, PackedDeviceGraph, PlainDeviceGraph,
+    weight_threshold, DeviceGraph, EdgeScratch, PackedDeviceGraph, PlainDeviceGraph, RowThresholds,
 };
 pub use engine::{DeviceRecoverySummary, EimEngine, MultiGpuEimEngine};
 pub use memory::MemoryFootprint;

@@ -23,13 +23,18 @@
 //! raw RNG keystream words ([`rand_chacha::ChaCha8Rng`]'s SIMD block
 //! refill) using precomputed integer acceptance thresholds
 //! ([`crate::device_graph::weight_threshold`]) — bit-identical to the
-//! per-edge float draw of the reference path. The scan compares
-//! `ACCEPT_CHUNK` words to their thresholds at once and visits neighbors
-//! and `M` only in a chunk that accepts an edge, in ascending order, so
-//! acceptances, enqueue order and charges are those of the per-edge loop.
-//! At each dequeue the rest of the queue goes to
-//! [`DeviceGraph::prefetch_queued`], which prefetches the rows the next
-//! dequeues will read.
+//! per-edge float draw of the reference path. Under weighted cascade a
+//! row's edges share one threshold, so the scan of such a row reads no
+//! per-edge threshold at all ([`crate::device_graph::RowThresholds`]). Each
+//! keystream window (up to 128 words) is compared in one pass, one AVX-512F
+//! compare per sixteen words where the CPU has it (the window test in
+//! `accept.rs`), and only the accepted positions read their neighbor
+//! and `M`, in ascending order, so acceptances, enqueue order and charges
+//! are those of the per-edge loop. At each dequeue the rest of the queue
+//! goes to [`DeviceGraph::prefetch_queued`], which prefetches the rows the
+//! next dequeues will read. On the `stream-social` redraw the keystream
+//! alone is about half of the scan's time; the rest is per dequeue: the row
+//! start, the accepted neighbors' lines and `M`.
 //!
 //! Under LT a block keeps `LT_LANES` walks in flight and steps them
 //! round-robin, the host analogue of the resident warps that hide a GPU's
@@ -73,15 +78,11 @@ use eim_graph::VertexId;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
 
+use crate::accept::accept_mask;
 use crate::device_graph::{DeviceGraph, EdgeScratch};
 
 /// LT walks a block keeps in flight. Sixteen measured no faster than eight.
 const LT_LANES: usize = 8;
-
-/// Keystream words the fused IC scan tests for acceptance at once. With the
-/// AVX-512VL refill and the row prefetch in place, eight measured faster
-/// than sixteen or thirty-two.
-const ACCEPT_CHUNK: usize = 8;
 
 /// The visited-mask bit of single-walk traversals: every IC sample and
 /// every reference-path sample.
@@ -97,6 +98,10 @@ pub struct SamplerCounters {
     pub discarded: usize,
     /// Samples drawn in total.
     pub sampled: usize,
+    /// Keystream words the batch drew: each sample's source, one word per
+    /// IC edge test, and each LT step's threshold. Deterministic work, so a
+    /// time per word compares runs that machine load would otherwise blur.
+    pub keystream_words: u64,
 }
 
 impl SamplerCounters {
@@ -130,10 +135,11 @@ impl SamplerCounters {
         }
     }
 
-    fn add(&mut self, other: &SamplerCounters) {
+    pub(crate) fn add(&mut self, other: &SamplerCounters) {
         self.singletons += other.singletons;
         self.discarded += other.discarded;
         self.sampled += other.sampled;
+        self.keystream_words += other.keystream_words;
     }
 }
 
@@ -480,7 +486,7 @@ pub fn sample_batch_reference<G: DeviceGraph>(
             let mut out = BlockOutput::new(local);
             for p in 0..local {
                 let idx = start + (b + p * blocks) as u64;
-                let source = reference_sample_one(
+                let (source, words) = reference_sample_one(
                     ctx,
                     graph,
                     model,
@@ -491,6 +497,7 @@ pub fn sample_batch_reference<G: DeviceGraph>(
                 );
                 let set = &scratch.queue;
                 out.counters.sampled += 1;
+                out.counters.keystream_words += words;
                 if set.len() == 1 {
                     out.counters.singletons += 1;
                 }
@@ -621,6 +628,7 @@ fn ic_sample_one<G: DeviceGraph>(
     out.data.push(source);
     scratch.visited[source as usize] |= SOLO;
     ic_traverse_fused(ctx, graph, &mut rng, scratch, &mut out.data, set_start);
+    out.counters.keystream_words += rng.words_read();
     publish_set(
         ctx,
         out,
@@ -666,6 +674,7 @@ fn lt_block<G: DeviceGraph>(
             }
             let set_start = out.data.len();
             out.data.extend_from_slice(&lane.path);
+            out.counters.keystream_words += lane.rng.words_read();
             publish_set(
                 ctx,
                 out,
@@ -743,8 +752,9 @@ fn publish_set(
 }
 
 /// Traverses one RRR set into `queue` via the unfused per-edge float path,
-/// leaving it sorted ascending, and returns the sample's source vertex.
-/// `visited` must be all-zero on entry and is restored before returning.
+/// leaving it sorted ascending, and returns the sample's source vertex and
+/// the keystream words it drew. `visited` must be all-zero on entry and is
+/// restored before returning.
 fn reference_sample_one<G: DeviceGraph>(
     ctx: &mut BlockCtx,
     graph: &G,
@@ -753,7 +763,7 @@ fn reference_sample_one<G: DeviceGraph>(
     idx: u64,
     visited: &mut [u8],
     queue: &mut Vec<VertexId>,
-) -> VertexId {
+) -> (VertexId, u64) {
     let mut rng = sample_rng(seed, idx);
     let n = graph.n();
     let source: VertexId = rng.gen_range(0..n as VertexId);
@@ -777,7 +787,7 @@ fn reference_sample_one<G: DeviceGraph>(
         visited[v as usize] = 0;
     }
     ctx.charge(Op::GlobalAccess, q as u64);
-    source
+    (source, rng.words_read())
 }
 
 /// Vectorized warp-wide probabilistic BFS (IC), fused variant: every
@@ -786,11 +796,11 @@ fn reference_sample_one<G: DeviceGraph>(
 /// precomputed integer thresholds — decision-identical to the float path
 /// of [`ic_traverse`], word for word.
 ///
-/// Each window is tested [`ACCEPT_CHUNK`] words at a time: one OR-reduced
-/// compare per chunk, which LLVM vectorizes, and only a chunk with an
-/// accepted edge reads its neighbors and `M`, edge by edge in ascending
-/// order with the same charges. The window's tail runs the same per-edge
-/// loop. Before a vertex is expanded, [`DeviceGraph::prefetch_queued`]
+/// Each window is tested in one pass ([`accept_mask`]: one SIMD compare per
+/// sixteen words where the CPU has AVX-512F), against the row's one shared
+/// threshold or its per-edge ones, and only the accepted positions read
+/// their neighbor and `M`, in ascending order and with the per-edge loop's
+/// charges. Before a vertex is expanded, [`DeviceGraph::prefetch_queued`]
 /// gets the queue behind it, so rows a few dequeues ahead are on their way
 /// to the cache.
 fn ic_traverse_fused<G: DeviceGraph>(
@@ -816,35 +826,21 @@ fn ic_traverse_fused<G: DeviceGraph>(
         while i < d {
             let words = rng.peek_words();
             let take = (d - i).min(words.len());
-            let (words, ts, vs) = (&words[..take], &thresholds[i..i + take], &nbrs[i..i + take]);
-            let mut visit = |w: &[u32], t: &[u32], v: &[VertexId]| {
-                for ((&w, &t), &v) in w.iter().zip(t).zip(v) {
-                    // One keystream word per edge: accept iff the 24-bit
-                    // draw clears the threshold (exactly `r <= p` in float
-                    // form).
-                    if w >> 8 <= t && scratch.visited[v as usize] == 0 {
-                        // Mark in M, then atomically enqueue (§3.2).
-                        scratch.visited[v as usize] = SOLO;
-                        data.push(v);
-                        ctx.charge(Op::AtomicGlobal, 2); // enqueue slot + tail bump
-                    }
-                }
-            };
-            let (wc, w_rem) = words.as_chunks::<ACCEPT_CHUNK>();
-            let (tc, t_rem) = ts.as_chunks::<ACCEPT_CHUNK>();
-            let (vc, v_rem) = vs.as_chunks::<ACCEPT_CHUNK>();
-            for ((w, t), v) in wc.iter().zip(tc).zip(vc) {
-                // Most chunks accept nothing: one vector compare rules a
-                // whole chunk out before any neighbor or `M` is read.
-                if w.iter()
-                    .zip(t)
-                    .fold(false, |any, (&w, &t)| any | (w >> 8 <= t))
-                {
-                    visit(w, t, v);
+            // One keystream word per edge: edge `i + j` accepts iff bit `j`
+            // is set, that is iff its 24-bit draw clears the threshold
+            // (exactly `r <= p` in float form).
+            let mut accepted = accept_mask(&words[..take], thresholds.window(i, take));
+            rng.consume(take);
+            while accepted != 0 {
+                let v = nbrs[i + accepted.trailing_zeros() as usize];
+                accepted &= accepted - 1;
+                if scratch.visited[v as usize] == 0 {
+                    // Mark in M, then atomically enqueue (§3.2).
+                    scratch.visited[v as usize] = SOLO;
+                    data.push(v);
+                    ctx.charge(Op::AtomicGlobal, 2); // enqueue slot + tail bump
                 }
             }
-            visit(w_rem, t_rem, v_rem);
-            rng.consume(take);
             i += take;
         }
     }
@@ -1364,7 +1360,7 @@ mod tests {
     }
 
     /// A graph whose in-degrees cycle through the values around the fused IC
-    /// scan's 8-word chunks and the RNG's 128-word refills, and whose
+    /// scan's 8- and 16-word compares and the RNG's 128-word windows, and whose
     /// weights mix 0.0 (threshold 0) and 1.0 (threshold 2^24) into small
     /// ordinary ones. Acceptances stay sparse, so a set depends on nearly
     /// every accepted edge.

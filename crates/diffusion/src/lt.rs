@@ -3,6 +3,19 @@
 use eim_graph::{Graph, VertexId};
 use rand::Rng;
 
+/// The first vertex whose in-weights sum above 1, with that sum. An LT
+/// reverse step picks in-edge `i` when the threshold falls in its slice of
+/// the row's running sum, so past a sum of 1 an edge's slice is cut short
+/// and it is picked with less than its weight. The sum is taken in `f64`
+/// with `1e-6` of slack, so rows written as `f32` fractions of one (such as
+/// weighted cascade's `1/d`) pass.
+pub fn lt_overweight_row(graph: &Graph) -> Option<(VertexId, f64)> {
+    (0..graph.num_vertices() as VertexId).find_map(|v| {
+        let sum: f64 = graph.in_weights(v).iter().map(|&w| f64::from(w)).sum();
+        (sum > 1.0 + 1e-6).then_some((v, sum))
+    })
+}
+
 /// Runs one LT diffusion from `seeds` and returns the activated set
 /// (ascending). Thresholds `tau_v` are drawn uniformly from `[0, 1]` at the
 /// start; vertex `v` activates at step `t` when

@@ -1,6 +1,9 @@
 //! Run configuration shared by every IMM implementation.
 
-use eim_diffusion::DiffusionModel;
+use eim_diffusion::{lt_overweight_row, DiffusionModel};
+use eim_graph::Graph;
+
+use crate::EngineError;
 
 /// Parameters of one influence-maximization run.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -52,6 +55,20 @@ impl ImmConfig {
             "epsilon must be in (0, 1)"
         );
         assert!(self.ell > 0.0, "ell must be positive");
+    }
+
+    /// Checks that the model can run on `graph`: under LT every vertex's
+    /// in-weights must sum to at most 1 ([`lt_overweight_row`]), so that
+    /// each in-edge is picked with its weight. IC takes any weights. An
+    /// engine calls this where it first meets the graph.
+    pub fn check_graph(&self, graph: &Graph) -> Result<(), EngineError> {
+        if self.model != DiffusionModel::LinearThreshold {
+            return Ok(());
+        }
+        match lt_overweight_row(graph) {
+            Some((vertex, _)) => Err(EngineError::LtRowAboveOne { vertex }),
+            None => Ok(()),
+        }
     }
 
     /// Builder-style setters.

@@ -101,6 +101,11 @@ impl ImmEngine for CpuEngine<'_> {
     }
 
     fn extend_to(&mut self, target: usize) -> Result<(), EngineError> {
+        if self.next_index == 0 {
+            // The constructor cannot fail, so the first extension refuses a
+            // graph the model cannot run on.
+            self.config.check_graph(self.graph)?;
+        }
         // Every drawn sample counts toward theta (see
         // [`ImmEngine::logical_sets`]); with source elimination, samples
         // whose set reduces to empty are simply not stored.

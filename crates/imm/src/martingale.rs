@@ -70,6 +70,13 @@ pub enum EngineError {
     },
     /// A checkpoint could not be persisted to disk.
     CheckpointIo,
+    /// The run is LT, and the in-weights of `vertex` sum above 1 (with the
+    /// `1e-6` slack of [`eim_diffusion::lt_overweight_row`]): an LT step
+    /// could not pick each of its in-edges with the edge's weight.
+    LtRowAboveOne {
+        /// The first such vertex.
+        vertex: u32,
+    },
 }
 
 impl std::fmt::Display for EngineError {
@@ -98,6 +105,11 @@ impl std::fmt::Display for EngineError {
                 "checkpoint does not match this run (expected {expected:#018x}, found {found:#018x})"
             ),
             EngineError::CheckpointIo => write!(f, "failed to persist a run checkpoint"),
+            EngineError::LtRowAboveOne { vertex } => write!(
+                f,
+                "the in-weights of vertex {vertex} sum above 1; \
+                 the LT model needs every vertex's in-weights to sum to at most 1"
+            ),
         }
     }
 }

@@ -394,6 +394,7 @@ impl<R: Resampler> StreamingImmEngine<R> {
     /// mutated graph's coverage demands more samples than any earlier run
     /// drew. Returns the run result and caches it for no-op batches.
     pub fn replay(&mut self) -> Result<StreamRunResult, EngineError> {
+        self.config.check_graph(&self.graph)?;
         self.cutoff = 0;
         let config = self.config;
         let run = run_imm(self, &config)?;

@@ -68,14 +68,13 @@ use std::sync::Arc;
 use eim::baselines::{CuRipplesEngine, GimEngine, HostSpec};
 use eim::core::DeviceResampler;
 use eim::core::{DeviceRecoverySummary, EimEngine, ScanStrategy};
-use eim::diffusion::estimate_spread;
+use eim::diffusion::{estimate_spread, lt_overweight_row};
 use eim::gpusim::{
     provenance, write_metrics_file, Device, DeviceSpec, FaultPlan, FaultSpec, MetricsRegistry,
     Phase, RunTrace,
 };
 use eim::graph::{
     generators, parse_edge_list, parse_weighted_edge_list, Dataset, GraphDelta, GraphStats,
-    VertexId,
 };
 use eim::imm::{
     run_fingerprint, run_imm_checkpointed, run_stream, Checkpointing, CpuEngine, CpuParallelism,
@@ -345,19 +344,6 @@ fn load_graph(a: &Args) -> Graph {
     }
 }
 
-/// The first vertex whose in-weights sum above 1, with that sum. An LT
-/// reverse step picks in-edge `i` when the threshold falls in its slice of
-/// the row's running sum, so past a sum of 1 an edge's slice is cut short
-/// and it is picked with less than its weight. The sum is taken in `f64`
-/// with `1e-6` of slack, so rows written as `f32` fractions of one (such as
-/// weighted cascade's `1/d`) pass.
-fn lt_overweight_row(graph: &Graph) -> Option<(VertexId, f64)> {
-    (0..graph.num_vertices() as VertexId).find_map(|v| {
-        let sum: f64 = graph.in_weights(v).iter().map(|&w| f64::from(w)).sum();
-        (sum > 1.0 + 1e-6).then_some((v, sum))
-    })
-}
-
 /// Reports an engine failure and exits nonzero. Under `--json` the error is
 /// a structured object on stdout so harnesses can parse the failure mode
 /// (the OOM cells of the paper's tables); otherwise a plain message on
@@ -410,6 +396,11 @@ fn report_engine_error(json: bool, e: EngineError) -> ! {
             EngineError::CheckpointIo => serde_json::json!({
                 "kind": "checkpoint_io",
                 "message": e.to_string(),
+            }),
+            EngineError::LtRowAboveOne { vertex } => serde_json::json!({
+                "kind": "lt_row_above_one",
+                "message": e.to_string(),
+                "vertex": vertex,
             }),
         };
         let out = serde_json::json!({ "error": err });

@@ -795,6 +795,53 @@ fn cold_fixture() -> &'static ColdFixture {
     })
 }
 
+/// A real cold checkpoint written after a device was evicted, and the
+/// fault plan whose `device_fail` evicted it: the first plan of the sweep
+/// in `device_loss_with_kill_and_resume_preserves_the_answer` whose run
+/// leaves survivors and checkpoints after the eviction.
+struct EvictedFixture {
+    spec: FaultSpec,
+    checkpoint: Vec<u8>,
+}
+
+fn evicted_fixture() -> &'static EvictedFixture {
+    static FIXTURE: std::sync::OnceLock<EvictedFixture> = std::sync::OnceLock::new();
+    FIXTURE.get_or_init(|| {
+        let g = &cold_fixture().graph;
+        let c = config(true);
+        let fp = run_fingerprint(&c, g.num_vertices(), "multigpu", 4);
+        let dir = temp_dir("hostile-evicted-source");
+        for fault_seed in 1..40u64 {
+            let spec = FaultSpec::parse(&format!("seed={fault_seed},device_fail=0.02")).unwrap();
+            let run = run_imm_checkpointed(
+                &mut engine(g, c).with_faults(&spec),
+                &c,
+                &RecoveryPolicy::retry(),
+                &RunTrace::disabled(),
+                &Checkpointing {
+                    dir: Some(dir.clone()),
+                    resume: None,
+                    kill_after: None,
+                    fingerprint: fp,
+                },
+            );
+            let evicted = RunCheckpoint::load(&dir)
+                .is_ok_and(|cp| cp.manifest.devices.iter().any(|d| d.evicted));
+            if run.is_ok() && evicted {
+                let checkpoint = std::fs::read(dir.join("eim-checkpoint.json")).unwrap();
+                // Intact, it resumes to the clean seeds.
+                let cp = RunCheckpoint::load(&dir).unwrap();
+                let resumed = resume_cold_on(&mut engine(g, c).with_faults(&spec), cp, &dir);
+                assert_eq!(resumed.unwrap().seeds, cold_fixture().clean, "{spec:?}");
+                let _ = std::fs::remove_dir_all(&dir);
+                return EvictedFixture { spec, checkpoint };
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+        panic!("no fault seed checkpointed after an eviction");
+    })
+}
+
 /// A real streaming run's checkpoint after one of three batches, and the
 /// clean run's final seeds.
 struct StreamFixture {
@@ -866,12 +913,16 @@ fn expect_typed_or_clean<T>(
     }
 }
 
-/// Resumes the cold fixture's run from `cp`, checkpointing into `dir`.
-fn resume_cold_from(cp: RunCheckpoint, dir: &Path) -> Result<ImmResult, EngineError> {
-    let f = cold_fixture();
+/// Resumes the cold fixture's run from `cp` on `engine`, checkpointing
+/// into `dir`.
+fn resume_cold_on(
+    engine: &mut EimEngine<'_>,
+    cp: RunCheckpoint,
+    dir: &Path,
+) -> Result<ImmResult, EngineError> {
     let c = config(true);
     run_imm_checkpointed(
-        &mut engine(&f.graph, c),
+        engine,
         &c,
         &RecoveryPolicy::retry(),
         &RunTrace::disabled(),
@@ -879,9 +930,14 @@ fn resume_cold_from(cp: RunCheckpoint, dir: &Path) -> Result<ImmResult, EngineEr
             dir: Some(dir.to_path_buf()),
             resume: Some(cp),
             kill_after: None,
-            fingerprint: run_fingerprint(&c, f.graph.num_vertices(), "multigpu", 4),
+            fingerprint: run_fingerprint(&c, engine.n(), "multigpu", 4),
         },
     )
+}
+
+/// Resumes the cold fixture's run from `cp`, checkpointing into `dir`.
+fn resume_cold_from(cp: RunCheckpoint, dir: &Path) -> Result<ImmResult, EngineError> {
+    resume_cold_on(&mut engine(&cold_fixture().graph, config(true)), cp, dir)
 }
 
 /// Loads the cold checkpoint in `dir` and, if it loads, resumes from it.
@@ -889,6 +945,21 @@ fn resume_cold(dir: &Path) {
     if let Ok(cp) = RunCheckpoint::load(dir) {
         let resumed = resume_cold_from(cp, dir);
         expect_typed_or_clean(resumed, |r| r.seeds, &cold_fixture().clean);
+    }
+}
+
+/// Loads the cold checkpoint in `dir` and, if it loads, resumes from it
+/// under the evicted fixture's fault plan. Besides a typed checkpoint
+/// error or the clean seeds, the faulted resume may exhaust its retries: a
+/// corrupted manifest can leave live a device the plan has failed.
+fn resume_evicted(dir: &Path) {
+    if let Ok(cp) = RunCheckpoint::load(dir) {
+        let f = cold_fixture();
+        let mut e = engine(&f.graph, config(true)).with_faults(&evicted_fixture().spec);
+        match resume_cold_on(&mut e, cp, dir) {
+            Err(EngineError::RetriesExhausted { .. }) => {}
+            resumed => expect_typed_or_clean(resumed, |r| r.seeds, &f.clean),
+        }
     }
 }
 
@@ -918,7 +989,7 @@ fn resume_stream(dir: &Path) {
 /// resume from it.
 type RealCheckpoint = (&'static str, &'static str, &'static [u8], fn(&Path));
 
-fn real_checkpoints() -> [RealCheckpoint; 3] {
+fn real_checkpoints() -> [RealCheckpoint; 4] {
     let (cold, stream) = (cold_fixture(), stream_fixture());
     [
         (
@@ -928,6 +999,12 @@ fn real_checkpoints() -> [RealCheckpoint; 3] {
             resume_cold,
         ),
         ("sampled", "eim-checkpoint.json", &cold.sampled, resume_cold),
+        (
+            "evicted",
+            "eim-checkpoint.json",
+            &evicted_fixture().checkpoint,
+            resume_evicted,
+        ),
         (
             "stream",
             "eim-stream-checkpoint.json",
@@ -958,10 +1035,10 @@ fn resume_corrupted(tag: &str, file: &str, what: &str, bytes: &[u8], resume: fn(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
-    /// A real checkpoint (cold, of either phase, or streaming), cut short
-    /// or with one bit flipped, is rejected by `load`, rejected by the
-    /// resume with a typed error, or resumes to the clean seeds. It never
-    /// panics.
+    /// A real checkpoint (cold, of either phase or after an eviction, or
+    /// streaming), cut short or with one bit flipped, is rejected by
+    /// `load`, rejected by the resume with a typed error, or resumes to the
+    /// clean seeds. It never panics.
     #[test]
     fn corrupted_checkpoint_is_rejected_or_resumes_clean(
         cut in any::<usize>(),

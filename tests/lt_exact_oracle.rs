@@ -197,3 +197,75 @@ fn fused_lt_sampler_matches_exact_inclusion_rates() {
         );
     }
 }
+
+/// LT needs every in-row to sum to at most 1. A trivalency R-MAT graph
+/// breaks that on hundreds of rows, and every LT entry point refuses it
+/// with a typed error before sampling: the builder, the multi-device
+/// engine, the gIM and cuRipples baselines, the CPU engine's first
+/// extension, and the streaming engine's replay. IC takes the same graph, and weighted cascade's `1/d` rows pass
+/// under LT.
+#[test]
+fn lt_refuses_in_rows_summing_above_one() {
+    use eim::baselines::{CuRipplesEngine, GimEngine, HostSpec};
+    use eim::core::{EimEngine, ScanStrategy};
+    use eim::diffusion::lt_overweight_row;
+    use eim::graph::generators;
+    use eim::imm::{
+        run_imm, CpuEngine, CpuParallelism, EngineError, HostResampler, StreamingImmEngine,
+    };
+    let trivalency = generators::rmat(
+        2_000,
+        30_000,
+        generators::RmatParams::GRAPH500,
+        WeightModel::Trivalency,
+        43,
+    );
+    let (vertex, sum) = lt_overweight_row(&trivalency).expect("rows above 1");
+    assert!(sum > 1.0 + 1e-6);
+    let refused = Some(EngineError::LtRowAboveOne { vertex });
+    let lt = DiffusionModel::LinearThreshold;
+    let run = |g: &Graph, model| {
+        EimBuilder::new(g)
+            .model(model)
+            .k(5)
+            .epsilon(0.5)
+            .seed(3)
+            .run()
+            .map(|r| r.seeds)
+    };
+    assert_eq!(run(&trivalency, lt).err(), refused);
+    assert!(run(&trivalency, DiffusionModel::IndependentCascade).is_ok());
+
+    let config = ImmConfig::paper_default().with_model(lt).with_k(5);
+    let device = || Device::new(DeviceSpec::rtx_a6000_with_mem(512 << 20));
+    let spec = DeviceSpec::rtx_a6000_with_mem(512 << 20);
+    let trace = eim_trace::RunTrace::disabled();
+    let multi = EimEngine::with_telemetry(&trivalency, config, spec, 4, &trace, true);
+    assert_eq!(multi.err(), refused);
+    let single = EimEngine::new(&trivalency, config, device(), ScanStrategy::ThreadPerSet);
+    assert_eq!(single.err(), refused);
+    let gim = GimEngine::new(&trivalency, config, device());
+    assert_eq!(gim.err(), refused);
+    let curipples = CuRipplesEngine::new(&trivalency, config, device(), HostSpec::default());
+    assert_eq!(curipples.err(), refused);
+    let mut cpu = CpuEngine::new(&trivalency, config, CpuParallelism::Serial);
+    assert_eq!(run_imm(&mut cpu, &config).err(), refused);
+    let mut streaming = StreamingImmEngine::new(
+        trivalency.clone(),
+        config,
+        WeightModel::Trivalency,
+        43,
+        HostResampler::new(lt, config.seed),
+    );
+    assert_eq!(streaming.replay().err(), refused);
+
+    let cascade = generators::rmat(
+        2_000,
+        30_000,
+        generators::RmatParams::GRAPH500,
+        WeightModel::WeightedCascade,
+        43,
+    );
+    assert_eq!(lt_overweight_row(&cascade), None);
+    assert!(run(&cascade, lt).is_ok());
+}

@@ -361,3 +361,303 @@ fn lt_lookup_matches_the_partition_point_on_every_row() {
         assert!(checked > 100_000, "{weights:?}: {checked} lookups");
     }
 }
+
+// ---- the fused IC scan's window test against the per-edge reference ------
+
+/// Degrees around the scan's 16-word compares and the keystream's 128-word
+/// windows.
+const SCAN_DEGREES: [usize; 12] = [2, 7, 15, 16, 17, 33, 127, 128, 129, 200, 255, 300];
+
+/// `d` distinct in-neighbors of `v`, sorted, drawn by a partial shuffle.
+fn in_row(rng: &mut impl rand::Rng, pool: &mut [VertexId], v: VertexId, d: usize) -> Vec<VertexId> {
+    let n = pool.len();
+    let mut row = Vec::with_capacity(d);
+    let mut i = 0;
+    while row.len() < d {
+        pool.swap(i, rng.gen_range(i..n));
+        if pool[i] != v {
+            row.push(pool[i]);
+        }
+        i += 1;
+    }
+    row.sort_unstable();
+    row
+}
+
+/// A graph whose rows mix every kind the fused IC scan tells apart:
+/// weighted-cascade rows (one shared threshold), `Trivalency` rows (one
+/// per edge), rows of one in-edge, rows of equal weights other than `1/d`,
+/// rows whose weights of 1 and above accept every draw (one of them at
+/// weight 300, whose threshold is `u32::MAX`), and empty rows. The rows of
+/// the first samples' sources are set so that their first edge tests fall
+/// exactly on a threshold or one above it: the source row is the first
+/// one a sample scans, so its words are known before the graph exists.
+fn mixed_rows_graph() -> Graph {
+    use eim::diffusion::sample_rng;
+    use eim::graph::{Adjacency, Weight};
+    use rand::{Rng, RngCore, SeedableRng};
+    let n = 600u32;
+    let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(29);
+    let mut pool: Vec<VertexId> = (0..n).collect();
+    let mut rows: Vec<(Vec<VertexId>, Vec<Weight>)> = (0..n)
+        .map(|v| {
+            let d = SCAN_DEGREES[(v / 8) as usize % SCAN_DEGREES.len()];
+            let weights: Vec<Weight> = match (v % 8, v % 3) {
+                (0 | 1, _) => vec![1.0 / d as Weight; d],
+                (2 | 3, _) => (0..d)
+                    .map(|_| [0.1, 0.01, 0.001][rng.gen_range(0..3)])
+                    .collect(),
+                (4, _) => vec![1.0],
+                (5, _) => vec![0.4 / d as Weight; d],
+                (6, 0) => vec![1.0; 2],
+                (6, 1) => vec![300.0; 3],
+                (6, _) => (0..3)
+                    .map(|_| [1.0, 2.0, 0.0][rng.gen_range(0..3)])
+                    .collect(),
+                _ => Vec::new(),
+            };
+            (in_row(&mut rng, &mut pool, v, weights.len()), weights)
+        })
+        .collect();
+    // Boundary rows: a shared weight whose threshold equals the first
+    // draw's 24 bits (accept) or lies one below them (reject), or per-edge
+    // weights that put every draw of the row on its boundary, alternately
+    // accepting and rejecting.
+    let mut crafted = Vec::new();
+    for idx in 0..24u64 {
+        let mut r = sample_rng(SEED, idx);
+        let source: VertexId = r.gen_range(0..n);
+        if crafted.contains(&source) {
+            continue;
+        }
+        let d = 9 + crafted.len();
+        let draws: Vec<u32> = (0..d).map(|_| r.next_u32() >> 8).collect();
+        let at = |m: u32, accept: bool| (m - u32::from(!accept)) as Weight / (1u32 << 24) as Weight;
+        if draws.contains(&0) {
+            continue;
+        }
+        let weights = match crafted.len() % 3 {
+            0 => vec![at(draws[0], true); d],
+            1 => vec![at(draws[0], false); d],
+            _ => (0..d).map(|i| at(draws[i], i % 2 == 0)).collect(),
+        };
+        rows[source as usize] = (in_row(&mut rng, &mut pool, source, d), weights);
+        crafted.push(source);
+    }
+    assert!(crafted.len() >= 12, "{} boundary rows", crafted.len());
+    Graph::from_csc(Adjacency::from_rows(rows))
+}
+
+/// Each row's thresholds through `view` are `weight_threshold` of its
+/// weights, shared exactly where the view says so. Returns the shared and
+/// per-edge row counts.
+fn row_kinds<G: DeviceGraph>(view: &G, what: &str) -> (usize, usize) {
+    use eim::core::{weight_threshold, EdgeScratch, RowThresholds};
+    let mut scratch = EdgeScratch::default();
+    let (mut shared, mut per_edge) = (0, 0);
+    for v in 0..view.n() as VertexId {
+        let (nbrs, ts) = view.in_edges(v, &mut scratch);
+        let want: Vec<u32> = (0..nbrs.len())
+            .map(|i| weight_threshold(view.in_weight(v, i)))
+            .collect();
+        let got: Vec<u32> = (0..nbrs.len()).map(|i| ts.get(i)).collect();
+        assert_eq!(got, want, "{what}: row {v}");
+        match ts {
+            RowThresholds::Shared(_) => shared += 1,
+            RowThresholds::PerEdge(t) => {
+                assert_eq!(t.len(), nbrs.len(), "{what}: row {v}");
+                per_edge += 1;
+            }
+        }
+    }
+    (shared, per_edge)
+}
+
+/// Fused IC batches through `view` equal the per-edge reference byte for
+/// byte, with elimination off and on: sets, sources, coverage, counters
+/// (keystream words included) and simulated operations.
+fn assert_ic_scan_matches_reference<G: DeviceGraph>(view: &G, what: &str) {
+    use eim_core::sampler::sample_batch_reference;
+    let ic = DiffusionModel::IndependentCascade;
+    let d = device();
+    for elim in [false, true] {
+        for (seed, start, count) in [(SEED, 0, COUNT), (SEED ^ 7, 1_000, 97)] {
+            let what = format!("{what}/elim={elim}/seed={seed}");
+            let fused = sample_batch(&d, view, ic, seed, start, count, elim).unwrap();
+            let reference = sample_batch_reference(&d, view, ic, seed, start, count, elim).unwrap();
+            assert_eq!(fused.sets, reference.sets, "{what}: sets");
+            assert_eq!(fused.sources, reference.sources, "{what}: sources");
+            assert_eq!(fused.coverage, reference.coverage, "{what}: coverage");
+            assert_eq!(fused.counters, reference.counters, "{what}: counters");
+            assert_eq!(fused.stats.ops, reference.stats.ops, "{what}: ops");
+            assert!(fused.counters.keystream_words > 0, "{what}");
+        }
+    }
+}
+
+/// The fused IC scan on rows of every kind — shared and per-edge
+/// thresholds, `d = 1`, equal weights other than `1/d`, saturating weights
+/// and draws that land exactly on a threshold — equals the per-edge
+/// reference through both views, and still does after an update turns
+/// weighted-cascade rows into per-edge ones and back.
+#[test]
+fn fused_ic_scan_matches_reference_on_every_row_kind() {
+    let mut g = mixed_rows_graph();
+    let plain = PlainDeviceGraph::new(&g);
+    let (shared, per_edge) = row_kinds(&plain, "plain");
+    assert!(
+        shared > 200 && per_edge > 100,
+        "{shared} shared, {per_edge} per-edge"
+    );
+    assert_ic_scan_matches_reference(&plain, "plain");
+    let packed = PackedDeviceGraph::from_graph(&g);
+    assert_eq!(row_kinds(&packed, "packed"), (shared, per_edge));
+    assert_ic_scan_matches_reference(&packed, "packed");
+    let repacked = PackedDeviceGraph::new(PackedCsc::from_graph(&g));
+    assert_eq!(row_kinds(&repacked, "new(from_graph)"), (shared, per_edge));
+    assert_ic_scan_matches_reference(&repacked, "new(from_graph)");
+
+    // Heads with a shared threshold gain an in-edge of weight 0.3, which
+    // leaves their other weights as they were: their rows turn per-edge.
+    // Deleting those edges under weighted cascade rewrites the rows to
+    // `1/d`, shared again.
+    use eim::core::{EdgeScratch, RowThresholds};
+    use eim::graph::GraphDelta;
+    let heads: Vec<VertexId> = (0..g.num_vertices() as VertexId)
+        .filter(|&v| v % 8 == 0 && g.in_degree(v) >= 2)
+        .step_by(5)
+        .collect();
+    let edges: Vec<(VertexId, VertexId)> = heads
+        .iter()
+        .map(|&h| {
+            let u = (0..g.num_vertices() as VertexId)
+                .find(|&u| u != h && !g.in_neighbors(h).contains(&u))
+                .unwrap();
+            (u, h)
+        })
+        .collect();
+    let mut view = packed;
+    let mut scratch = EdgeScratch::default();
+    for (round, (delta, weights, want_shared)) in [
+        (
+            GraphDelta::inserting(edges.clone()),
+            WeightModel::Uniform(0.3),
+            false,
+        ),
+        (
+            GraphDelta {
+                inserts: Vec::new(),
+                deletes: edges,
+            },
+            WeightModel::WeightedCascade,
+            true,
+        ),
+    ]
+    .into_iter()
+    .enumerate()
+    {
+        let applied = g.apply_delta(&delta, weights, 3);
+        assert_eq!(applied.changed_heads, heads, "round {round}");
+        view = view.with_updated_rows(&g, &applied.changed_heads);
+        for &h in &heads {
+            let (_, ts) = view.in_edges(h, &mut scratch);
+            assert_eq!(
+                matches!(ts, RowThresholds::Shared(_)),
+                want_shared,
+                "round {round}: head {h}"
+            );
+        }
+        let what = format!("updated round {round}");
+        let fresh = PackedDeviceGraph::from_graph(&g);
+        assert_eq!(row_kinds(&view, &what), row_kinds(&fresh, "fresh"));
+        assert_ic_scan_matches_reference(&view, &what);
+        assert_ic_scan_matches_reference(&PlainDeviceGraph::new(&g), &format!("{what}/plain"));
+    }
+}
+
+/// The keystream words of one `stream-social` redraw, pinned: the seed-1
+/// benchmark instance (the soc-Epinions1 stand-in at scale 1, weighted
+/// cascade, k = 50, ε = 0.15) and its second 256-edge update batch, after
+/// the first. The count is deterministic work, a denominator for the
+/// redraw's time that machine load cannot move: 17,572 words draw the
+/// 8,786 sources and 80,770,665 test the in-edges of the dequeued vertices.
+#[test]
+fn stream_social_redraw_draws_pinned_keystream_words() {
+    use eim::core::DeviceResampler;
+    use eim::graph::{generators::UpdateStreamSpec, Dataset};
+    use eim::imm::{EngineError, Resampler, StreamingImmEngine};
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    /// Forwards to the device resampler and keeps the last redrawn indices.
+    struct Recording(DeviceResampler, Rc<RefCell<Vec<u64>>>);
+    impl Resampler for Recording {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn graph_changed(&mut self, g: &Graph, heads: &[VertexId]) -> Result<(), EngineError> {
+            self.0.graph_changed(g, heads)
+        }
+        fn sample(
+            &mut self,
+            g: &Graph,
+            indices: &[u64],
+        ) -> Result<Vec<(VertexId, Vec<VertexId>)>, EngineError> {
+            *self.1.borrow_mut() = indices.to_vec();
+            self.0.sample(g, indices)
+        }
+    }
+
+    let seed = 1;
+    let base = Dataset::by_abbrev("SE")
+        .unwrap()
+        .generate(1.0, WeightModel::Preserve, seed);
+    let edges: Vec<(VertexId, VertexId)> = base.iter_edges().map(|(u, v, _)| (u, v)).collect();
+    let graph = GraphBuilder::new(base.num_vertices())
+        .edges(edges)
+        .weight_seed(seed)
+        .build(WeightModel::WeightedCascade);
+    let batches = generators::update_stream(
+        &graph,
+        &UpdateStreamSpec {
+            batches: 2,
+            edges_per_batch: 256,
+            insert_fraction: 0.5,
+            seed: seed ^ 0x5eed,
+        },
+    );
+    let ic = DiffusionModel::IndependentCascade;
+    let config = ImmConfig::paper_default()
+        .with_model(ic)
+        .with_k(50)
+        .with_epsilon(0.15)
+        .with_seed(seed);
+    let redrawn = Rc::new(RefCell::new(Vec::new()));
+    let resampler = DeviceResampler::new(Device::new(DeviceSpec::rtx_a6000()), &graph, ic, seed);
+    let mut engine = StreamingImmEngine::new(
+        graph,
+        config,
+        WeightModel::WeightedCascade,
+        seed,
+        Recording(resampler, redrawn.clone()),
+    );
+    engine.replay().unwrap();
+    for batch in &batches {
+        engine.apply_update(batch).unwrap();
+    }
+    let indices = redrawn.borrow().clone();
+    let b = sample_indices(
+        &device(),
+        &PackedDeviceGraph::from_graph(engine.graph()),
+        ic,
+        seed,
+        &indices,
+        false,
+    )
+    .unwrap();
+    let words = b.counters.keystream_words;
+    assert_eq!(
+        (indices.len(), b.sets.total_elements(), words),
+        (8_786, 826_553, 80_788_237)
+    );
+}
